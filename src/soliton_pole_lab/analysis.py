@@ -68,6 +68,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .exppoly import oracle_poles
 from .kernel import (
     ConvergenceError,
     F_scaled,
@@ -81,6 +82,7 @@ from .kernel import (
     kdv_F_scaled,
     strip_scale,
 )
+from .tracker import TrackerOptions, _cfg_F, _newton_correct
 
 __all__ = [
     "RealDecomp",
@@ -106,6 +108,9 @@ ZERO_GATE = 1e-6
 # from an order-m zero, where the derivative has relative size about
 # m * tol^((m-1)/m), i.e. 2e-6 for a double zero at tol 1e-12).
 FX_GATE = 3e-6
+# Residues are read off at the pole itself, so polish tighter than the
+# tracker's default corrector target.
+_POLISH_OPTS = TrackerOptions(newton_tol=1e-13)
 
 _FACTOR_SIGN = {
     (Variant.PLUS, 1): +1,
@@ -414,13 +419,22 @@ def _require_comm(cfg: SolitonConfig):
     return cfg.comm
 
 
-def _random_probes(cfg, rng: random.Random, n: int):
+def _random_probes(
+    cfg: SolitonConfig, rng: random.Random, n: int
+) -> list[tuple[complex, float]]:
+    """n random (x, t) probes around the interaction region.
+
+    A list, not a generator: callers that draw from rng after the probes
+    (the battery's translation check) rely on all n being drawn first.
+    """
     scale = strip_scale(cfg)
-    for _ in range(n):
-        yield (
+    return [
+        (
             complex(rng.uniform(-3.0, 3.0), rng.uniform(-2.0, 2.0) * scale),
             rng.uniform(-1.5, 1.5),
         )
+        for _ in range(n)
+    ]
 
 
 def translation_residual(
@@ -536,23 +550,6 @@ def odd_parity_translation(
 # ---------------------------------------------------------------------------
 
 
-def _polish_zero(cfg: SolitonConfig, x: complex, t: float, v: Variant) -> complex:
-    for _ in range(20):
-        Fv = F_scaled(cfg, x, t, v)
-        if Fv.relative() < 1e-13:
-            return x
-        Fx = F_scaled(cfg, x, t, v, dx=1)
-        try:
-            x = x - (Fv / Fx).value()
-        except (ZeroDivisionError, OverflowError) as exc:
-            raise PoleError(
-                f"({x}, {t}) did not polish to a zero of F (diverged: {exc})"
-            ) from exc
-    if F_scaled(cfg, x, t, v).relative() < 1e-10:
-        return x
-    raise PoleError(f"({x}, {t}) did not polish to a zero of F")
-
-
 def _isolation_radius(
     cfg: SolitonConfig, x: complex, t: float, v: Variant
 ) -> float:
@@ -567,8 +564,6 @@ def _isolation_radius(
     else:
         base = math.pi / (4.0 * cfg.k2)
     if cfg.comm is not None and cfg.exact:
-        from .exppoly import oracle_poles
-
         period = 2.0 * math.pi * cfg.comm.lam
         nearest = math.inf
         for root, _ in oracle_poles(cfg, v, t):
@@ -598,7 +593,14 @@ def residue_at_pole(
     Every residue of u is +i or -i.
     """
     v = _variant(cfg, variant)
-    x0 = _polish_zero(cfg, complex(x_pole), t, v)
+    try:
+        x0, _, _, _ = _newton_correct(
+            _cfg_F(cfg, v), complex(x_pole), t, _POLISH_OPTS
+        )
+    except ConvergenceError as exc:
+        raise PoleError(
+            f"({x_pole}, {t}) did not polish to a zero of F ({exc})"
+        ) from exc
     Fx = F_scaled(cfg, x0, t, v, dx=1)
     if Fx.relative() < FX_GATE:
         raise ConvergenceError(

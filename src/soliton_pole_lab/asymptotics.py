@@ -51,7 +51,7 @@ from .kernel import (
     Variant,
     _terms_F,
 )
-from .tracker import PoleCurve, position_at
+from .tracker import PoleCurve, position_at, track_ensemble
 
 __all__ = [
     "Speed",
@@ -66,6 +66,7 @@ __all__ = [
     "seed_state",
     "strip_labels",
     "match_families",
+    "match_horizons",
 ]
 
 
@@ -197,7 +198,7 @@ class MovingFrame:
         w1 = -cfg.k1 * (coord - cfg.x1)
         w2 = -cfg.k2 * (coord - cfg.x2)
         pieces = []
-        for coeff, a1, a2 in _terms_F(cfg, v):
+        for coeff, a1, a2 in _terms_F(cfg.gamma**2, v):
             # Power of the frame scale: f2 carries one r; I = s^2 F with f1
             # carrying 1/s makes the power 2 - a1 (never negative here).
             scale_pow = a2 if self.kind is Speed.SLOW else 2 - a1
@@ -381,3 +382,20 @@ def match_families(
         unmatched=tuple(unmatched),
         max_residual=max((m.residual for m in matches), default=0.0),
     )
+
+
+def match_horizons(cfg: SolitonConfig, T: float) -> list[MatchReport]:
+    """Family match reports at t = -T and t = +T (in that order).
+
+    Each horizon gets its own ensemble, seeded from the exact oracle at
+    t = +-T and tracked one unit inward, rather than one sweep across
+    [-T, T]: continuation through an exceptional collision can put two
+    curves on one outgoing branch, which makes horizon matching
+    ill-posed for reasons that say nothing about the family law.
+    """
+    reports = []
+    for direction in (-1, 1):
+        horizon = direction * T
+        ensemble = track_ensemble(cfg, horizon, horizon - direction)
+        reports.append(match_families(ensemble, cfg, T, direction))
+    return reports

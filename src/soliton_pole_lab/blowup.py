@@ -39,14 +39,20 @@ from typing import Optional, Sequence
 from .kernel import (
     ConvergenceError,
     F_scaled,
-    PoleError,
-    PoleMarker,
     SolitonConfig,
     Variant,
-    eval_u,
+    _u_or_raise,
     strip_scale,
 )
-from .tracker import PoleCurve, TrackerOptions, position_at, track_curve
+# track_curve stays importable from here: perfbench/tests uses
+# blowup.track_curve to check that names imported across modules are traced.
+from .tracker import (  # noqa: F401
+    PoleCurve,
+    TrackerOptions,
+    position_at,
+    track_curve,
+    track_ensemble,
+)
 
 __all__ = [
     "Crossing",
@@ -317,12 +323,7 @@ def build_scenario(
     ConvergenceError.
     """
     if curves is None:
-        from .exppoly import oracle_poles
-
-        seeds = oracle_poles(cfg, t=-t_span)
-        curves = [
-            track_curve(cfg, None, x, -t_span, t_span, opts) for x, _ in seeds
-        ]
+        curves = track_ensemble(cfg, -t_span, t_span, opts)
     if alpha is None:
         alpha, idx = choose_alpha(cfg, curves)
         candidates = [curves[idx]]
@@ -356,18 +357,6 @@ def build_scenario(
 # ---------------------------------------------------------------------------
 
 
-def _abs_u_on_line(
-    cfg: SolitonConfig, alpha: float, x: float, t: float
-) -> float:
-    u = eval_u(cfg, complex(x, -alpha), t)
-    if isinstance(u, PoleMarker):
-        raise PoleError(
-            f"profile grid point x={x} at t={t} sits on a pole of the "
-            "shifted line"
-        )
-    return abs(u)
-
-
 def _tail_rate(xs: Sequence[float], vals: Sequence[float]) -> float:
     """Exponential decay rate fitted on log|u| over a tail window."""
     pts = [
@@ -391,7 +380,7 @@ def _profile_at(
     for _ in range(40):
         n = max(3, int(2 * span / spacing) + 1)
         xs = [center - span + 2 * span * i / (n - 1) for i in range(n)]
-        vals = [_abs_u_on_line(cfg, alpha, x, t) for x in xs]
+        vals = [abs(_u_or_raise(cfg, complex(x, -alpha), t)) for x in xs]
         peak_i = max(range(n), key=vals.__getitem__)
         peak, arg = vals[peak_i], xs[peak_i]
         boundary = max(vals[0], vals[-1])
@@ -414,7 +403,7 @@ def _profile_at(
         lo = arg - step
         m = 2 * grid.factor + 1
         fx = [lo + 2 * step * i / (m - 1) for i in range(m)]
-        fv = [_abs_u_on_line(cfg, alpha, x, t) for x in fx]
+        fv = [abs(_u_or_raise(cfg, complex(x, -alpha), t)) for x in fx]
         best = max(range(m), key=fv.__getitem__)
         gain = fv[best] / peak - 1.0
         if fv[best] > peak:
@@ -522,15 +511,6 @@ def fit_blowup_rate(
 # ---------------------------------------------------------------------------
 
 
-def _u_on_line(cfg: SolitonConfig, alpha: float, x: float, t: float) -> complex:
-    u = eval_u(cfg, complex(x, -alpha), t)
-    if isinstance(u, PoleMarker):
-        raise PoleError(
-            f"finite-difference stencil at x={x}, t={t} touches a pole"
-        )
-    return u
-
-
 def coupled_system_residual(
     cfg: SolitonConfig,
     alpha: float,
@@ -556,7 +536,7 @@ def coupled_system_residual(
     work = cfg if variant is None else cfg.with_variant(variant)
 
     def u_at(xx: float, tt: float) -> complex:
-        return _u_on_line(work, alpha, xx, tt)
+        return _u_or_raise(work, complex(xx, -alpha), tt)
 
     u0 = u_at(x, t)
     up1, um1 = u_at(x + h, t), u_at(x - h, t)

@@ -37,13 +37,13 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from . import exppoly
-from .asymptotics import match_families
+from .asymptotics import match_horizons
 from .blowup import blowup_profile, build_scenario, fit_blowup_rate
 from .exppoly import oracle_poles
 from .interaction import SWEEP_HEADER, sweep_rows
 from .kernel import ConvergenceError, PoleError, PoleMarker, SolitonConfig, eval_u
 from .suite import run_battery
-from .tracker import PoleCurve, curve_to_csv_rows, track_curve
+from .tracker import PoleCurve, curve_to_csv_rows, track_curve, track_ensemble
 
 __all__ = ["run", "main"]
 
@@ -225,17 +225,6 @@ def _config_from_args(args: argparse.Namespace, exact: bool) -> SolitonConfig:
         raise _UsageError(str(exc))
 
 
-def _cfg_dict(cfg: SolitonConfig) -> dict:
-    return {
-        "k1": cfg.k1,
-        "k2": cfg.k2,
-        "variant": cfg.variant.value,
-        "x1": cfg.x1,
-        "x2": cfg.x2,
-        "exact": cfg.exact,
-    }
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="soliton-pole-lab",
@@ -305,7 +294,7 @@ def _cmd_eval(args):
     u = eval_u(cfg, x, t)
     at_pole = isinstance(u, PoleMarker)
     payload = {
-        "config": _cfg_dict(cfg),
+        "config": cfg.to_dict(),
         "x": x,
         "t": t,
         "u": None if at_pole else u,
@@ -323,7 +312,7 @@ def _cmd_poles(args):
     t = args.t if args.t is not None else 0.0
     poles = oracle_poles(cfg, t=t)
     payload = {
-        "config": _cfg_dict(cfg),
+        "config": cfg.to_dict(),
         "t": t,
         "count_with_multiplicity": sum(m for _, m in poles),
         "poles": [{"x": x, "multiplicity": m} for x, m in poles],
@@ -334,15 +323,14 @@ def _cmd_poles(args):
 
 def _track_ensemble(cfg: SolitonConfig, args) -> list[PoleCurve]:
     if args.x is not None:
-        seeds = [_parse_complex(args.x, "--x")]
-    else:
-        if not cfg.exact:
-            raise _UsageError(
-                "track without --x seeds from the exact pole oracle: give "
-                "--k1/--k2 as integers or 'p/q' rationals, or pass --x"
-            )
-        seeds = [x for x, _ in oracle_poles(cfg, t=args.t0)]
-    return [track_curve(cfg, None, x, args.t0, args.t1) for x in seeds]
+        x = _parse_complex(args.x, "--x")
+        return [track_curve(cfg, None, x, args.t0, args.t1)]
+    if not cfg.exact:
+        raise _UsageError(
+            "track without --x seeds from the exact pole oracle: give "
+            "--k1/--k2 as integers or 'p/q' rationals, or pass --x"
+        )
+    return track_ensemble(cfg, args.t0, args.t1)
 
 
 def _cmd_track(args):
@@ -350,7 +338,7 @@ def _cmd_track(args):
     _need(args, "t0", "t1")
     curves = _track_ensemble(cfg, args)
     payload = {
-        "config": _cfg_dict(cfg),
+        "config": cfg.to_dict(),
         "t0": args.t0,
         "t1": args.t1,
         "curves": [
@@ -377,16 +365,9 @@ def _cmd_asympt(args):
     T = args.t1 if args.t1 is not None else 10.0
     if T <= 0:
         raise _UsageError("--t1: horizon must be positive")
-    reports = []
-    for direction in (-1, 1):
-        horizon = direction * T
-        ensemble = [
-            track_curve(cfg, None, x, horizon, horizon - direction)
-            for x, _ in oracle_poles(cfg, t=horizon)
-        ]
-        reports.append(match_families(ensemble, cfg, T, direction))
+    reports = match_horizons(cfg, T)
     payload = {
-        "config": _cfg_dict(cfg),
+        "config": cfg.to_dict(),
         "T": T,
         "reports": [r.to_dict() for r in reports],
     }
@@ -490,6 +471,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 2
+    saved_dps = exppoly._POLISH_DPS
     try:
         _merge_config(args)
         if args.precision is not None:
@@ -510,6 +492,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except (PoleError, ConvergenceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        exppoly._POLISH_DPS = saved_dps
 
 
 def main() -> None:

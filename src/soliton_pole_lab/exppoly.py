@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 import mpmath as mp
 
 from ._balanced import Scaled, balanced_sum
-from .kernel import ConvergenceError, SolitonConfig, Variant
+from .kernel import ConvergenceError, SolitonConfig, Variant, _terms_F, _terms_G
 
 __all__ = [
     "ExpTerm",
@@ -231,19 +231,9 @@ def build_F_poly(cfg: SolitonConfig, variant: "Variant | str | None" = None) -> 
     """
     _require_comm(cfg)
     v = cfg.variant if variant is None else Variant.coerce(variant)
-    g2 = cfg.gamma_exact ** 2
-    s = -v.sign  # +1 for Minus, -1 for Plus
-    raw = [
-        (Fraction(1), 0, 0),
-        (Fraction(2) * s, 1, 1),
-        (Fraction(1), 2, 2),
-        (g2, 2, 0),
-        (Fraction(-2) * s * g2, 1, 1),
-        (g2, 0, 2),
-    ]
     assert cfg.comm is not None
     return ExpPoly(
-        terms=_build_terms(cfg, raw),
+        terms=_build_terms(cfg, _terms_F(cfg.gamma_exact**2, v)),
         lam=cfg.comm.lam,
         variant=v,
         kind="F",
@@ -263,17 +253,9 @@ def build_G_poly(cfg: SolitonConfig, variant: "Variant | str | None" = None) -> 
     """
     _require_comm(cfg)
     v = cfg.variant if variant is None else Variant.coerce(variant)
-    s = v.sign
-    k1x, k2x = cfg.k1_exact, cfg.k2_exact
-    raw = [
-        (s * k1x, 1, 0),
-        (s * k1x, 1, 2),
-        (k2x, 0, 1),
-        (k2x, 2, 1),
-    ]
     assert cfg.comm is not None
     return ExpPoly(
-        terms=_build_terms(cfg, raw),
+        terms=_build_terms(cfg, _terms_G(cfg.k1_exact, cfg.k2_exact, v)),
         lam=cfg.comm.lam,
         variant=v,
         kind="G",
@@ -465,23 +447,25 @@ def _polish_and_certify(
                 norm += abs(piece)
             return val, norm
 
-        def newton(y0: "mp.mpc") -> "mp.mpc":
-            y = y0
-            for _ in range(80):
-                pv, _ = p_eval(y)
-                dv, _ = p_eval(y, 1)
+        step_tol = mp.mpf(10) ** (-_POLISH_DPS + 8)
+
+        def newton(y: "mp.mpc", deriv: int, max_steps: int) -> "mp.mpc":
+            """Newton on p^(deriv): deriv 0 polishes a root estimate, deriv
+            m-1 recentres an m-cluster on the simple root of p^(m-1)."""
+            for _ in range(max_steps):
+                pv, _ = p_eval(y, deriv)
+                dv, _ = p_eval(y, deriv + 1)
                 if dv == 0:
                     break
                 step = pv / dv
                 y = y - step
-                if abs(step) <= mp.mpf(10) ** (-_POLISH_DPS + 8) * (1 + abs(y)):
+                if abs(step) <= step_tol * (1 + abs(y)):
                     break
             return y
 
-        polished: list["mp.mpc"] = []
-        for z, rho in estimates:
-            y0 = mp.mpc(z) * mp.exp(mp.mpf(rho))
-            polished.append(newton(y0))
+        polished = [
+            newton(mp.mpc(z) * mp.exp(mp.mpf(rho)), 0, 80) for z, rho in estimates
+        ]
 
         # Cluster into connected components under the relative tolerance.
         n_est = len(polished)
@@ -510,22 +494,32 @@ def _polish_and_certify(
             roots.append((0j, zero_mult))
             condition.append(1.0)
 
+        def keep_simple(y: "mp.mpc") -> None:
+            """Certify y as a simple root and record it with its condition."""
+            nonlocal worst
+            pv, norm = p_eval(y)
+            rel = float(abs(pv) / norm) if norm > 0 else 0.0
+            worst = max(worst, rel)
+            if rel > cert_tol:
+                raise ConvergenceError(
+                    f"root {complex(y)} failed certification: "
+                    f"relative residual {rel:.3e} > {cert_tol:.1e}"
+                )
+            dv, _ = p_eval(y, 1)
+            kappa = (
+                float(norm / (abs(dv) * max(abs(y), mp.mpf(1e-300))))
+                if dv != 0
+                else math.inf
+            )
+            roots.append((complex(y), 1))
+            condition.append(kappa)
+
         for members in clusters.values():
             m = len(members)
-            center = sum(polished[i] for i in members) / m
-            if m > 1:
-                # Recenter on the simple root of p^{(m-1)}.
-                y = center
-                for _ in range(60):
-                    pv, _ = p_eval(y, m - 1)
-                    dv, _ = p_eval(y, m)
-                    if dv == 0:
-                        break
-                    step = pv / dv
-                    y = y - step
-                    if abs(step) <= mp.mpf(10) ** (-_POLISH_DPS + 8) * (1 + abs(y)):
-                        break
-                center = y
+            if m == 1:
+                keep_simple(polished[members[0]])
+                continue
+            center = newton(sum(polished[i] for i in members) / m, m - 1, 60)
             # Derivative ladder: p^{(j)} must vanish (relative to its term
             # norm) for j < m and must not for j = m.
             ladder_ok = True
@@ -538,47 +532,22 @@ def _polish_and_certify(
                     ladder_ok = False
             pv_m, norm_m = p_eval(center, m)
             nondeg = norm_m > 0 and abs(pv_m) / norm_m > 1e-12
-            if m > 1 and (not ladder_ok or not nondeg):
+            if not ladder_ok or not nondeg:
                 # Not a genuine multiple root: keep members as simple roots.
                 for i in members:
-                    y = polished[i]
-                    pv, norm = p_eval(y)
-                    rel = float(abs(pv) / norm) if norm > 0 else 0.0
-                    worst = max(worst, rel)
-                    if rel > cert_tol:
-                        raise ConvergenceError(
-                            f"root {complex(y)} failed certification: "
-                            f"relative residual {rel:.3e} > {cert_tol:.1e}"
-                        )
-                    dv, _ = p_eval(y, 1)
-                    kappa = (
-                        float(norm / (abs(dv) * max(abs(y), mp.mpf(1e-300))))
-                        if dv != 0
-                        else math.inf
-                    )
-                    roots.append((complex(y), 1))
-                    condition.append(kappa)
+                    keep_simple(polished[i])
                 continue
-            worst = max(worst, rels[0] if rels else 0.0)
-            if rels and rels[0] > cert_tol:
+            worst = max(worst, rels[0])
+            if rels[0] > cert_tol:
                 raise ConvergenceError(
                     f"root {complex(center)} failed certification: "
                     f"relative residual {rels[0]:.3e} > {cert_tol:.1e}"
                 )
-            if m == 1:
-                dv, _ = p_eval(center, 1)
-                _, norm0 = p_eval(center)
-                kappa = (
-                    float(norm0 / (abs(dv) * max(abs(center), mp.mpf(1e-300))))
-                    if dv != 0
-                    else math.inf
-                )
-            else:
-                # Multiplicity-m sensitivity: eps^(1/m) scaling.
-                _, norm0 = p_eval(center)
-                fact = math.factorial(m)
-                base = norm0 / (abs(pv_m) / fact)
-                kappa = float(base) ** (1.0 / m) / max(float(abs(center)), 1.0)
+            # Multiplicity-m sensitivity: eps^(1/m) scaling.
+            _, norm0 = p_eval(center)
+            fact = math.factorial(m)
+            base = norm0 / (abs(pv_m) / fact)
+            kappa = float(base) ** (1.0 / m) / max(float(abs(center)), 1.0)
             roots.append((complex(center), m))
             condition.append(kappa)
 

@@ -71,7 +71,6 @@ __all__ = [
     "eval_u_x",
     "eval_u_xx",
     "strip_scale",
-    "is_pole",
 ]
 
 ExactLike = Union[int, str, Fraction]
@@ -277,6 +276,16 @@ class SolitonConfig:
             comm=self.comm,
         )
 
+    def to_dict(self) -> dict:
+        return {
+            "k1": self.k1,
+            "k2": self.k2,
+            "variant": self.variant.value,
+            "x1": self.x1,
+            "x2": self.x2,
+            "exact": self.exact,
+        }
+
 
 @dataclass(frozen=True)
 class PoleMarker:
@@ -310,23 +319,28 @@ def strip_scale(cfg: SolitonConfig) -> float:
 Term = tuple[complex, int, int]
 
 
-def _terms_F(cfg: SolitonConfig, variant: Variant) -> list[Term]:
-    g2 = cfg.gamma**2
+def _terms_F(g2, variant: Variant) -> list[Term]:
+    """Monomials of F from g2 = gamma^2.
+
+    The one source of F's monomial data: coefficients keep the type of
+    g2 (float for the kernel, Fraction for the exact polynomials in
+    ``exppoly``).
+    """
     s = -variant.sign  # +1 Minus, -1 Plus in front of the f1 f2 cross terms
     # (1 + s f1 f2)^2 + gamma^2 (f2 - s f1)^2, s = -sign(variant)
     return [
-        (1.0, 0, 0),
-        (2.0 * s, 1, 1),
-        (1.0, 2, 2),
+        (1, 0, 0),
+        (2 * s, 1, 1),
+        (1, 2, 2),
         (g2, 2, 0),
-        (-2.0 * s * g2, 1, 1),
+        (-2 * s * g2, 1, 1),
         (g2, 0, 2),
     ]
 
 
-def _terms_G(cfg: SolitonConfig, variant: Variant) -> list[Term]:
+def _terms_G(k1, k2, variant: Variant) -> list[Term]:
+    """Monomials of G; coefficients keep the type of k1, k2 (see _terms_F)."""
     s = variant.sign  # G_plus has +k1 f1 terms, G_minus has -k1 f1 terms
-    k1, k2 = cfg.k1, cfg.k2
     return [
         (s * k1, 1, 0),
         (s * k1, 1, 2),
@@ -392,7 +406,7 @@ def F_scaled(
 ) -> Scaled:
     """Log-balanced F (or a mixed x/t derivative of it)."""
     v = cfg.variant if variant is None else Variant.coerce(variant)
-    return _eval_terms(cfg, _terms_F(cfg, v), x, t, dx, dt)
+    return _eval_terms(cfg, _terms_F(cfg.gamma**2, v), x, t, dx, dt)
 
 
 def G_scaled(
@@ -405,7 +419,7 @@ def G_scaled(
 ) -> Scaled:
     """Log-balanced G (or a mixed x/t derivative of it)."""
     v = cfg.variant if variant is None else Variant.coerce(variant)
-    return _eval_terms(cfg, _terms_G(cfg, v), x, t, dx, dt)
+    return _eval_terms(cfg, _terms_G(cfg.k1, cfg.k2, v), x, t, dx, dt)
 
 
 def factor_scaled(
@@ -431,14 +445,6 @@ def kdv_F_scaled(
 ) -> Scaled:
     """Log-balanced KdV-form denominator 1 + gamma f1 + gamma f2 + f1 f2."""
     return _eval_terms(cfg, _terms_kdv(cfg), x, t, dx, dt)
-
-
-def is_pole(cfg: SolitonConfig, x: complex, t: float, variant: Optional[Variant] = None) -> bool:
-    """Pole test: |F| < POLE_TOL * max(1, |F_x| * strip_scale)."""
-    F = F_scaled(cfg, x, t, variant)
-    Fx = F_scaled(cfg, x, t, variant, dx=1)
-    bound = math.log(POLE_TOL) + max(0.0, Fx.log_abs() + math.log(strip_scale(cfg)))
-    return F.log_abs() < bound
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +515,14 @@ def eval_u(cfg: SolitonConfig, x: complex, t: float) -> "complex | PoleMarker":
     if F.log_abs() < bound:
         return PoleMarker(complex(x), t, F.relative())
     return 2.0 * cfg.gamma * G.ratio(F)
+
+
+def _u_or_raise(cfg: SolitonConfig, x: complex, t: float) -> complex:
+    """``eval_u`` for callers that need a regular point: PoleError at a pole."""
+    u = eval_u(cfg, x, t)
+    if isinstance(u, PoleMarker):
+        raise PoleError(f"evaluation at x={x}, t={t} touches a pole")
+    return u
 
 
 def _sech_scaled(w: complex) -> tuple[Scaled, Scaled]:
@@ -785,21 +799,12 @@ def pde_residual(cfg: SolitonConfig, x: complex, t: float, h: float) -> complex:
     """
     if not h > 0:
         raise ValueError("step h must be positive")
-
-    def u_at(xx: complex, tt: float) -> complex:
-        val = eval_u(cfg, xx, tt)
-        if isinstance(val, PoleMarker):
-            raise PoleError(
-                f"finite-difference stencil touches a pole near x={xx}, t={tt}"
-            )
-        return val
-
-    um3 = u_at(x - 1.5 * h, t)
-    um1 = u_at(x - 0.5 * h, t)
-    up1 = u_at(x + 0.5 * h, t)
-    up3 = u_at(x + 1.5 * h, t)
-    u0 = u_at(x, t)
-    ut = (u_at(x, t + h) - u_at(x, t - h)) / (2.0 * h)
+    um3 = _u_or_raise(cfg, x - 1.5 * h, t)
+    um1 = _u_or_raise(cfg, x - 0.5 * h, t)
+    up1 = _u_or_raise(cfg, x + 0.5 * h, t)
+    up3 = _u_or_raise(cfg, x + 1.5 * h, t)
+    u0 = _u_or_raise(cfg, x, t)
+    ut = (_u_or_raise(cfg, x, t + h) - _u_or_raise(cfg, x, t - h)) / (2.0 * h)
     ux = (up1 - um1) / h
     uxxx = (up3 - 3.0 * up1 + 3.0 * um1 - um3) / h**3
     return ut + 6.0 * u0**2 * ux + uxxx

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from . import analysis, interaction
-from .asymptotics import FamilyLabel, Speed, match_families, seed_state, seed_time
+from .asymptotics import FamilyLabel, Speed, match_horizons, seed_state, seed_time
 from .blowup import blowup_profile, build_scenario, fit_blowup_rate
 from .exppoly import oracle_poles
 from .kernel import (
@@ -33,9 +33,8 @@ from .kernel import (
     eqg_residual,
     factor_scaled,
     pde_residual,
-    strip_scale,
 )
-from .tracker import PoleCurve, track_curve
+from .tracker import PoleCurve, track_curve, track_ensemble
 
 __all__ = ["CheckResult", "BatteryReport", "run_battery"]
 
@@ -99,19 +98,6 @@ def _fail(name: str, exc: Exception) -> CheckResult:
     )
 
 
-def _probes(
-    cfg: SolitonConfig, rng: random.Random, n: int
-) -> list[tuple[complex, float]]:
-    scale = strip_scale(cfg)
-    return [
-        (
-            complex(rng.uniform(-3.0, 3.0), rng.uniform(-2.0, 2.0) * scale),
-            rng.uniform(-1.5, 1.5),
-        )
-        for _ in range(n)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Individual checks.  Each returns a CheckResult and never raises.
 # ---------------------------------------------------------------------------
@@ -127,7 +113,7 @@ def _check_field_equation(
         for variant in (Variant.PLUS, Variant.MINUS):
             work = cfg.with_variant(variant)
             done = 0
-            for x, t in _probes(cfg, rng, 4 * n):
+            for x, t in analysis._random_probes(cfg, rng, 4 * n):
                 if done >= n:
                     break
                 try:
@@ -152,7 +138,7 @@ def _check_pde_richardson(cfg: SolitonConfig, rng: random.Random) -> CheckResult
         ratios = []
         witness = ""
         worst_dev = 0.0
-        for x, t in _probes(cfg, rng, 40):
+        for x, t in analysis._random_probes(cfg, rng, 40):
             if len(ratios) >= 3:
                 break
             try:
@@ -186,7 +172,7 @@ def _check_factorization(
     try:
         worst, witness = 0.0, ""
         for variant in (Variant.PLUS, Variant.MINUS):
-            for x, t in _probes(cfg, rng, n):
+            for x, t in analysis._random_probes(cfg, rng, n):
                 f1 = factor_scaled(cfg, x, t, 1, variant)
                 f2 = factor_scaled(cfg, x, t, 2, variant)
                 F = F_scaled(cfg, x, t, variant)
@@ -250,11 +236,6 @@ def _check_cosine_relations(cfg: SolitonConfig) -> CheckResult:
         return _fail(name, exc)
 
 
-def _tracked_ensemble(cfg: SolitonConfig, T: float) -> list[PoleCurve]:
-    seeds = oracle_poles(cfg, t=-T)
-    return [track_curve(cfg, None, x, -T, T) for x, _ in seeds]
-
-
 def _check_sign_law(
     cfg: SolitonConfig, curves: Optional[Sequence[PoleCurve]]
 ) -> CheckResult:
@@ -304,7 +285,7 @@ def _check_translation(
         return _skip(name, "commensurable wavenumbers required")
     p1, p2 = cfg.comm.p1, cfg.comm.p2
     try:
-        pts = _probes(cfg, rng, probes)
+        pts = analysis._random_probes(cfg, rng, probes)
         worst, witness = 0.0, ""
         if (p1 + p2) % 2 == 1:
             theta = analysis.parity_translation_theta(cfg, probes=20, seed=rng.randint(0, 10**6))
@@ -391,27 +372,16 @@ def _check_pole_count(cfg: SolitonConfig) -> CheckResult:
 def _check_asymptotics(
     cfg: SolitonConfig, curves: Optional[Sequence[PoleCurve]], T: float
 ) -> CheckResult:
-    """Match oracle roots at each horizon against the family asymptotes.
-
-    Each horizon gets its own ensemble seeded from the oracle at t =
-    +-T and tracked one unit inward, rather than reusing the full
-    sweep: continuation through an exceptional collision can put two
-    curves on one outgoing branch, which makes horizon matching
-    ill-posed for reasons that say nothing about the family law.
-    """
+    """Match oracle roots at each horizon against the family asymptotes
+    (per-horizon ensembles, see ``match_horizons``)."""
     name = "asymptotic-families"
     if cfg.comm is None or curves is None:
         return _skip(name, "family matching requires exact commensurable wavenumbers")
     try:
         worst, witness = 0.0, ""
         n = 0
-        for direction in (-1, 1):
-            horizon = direction * T
-            ensemble = [
-                track_curve(cfg, None, x, horizon, horizon - direction)
-                for x, _ in oracle_poles(cfg, t=horizon)
-            ]
-            report = match_families(ensemble, cfg, T, direction)
+        for report in match_horizons(cfg, T):
+            direction = report.direction
             if report.unmatched:
                 return CheckResult(
                     name,
@@ -520,7 +490,7 @@ def run_battery(cfg: SolitonConfig, seed: int = 0) -> BatteryReport:
     horizon = 10.0
     if cfg.comm is not None:
         horizon = max(10.0, seed_time(cfg, 1e-6) + 2.0)
-        curves = _tracked_ensemble(cfg, horizon)
+        curves = track_ensemble(cfg, -horizon, horizon)
 
     checks = (
         _check_field_equation(cfg, rng),
@@ -536,12 +506,4 @@ def run_battery(cfg: SolitonConfig, seed: int = 0) -> BatteryReport:
         _check_blowup(cfg, curves),
         _check_interaction(cfg),
     )
-    config = {
-        "k1": cfg.k1,
-        "k2": cfg.k2,
-        "variant": cfg.variant.value,
-        "x1": cfg.x1,
-        "x2": cfg.x2,
-        "exact": cfg.comm is not None,
-    }
-    return BatteryReport(config=config, seed=seed, checks=checks)
+    return BatteryReport(config=cfg.to_dict(), seed=seed, checks=checks)

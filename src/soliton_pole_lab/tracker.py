@@ -29,6 +29,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ._balanced import Scaled
+from .exppoly import oracle_poles
 from .kernel import (
     ConvergenceError,
     F_scaled,
@@ -42,6 +43,7 @@ __all__ = [
     "PoleCurve",
     "BranchFit",
     "track_curve",
+    "track_ensemble",
     "track_zero_curve",
     "detect_exceptional",
     "classify_branch",
@@ -334,6 +336,21 @@ def track_curve(
         collision_points=exc["points"],
         variant=v,
     )
+
+
+def track_ensemble(
+    cfg: SolitonConfig,
+    t_start: float,
+    t_end: float,
+    opts: Optional[TrackerOptions] = None,
+) -> list[PoleCurve]:
+    """Track every pole of u from t_start to t_end: one curve per pole the
+    exact oracle finds in the fundamental strip at t_start (commensurable
+    configs only), in the oracle's order."""
+    return [
+        track_curve(cfg, None, x, t_start, t_end, opts)
+        for x, _ in oracle_poles(cfg, t=t_start)
+    ]
 
 
 @dataclass(frozen=True)

@@ -327,17 +327,22 @@ class TestPlumbing:
         code = run(["poles", "--k1", "1", "--k2", "2", "--config", "/nonexistent.cfg"])
         assert code == 2
 
-    def test_precision_floor(self, capsys):
-        saved = exppoly._POLISH_DPS
-        try:
-            code = run(
-                ["poles", "--k1", "1", "--k2", "2", "--precision", "10"]
-            )
-            capsys.readouterr()
-            assert code == 0
-            assert exppoly._POLISH_DPS == 30
-        finally:
-            exppoly._POLISH_DPS = saved
+    def test_precision_floor(self, capsys, monkeypatch):
+        """--precision is floored at 30 digits while the command runs and
+        does not outlive the call."""
+        seen = []
+        polish = exppoly._polish_and_certify
+
+        def spy(*args, **kwargs):
+            seen.append(exppoly._POLISH_DPS)
+            return polish(*args, **kwargs)
+
+        monkeypatch.setattr(exppoly, "_polish_and_certify", spy)
+        code = run(["poles", "--k1", "1", "--k2", "2", "--precision", "10"])
+        capsys.readouterr()
+        assert code == 0
+        assert seen and set(seen) == {30}
+        assert exppoly._POLISH_DPS == 45
 
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"]) == 2

@@ -30,6 +30,7 @@ from soliton_pole_lab.tracker import (
     detect_exceptional,
     mirror_curve,
     track_curve,
+    track_ensemble,
     track_zero_curve,
 )
 
@@ -117,6 +118,26 @@ def test_tracked_curves_match_oracle_12(variant):
             assert dists[idx] < 1e-8
             matched.add(idx)
         assert matched == set(range(len(oracle)))
+
+
+@pytest.mark.parametrize("variant", ["minus", "plus"])
+def test_track_ensemble_follows_every_oracle_pole(variant):
+    cfg = SolitonConfig.make(1, 2, variant)
+    seeds = oracle_poles(cfg, t=-3.0)
+    curves = track_ensemble(cfg, -3.0, 3.0)
+    assert len(curves) == len(seeds)
+    for curve, (x_seed, _) in zip(curves, seeds):
+        assert curve.samples[0][0] == -3.0
+        assert abs(curve.samples[0][1] - x_seed) < 1e-10
+        assert curve.t_last == 3.0
+    # Endpoints match the oracle at t_end one to one.
+    oracle = [x for x, _ in oracle_poles(cfg, t=3.0)]
+    nearest = [
+        int(np.argmin([abs(c.x_last - xo) for xo in oracle])) for c in curves
+    ]
+    assert sorted(nearest) == list(range(len(oracle)))
+    for curve, idx in zip(curves, nearest):
+        assert abs(curve.x_last - oracle[idx]) < 1e-8
 
 
 def test_incommensurable_tracking_smoke():
