@@ -76,7 +76,6 @@ from .kernel import (
     PoleError,
     SolitonConfig,
     Variant,
-    eval_f,
     eval_u,
     factor_scaled,
     kdv_F_scaled,
@@ -551,13 +550,18 @@ def odd_parity_translation(
 
 
 def _isolation_radius(
-    cfg: SolitonConfig, x: complex, t: float, v: Variant
+    cfg: SolitonConfig,
+    x: complex,
+    t: float,
+    v: Variant,
+    poles: Optional[Sequence[tuple[complex, int]]] = None,
 ) -> float:
     """Distance budget around a pole: min(nearest other pole, lattice/4).
 
-    Exact commensurable configurations query the global root oracle
-    (including the vertical-period translates); otherwise the asymptotic
-    lattice gap pi/(2 k2) stands in, quartered for safety.
+    Exact commensurable configurations use the global root oracle's poles
+    (``poles`` when given, else a fresh snapshot) with their vertical-period
+    translates; otherwise the asymptotic lattice gap pi/(2 k2) stands in,
+    quartered for safety.
     """
     if cfg.comm is not None:
         base = math.pi * cfg.comm.lam / 4.0
@@ -566,7 +570,9 @@ def _isolation_radius(
     if cfg.comm is not None and cfg.exact:
         period = 2.0 * math.pi * cfg.comm.lam
         nearest = math.inf
-        for root, _ in oracle_poles(cfg, v, t):
+        if poles is None:
+            poles = oracle_poles(cfg, v, t)
+        for root, _ in poles:
             for shift in (-period, 0.0, period):
                 d = abs(root + 1j * shift - x)
                 if d > 1e-8:
@@ -582,6 +588,7 @@ def residue_at_pole(
     variant: Optional[Variant] = None,
     cross_check: bool = True,
     nodes: int = 256,
+    poles: Optional[Sequence[tuple[complex, int]]] = None,
 ) -> complex:
     """Residue of u at a simple pole: 2 gamma G(x0) / F_x(x0).
 
@@ -589,7 +596,9 @@ def residue_at_pole(
     periodic-trapezoid contour integral on a circle of radius
     1e-3 * isolation (isolation = min(distance to the nearest other
     pole, quarter vertical period)) must agree to 1e-6, else
-    ConvergenceError.  Raises ConvergenceError at a multiple zero.
+    ConvergenceError.  ``poles`` is the ``oracle_poles`` snapshot at
+    (variant, t) the pole came from, if the caller has one; without it an
+    exact config solves one.  Raises ConvergenceError at a multiple zero.
     Every residue of u is +i or -i.
     """
     v = _variant(cfg, variant)
@@ -609,7 +618,7 @@ def residue_at_pole(
         )
     res = 2.0 * cfg.gamma * G_scaled(cfg, x0, t, v).ratio(Fx)
     if cross_check:
-        radius = 1e-3 * _isolation_radius(cfg, x0, t, v)
+        radius = 1e-3 * _isolation_radius(cfg, x0, t, v, poles)
         total = 0j
         work = cfg if v is cfg.variant else cfg.with_variant(v)
         for j in range(nodes):

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -53,6 +54,13 @@ CLUSTER_TOL = 1e-6
 CERT_TOL = 1e-8
 MAX_ITER = 500
 _POLISH_DPS = 45
+# An Aberth estimate stops once its relative residual is below this many
+# times the rounding-error bound of the log-scaled evaluation
+# (_rounding_floor); the 45-digit Newton polish stops at this many times its
+# own bound.
+_FLOOR_FACTOR = 4.0
+# log|y| outside this range does not survive conversion to a normal double.
+_LOG_Y_RANGE = (math.log(sys.float_info.min), math.log(sys.float_info.max))
 
 
 def _frac_str(value: Optional[Fraction]) -> Optional[str]:
@@ -144,6 +152,11 @@ class RootSet:
     ``roots`` pairs each root y with its multiplicity; multiplicities sum to
     the polynomial degree.  ``condition`` holds a per-root sensitivity
     estimate (relative root change per unit relative coefficient change).
+    ``iterations`` counts Aberth sweeps; ``cap_hit`` is true when the sweeps
+    ran out (``max_iter``) with estimates still unconverged, which the
+    polish then had to finish.  ``log_roots`` holds log y of each root,
+    taken from its 45-digit value: finite even where y over- or underflows a
+    double (real part -inf only for a root at y = 0).
     """
 
     t: float
@@ -151,6 +164,8 @@ class RootSet:
     condition: tuple[float, ...]
     worst_residual: float
     iterations: int
+    cap_hit: bool
+    log_roots: tuple[complex, ...]
 
     def total_multiplicity(self) -> int:
         return sum(m for _, m in self.roots)
@@ -169,6 +184,7 @@ class RootSet:
             ],
             "worst_residual": self.worst_residual,
             "iterations": self.iterations,
+            "cap_hit": self.cap_hit,
         }
 
 
@@ -299,10 +315,15 @@ def y_to_x(y: complex, lam: float) -> complex:
     x = -lambda log y with Im x in (-lambda pi, lambda pi]."""
     if y == 0:
         raise ValueError("y = 0 has no preimage x")
-    theta = cmath.phase(y)  # in (-pi, pi]
+    return _log_y_to_x(complex(math.log(abs(y)), cmath.phase(y)), lam)
+
+
+def _log_y_to_x(log_y: complex, lam: float) -> complex:
+    """x = -lambda log y from log y with Im log y in (-pi, pi]."""
+    theta = log_y.imag
     if theta == math.pi:
         theta = -math.pi  # boundary convention: Im x = +lambda pi
-    return -lam * complex(math.log(abs(y)), theta)
+    return -lam * complex(log_y.real, theta)
 
 
 def x_to_y(x: complex, lam: float) -> complex:
@@ -356,11 +377,23 @@ def _eval_scaled_poly(
     return balanced_sum([(m, complex(w)) for m, w in pieces])
 
 
+def _rounding_floor(coeffs: list[Scaled], rho: float) -> float:
+    """Relative residual below which _eval_scaled_poly at |y| = e^rho is
+    rounding noise.  Each term is exp(log c_n + n rho) times a mantissa, and
+    the float exponent carries an absolute error of about
+    eps (|log c_n| + n |rho|), a relative error of the term; z^n adds n eps.
+    At large |t| or |log y| this is far above deg * eps."""
+    return sys.float_info.epsilon * max(
+        n + abs(c.log) + n * abs(rho) for n, c in enumerate(coeffs) if c.mant != 0
+    )
+
+
 def _aberth_sweep(
     coeffs: list[Scaled], roots: list[tuple[complex, float]], max_iter: int
-) -> tuple[list[tuple[complex, float]], int]:
-    """Simultaneous iteration in scaled coordinates; returns roots and the
-    number of sweeps used."""
+) -> tuple[list[tuple[complex, float]], int, bool]:
+    """Simultaneous iteration in scaled coordinates; returns roots, the
+    number of sweeps used and whether the sweeps ran out before every
+    estimate converged."""
     n_roots = len(roots)
     converged = [False] * n_roots
     it = 0
@@ -371,7 +404,7 @@ def _aberth_sweep(
                 continue
             z_i, rho_i = roots[i]
             P = _eval_scaled_poly(coeffs, z_i, rho_i)
-            if P.relative() < 5e-16:
+            if P.relative() < _FLOOR_FACTOR * _rounding_floor(coeffs, rho_i):
                 converged[i] = True
                 continue
             Pp = _eval_scaled_poly(coeffs, z_i, rho_i, deriv=1)
@@ -408,7 +441,15 @@ def _aberth_sweep(
             roots[i] = (z_new, rho_new)
         if all(converged) or not moved:
             break
-    return roots, it
+    return roots, it, not all(converged)
+
+
+def _mp_exact(exact: Optional[Fraction], approx: complex) -> "mp.mpc":
+    """A term's coefficient or rate at working precision: the exact rational
+    when known, else its float."""
+    if exact is None:
+        return mp.mpc(approx)
+    return mp.mpf(exact.numerator) / exact.denominator
 
 
 def _polish_and_certify(
@@ -418,46 +459,73 @@ def _polish_and_certify(
     zero_mult: int,
     cluster_tol: float,
     cert_tol: float,
-) -> tuple[list[tuple[complex, int]], list[float], float]:
+) -> tuple[list[tuple[complex, int]], list[complex], list[float], float]:
     """Arbitrary-precision Newton polish, cluster merging, multiplicity
-    certification via the derivative ladder.  Returns (roots, condition,
-    worst relative residual)."""
+    certification via the derivative ladder.  Returns (roots, log of each
+    root, condition, worst relative residual).
+
+    The polynomial is built from the exact rationals of each term when it
+    has them: rounding gamma^2 to a double already splits the 4-fold roots
+    of the exceptional collisions into simple roots ~1e-5 apart."""
     with mp.workdps(_POLISH_DPS):
         mp_terms = [
             (
-                mp.mpc(term.coeff) * mp.exp(mp.mpf(term.sigma) * t + term.log_factor),
+                _mp_exact(term.coeff_exact, term.coeff)
+                * mp.exp(_mp_exact(term.sigma_exact, term.sigma) * t + term.log_factor),
                 term.degree,
             )
             for term in poly.terms
         ]
         degree = poly.degree
 
+        def p_terms(y: "mp.mpc", deriv: int) -> list["mp.mpc"]:
+            """Terms of the deriv-th derivative at y."""
+            return [
+                c * math.perm(n, deriv) * y ** (n - deriv)
+                for c, n in mp_terms
+                if n >= deriv
+            ]
+
+        def p_value(y: "mp.mpc", deriv: int = 0) -> "mp.mpc":
+            return sum(p_terms(y, deriv), mp.mpc(0))
+
         def p_eval(y: "mp.mpc", deriv: int = 0) -> tuple["mp.mpc", "mp.mpf"]:
-            """(value, term 1-norm) of the deriv-th derivative at y."""
-            val = mp.mpc(0)
-            norm = mp.mpf(0)
-            for c, n in mp_terms:
-                if n < deriv:
-                    continue
-                fall = 1
-                for i in range(deriv):
-                    fall *= n - i
-                piece = c * fall * y ** (n - deriv)
-                val += piece
-                norm += abs(piece)
-            return val, norm
+            """(value, term 1-norm) of the deriv-th derivative at y; the
+            norm costs as much as the value, so only residual tests ask."""
+            terms = p_terms(y, deriv)
+            return sum(terms, mp.mpc(0)), sum(map(abs, terms), mp.mpf(0))
 
         step_tol = mp.mpf(10) ** (-_POLISH_DPS + 8)
+        floor = _FLOOR_FACTOR * degree * mp.eps
 
         def newton(y: "mp.mpc", deriv: int, max_steps: int) -> "mp.mpc":
             """Newton on p^(deriv): deriv 0 polishes a root estimate, deriv
-            m-1 recentres an m-cluster on the simple root of p^(m-1)."""
+            m-1 recentres an m-cluster on the simple root of p^(m-1).
+
+            At an m-fold root Newton's step shrinks only by (m-1)/m, so once
+            a step exceeds a third of the one before, the iteration turns to
+            Newton on p/p', quadratic at every multiplicity, and stops when
+            the residual reaches the rounding floor or the step stops
+            shrinking (the root is then resolved to 10^(-dps/m))."""
+            prev = None
+            multiple = False
             for _ in range(max_steps):
-                pv, _ = p_eval(y, deriv)
-                dv, _ = p_eval(y, deriv + 1)
+                dv = p_value(y, deriv + 1)
                 if dv == 0:
                     break
-                step = pv / dv
+                if multiple:
+                    pv, norm = p_eval(y, deriv)
+                    if abs(pv) <= floor * norm:
+                        break
+                    d2v = p_value(y, deriv + 2)
+                    step = pv * dv / (dv * dv - pv * d2v)
+                    if prev is not None and abs(step) >= abs(prev):
+                        break
+                    prev = step
+                else:
+                    step = p_value(y, deriv) / dv
+                    multiple = prev is not None and abs(step) > abs(prev) / 3
+                    prev = None if multiple else step
                 y = y - step
                 if abs(step) <= step_tol * (1 + abs(y)):
                     break
@@ -487,11 +555,11 @@ def _polish_and_certify(
         for i in range(n_est):
             clusters.setdefault(find(i), []).append(i)
 
-        roots: list[tuple[complex, int]] = []
+        roots: list[tuple["mp.mpc", int]] = []
         condition: list[float] = []
         worst = 0.0
         if zero_mult:
-            roots.append((0j, zero_mult))
+            roots.append((mp.mpc(0), zero_mult))
             condition.append(1.0)
 
         def keep_simple(y: "mp.mpc") -> None:
@@ -505,13 +573,13 @@ def _polish_and_certify(
                     f"root {complex(y)} failed certification: "
                     f"relative residual {rel:.3e} > {cert_tol:.1e}"
                 )
-            dv, _ = p_eval(y, 1)
+            dv = p_value(y, 1)
             kappa = (
                 float(norm / (abs(dv) * max(abs(y), mp.mpf(1e-300))))
                 if dv != 0
                 else math.inf
             )
-            roots.append((complex(y), 1))
+            roots.append((y, 1))
             condition.append(kappa)
 
         for members in clusters.values():
@@ -548,7 +616,7 @@ def _polish_and_certify(
             fact = math.factorial(m)
             base = norm0 / (abs(pv_m) / fact)
             kappa = float(base) ** (1.0 / m) / max(float(abs(center)), 1.0)
-            roots.append((complex(center), m))
+            roots.append((center, m))
             condition.append(kappa)
 
         got = sum(m for _, m in roots)
@@ -556,7 +624,12 @@ def _polish_and_certify(
             raise ConvergenceError(
                 f"root multiplicities sum to {got}, expected degree {degree}"
             )
-        return roots, condition, worst
+        return (
+            [(complex(y), m) for y, m in roots],
+            [complex(mp.log(y)) for y, _ in roots],
+            condition,
+            worst,
+        )
 
 
 def roots_at_time(
@@ -593,21 +666,25 @@ def roots_at_time(
             condition=(1.0,) if zero_mult else tuple(),
             worst_residual=0.0,
             iterations=0,
+            cap_hit=False,
+            log_roots=(complex(-math.inf),) if zero_mult else tuple(),
         )
     inits = _newton_polygon_inits(reduced)
-    roots, iters = _aberth_sweep(reduced, inits, max_iter)
-    roots_m, condition, worst = _polish_and_certify(
+    roots, iters, cap_hit = _aberth_sweep(reduced, inits, max_iter)
+    roots_m, logs, condition, worst = _polish_and_certify(
         poly, t, roots, zero_mult, cluster_tol, cert_tol
     )
-    roots_m_sorted = sorted(
-        zip(roots_m, condition), key=lambda rc: (rc[0][0].real, rc[0][0].imag)
+    ordered = sorted(
+        zip(roots_m, logs, condition), key=lambda r: (r[0][0].real, r[0][0].imag)
     )
     return RootSet(
         t=t,
-        roots=tuple(r for r, _ in roots_m_sorted),
-        condition=tuple(c for _, c in roots_m_sorted),
+        roots=tuple(r for r, _, _ in ordered),
+        condition=tuple(c for _, _, c in ordered),
         worst_residual=worst,
         iterations=iters,
+        cap_hit=cap_hit,
+        log_roots=tuple(g for _, g, _ in ordered),
     )
 
 
@@ -618,14 +695,19 @@ def oracle_poles(
 ) -> list[tuple[complex, int]]:
     """All poles of u in the fundamental strip at time t, with multiplicity,
     via the global polynomial root oracle.  Count (with multiplicity) is
-    always 2(p1 + p2); sorted by (Im x, Re x)."""
+    always 2(p1 + p2); sorted by (Im x, Re x).  A root whose y over- or
+    underflows a double (|Re x| beyond ~709 lambda) is placed from its
+    45-digit logarithm."""
     poly = build_F_poly(cfg, variant)
     rs = roots_at_time(poly, t)
     out = []
-    for y, m in rs.roots:
-        if y == 0:
+    for (y, m), log_y in zip(rs.roots, rs.log_roots):
+        if log_y.real == -math.inf:
             continue  # y=0 is x -> +infinity, not a strip pole (F has none).
-        x = y_to_x(y, poly.lam)
+        if _LOG_Y_RANGE[0] < log_y.real < _LOG_Y_RANGE[1]:
+            x = y_to_x(y, poly.lam)
+        else:
+            x = _log_y_to_x(log_y, poly.lam)
         out.append((x, m))
     out.sort(key=lambda pm: (pm[0].imag, pm[0].real))
     return out

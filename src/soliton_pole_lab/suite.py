@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import analysis, interaction
 from .asymptotics import FamilyLabel, Speed, match_horizons, seed_state, seed_time
@@ -324,10 +324,11 @@ def _check_residues(cfg: SolitonConfig, rng: random.Random) -> CheckResult:
     try:
         worst, witness, used = 0.0, "", 0
         for t in (-0.7, 0.4):
-            simple = [x for x, m in oracle_poles(cfg, t=t) if m == 1]
+            poles = oracle_poles(cfg, t=t)
+            simple = [x for x, m in poles if m == 1]
             picks = rng.sample(simple, min(6, len(simple)))
             for x in picks:
-                res = analysis.residue_at_pole(cfg, x, t)
+                res = analysis.residue_at_pole(cfg, x, t, poles=poles)
                 dev = min(abs(res - 1j), abs(res + 1j))
                 used += 1
                 if dev > worst:

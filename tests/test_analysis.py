@@ -27,6 +27,7 @@ from soliton_pole_lab.kernel import (
     eval_one_soliton,
     factor_scaled,
 )
+from soliton_pole_lab import exppoly
 from soliton_pole_lab.exppoly import oracle_poles
 from soliton_pole_lab.tracker import track_curve
 from soliton_pole_lab.analysis import (
@@ -354,6 +355,21 @@ def test_residues_are_plus_minus_i(variant):
             assert dev < 1e-8
             seen[1 if r.imag > 0 else -1] += 1
         assert seen[1] == 3 and seen[-1] == 3  # conjugate pairing
+
+
+def test_residue_reuses_the_callers_snapshot(monkeypatch):
+    # Given the snapshot its pole came from, the contour radius needs no
+    # second oracle solve, and the residue is the same.
+    cfg = SolitonConfig.make(1, 2, "plus")
+    poles = oracle_poles(cfg, t=0.4)
+    fresh = [residue_at_pole(cfg, x, 0.4) for x, _ in poles]
+    solves = []
+    solve = exppoly.roots_at_time
+    monkeypatch.setattr(
+        exppoly, "roots_at_time", lambda *a, **k: solves.append(a) or solve(*a, **k)
+    )
+    assert [residue_at_pole(cfg, x, 0.4, poles=poles) for x, _ in poles] == fresh
+    assert solves == []
 
 
 def test_residue_conjugate_symmetry():

@@ -13,8 +13,11 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soliton_pole_lab.exppoly import (
+    MAX_ITER,
     ExpPoly,
     ExpTerm,
     build_F_poly,
@@ -186,6 +189,59 @@ def test_roots_F15_minus_t0_multiplicity4() -> None:
     for y in simples:
         assert abs(abs(y) - 1.0) < 1e-9
     assert rs.worst_residual < 1e-8
+
+
+@pytest.mark.parametrize(
+    "k1,k2,variant", [(1, 3, "plus"), (1, 5, "minus"), (1, 7, "plus"), (1, 13, "minus")]
+)
+def test_exceptional_collision_quadruple_roots(k1: int, k2: int, variant: str) -> None:
+    # F(y, 0) factors exactly as (y - i)^4 (y + i)^4 times simple factors.
+    # gamma^2 is not a double for (1,7)+ and (1,13)-, so a polish of the
+    # rounded coefficients splits the 4-fold roots.
+    cfg = SolitonConfig.make(k1, k2, variant)
+    rs = roots_at_time(build_F_poly(cfg), 0.0)
+    assert rs.total_multiplicity() == 2 * (k1 + k2)
+    quads = sorted((y for y, m in rs.roots if m > 1), key=lambda y: y.imag)
+    assert [m for _, m in rs.roots if m > 1] == [4, 4]
+    assert quads == [pytest.approx(-1j, abs=1e-9), pytest.approx(1j, abs=1e-9)]
+
+
+@pytest.mark.parametrize("k1,k2,t", [(1, 7, -20.0), (6, 11, -10.0)])
+def test_oracle_poles_beyond_double_range_are_finite_zeros(
+    k1: int, k2: int, t: float
+) -> None:
+    # Most roots y here lie beyond e^709, so complex(y) overflows; their
+    # positions come from the 45-digit log y instead.
+    cfg = SolitonConfig.make(k1, k2, "minus")
+    poles = oracle_poles(cfg, t=t)
+    assert sum(m for _, m in poles) == 2 * (k1 + k2)
+    assert max(abs(x.real) for x, _ in poles) > 700 * cfg.comm.lam
+    for x, _ in poles:
+        assert cmath.isfinite(x)
+        assert F_scaled(cfg, x, t).relative() < 1e-8
+
+
+_COPRIME = [(a, b) for b in range(2, 14) for a in range(1, b) if math.gcd(a, b) == 1]
+
+
+@given(
+    pair=st.sampled_from(_COPRIME),
+    variant=st.sampled_from(["plus", "minus"]),
+    t=st.floats(min_value=-20.0, max_value=20.0),
+)
+@settings(max_examples=20, deadline=None)
+def test_oracle_converges_without_cap(pair: tuple[int, int], variant: str, t: float) -> None:
+    # Aberth stops at the rounding floor of its log-scaled evaluation, so
+    # it never runs out of sweeps, and every pole comes back finite.
+    cfg = SolitonConfig.make(*pair, variant)
+    expect = 2 * (pair[0] + pair[1])
+    rs = roots_at_time(build_F_poly(cfg), t)
+    assert not rs.cap_hit
+    assert rs.iterations < MAX_ITER
+    assert rs.total_multiplicity() == expect
+    poles = oracle_poles(cfg, t=t)
+    assert sum(m for _, m in poles) == expect
+    assert all(cmath.isfinite(x) for x, _ in poles)
 
 
 def test_roots_F15_minus_small_t_all_simple() -> None:

@@ -4,10 +4,12 @@ configurations, skip behavior with reasons, report shapes, determinism."""
 from __future__ import annotations
 
 import math
+import random
 import re
 
 import pytest
 
+from soliton_pole_lab import exppoly, suite
 from soliton_pole_lab.kernel import SolitonConfig
 from soliton_pole_lab.suite import run_battery
 
@@ -184,3 +186,16 @@ class TestDeterminism:
     def test_other_seed_still_passes(self):
         report = run_battery(SolitonConfig.make(1, 2, "plus"), seed=3)
         assert report.passed
+
+
+def test_residue_check_solves_one_snapshot_per_time(monkeypatch):
+    # The residues' contour radii reuse the snapshot the poles were picked
+    # from: two times, two oracle solves.
+    solves = []
+    solve = exppoly.roots_at_time
+    monkeypatch.setattr(
+        exppoly, "roots_at_time", lambda *a, **k: solves.append(a) or solve(*a, **k)
+    )
+    result = suite._check_residues(SolitonConfig.make(1, 2, "plus"), random.Random(0))
+    assert result.passed
+    assert len(solves) == 2
