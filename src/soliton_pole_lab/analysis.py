@@ -68,15 +68,18 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .exppoly import oracle_poles
 from .kernel import (
     ConvergenceError,
+    F_grid,
     F_scaled,
     G_scaled,
     PoleError,
     SolitonConfig,
     Variant,
-    eval_u,
+    _u_or_raise_grid,
     factor_scaled,
     kdv_F_scaled,
     strip_scale,
@@ -236,7 +239,8 @@ def check_no_real_poles(
     """Scan |F| (relative to its term scale) over a grid of x values.
 
     The default grid samples the real axis on [-20, 20] at 4001 points;
-    pass an explicit grid to scan other lines (e.g. Im x = pi * lambda).
+    pass an explicit grid (a sequence or array of x) to scan other lines
+    (e.g. Im x = pi * lambda).  Ties keep the first minimum.
     Zeros of F never lie on the real axis, nor on Im x = m * pi * lambda
     in the commensurable case, so the scan minimum there is bounded away
     from zero; on a pole line it dips to zero at the pole.
@@ -244,16 +248,17 @@ def check_no_real_poles(
     v = _variant(cfg, variant)
     if grid is None:
         n = 4001
-        grid = [complex(-20.0 + 40.0 * i / (n - 1), 0.0) for i in range(n)]
-    if not grid:
+        grid = -20.0 + 40.0 * np.arange(n) / (n - 1)
+    xs = np.asarray(grid, dtype=complex).reshape(-1)
+    if not len(xs):
         raise ValueError("grid must contain at least one point")
-    best = math.inf
-    arg = complex(grid[0])
-    for x in grid:
-        r = F_scaled(cfg, complex(x), t, v).relative()
-        if r < best:
-            best, arg = r, complex(x)
-    return LineScan(best, arg, t, len(grid))
+    r = F_grid(cfg, xs, t, v).relative()
+    # The first strict minimum; NaN never wins, and an all-inf scan keeps
+    # the first point.
+    i = int(np.argmin(np.where(np.isnan(r), math.inf, r)))
+    if not r[i] < math.inf:
+        return LineScan(math.inf, complex(xs[0]), t, len(xs))
+    return LineScan(float(r[i]), complex(xs[i]), t, len(xs))
 
 
 # ---------------------------------------------------------------------------
@@ -621,14 +626,15 @@ def residue_at_pole(
         radius = 1e-3 * _isolation_radius(cfg, x0, t, v, poles)
         total = 0j
         work = cfg if v is cfg.variant else cfg.with_variant(v)
-        for j in range(nodes):
-            phase = cmath.exp(2j * math.pi * j / nodes)
-            u = eval_u(work, x0 + radius * phase, t)
-            if not isinstance(u, complex):
-                raise ConvergenceError(
-                    f"contour of radius {radius:.3e} around {x0} touches "
-                    "another pole"
-                )
+        phases = [cmath.exp(2j * math.pi * j / nodes) for j in range(nodes)]
+        try:
+            us = _u_or_raise_grid(work, [x0 + radius * p for p in phases], t)
+        except PoleError:
+            raise ConvergenceError(
+                f"contour of radius {radius:.3e} around {x0} touches "
+                "another pole"
+            ) from None
+        for u, phase in zip(us.tolist(), phases):
             total += u * phase
         contour = total * radius / nodes
         if abs(contour - res) > 1e-6 * max(1.0, abs(res)):

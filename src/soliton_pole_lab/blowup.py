@@ -36,12 +36,16 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+import numpy as np
+
+from ._balanced import complex_array
 from .kernel import (
     ConvergenceError,
     F_scaled,
     SolitonConfig,
     Variant,
     _u_or_raise,
+    _u_or_raise_grid,
     strip_scale,
 )
 # track_curve stays importable from here: perfbench/tests uses
@@ -368,6 +372,14 @@ def _tail_rate(xs: Sequence[float], vals: Sequence[float]) -> float:
     return abs(slope)
 
 
+def _abs_u_on_line(
+    cfg: SolitonConfig, xs: list[float], alpha: float, t: float
+) -> list[float]:
+    """|u(x - i alpha, t)| at each x; PoleError at the first pole."""
+    u = _u_or_raise_grid(cfg, complex_array(xs, -alpha), t)
+    return np.hypot(u.real, u.imag).tolist()
+
+
 def _profile_at(
     cfg: SolitonConfig,
     alpha: float,
@@ -379,8 +391,8 @@ def _profile_at(
     span = grid.span if grid.span is not None else max(8.0 / cfg.k1, 4.0)
     for _ in range(40):
         n = max(3, int(2 * span / spacing) + 1)
-        xs = [center - span + 2 * span * i / (n - 1) for i in range(n)]
-        vals = [abs(_u_or_raise(cfg, complex(x, -alpha), t)) for x in xs]
+        xs = (center - span + 2 * span * np.arange(n) / (n - 1)).tolist()
+        vals = _abs_u_on_line(cfg, xs, alpha, t)
         peak_i = max(range(n), key=vals.__getitem__)
         peak, arg = vals[peak_i], xs[peak_i]
         boundary = max(vals[0], vals[-1])
@@ -402,8 +414,8 @@ def _profile_at(
         level += 1
         lo = arg - step
         m = 2 * grid.factor + 1
-        fx = [lo + 2 * step * i / (m - 1) for i in range(m)]
-        fv = [abs(_u_or_raise(cfg, complex(x, -alpha), t)) for x in fx]
+        fx = (lo + 2 * step * np.arange(m) / (m - 1)).tolist()
+        fv = _abs_u_on_line(cfg, fx, alpha, t)
         best = max(range(m), key=fv.__getitem__)
         gain = fv[best] / peak - 1.0
         if fv[best] > peak:

@@ -29,11 +29,15 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .kernel import (
     SolitonConfig,
     Variant,
+    _u_or_raise_grid,
     eval_u,
     eval_u_x,
+    eval_u_x_grid,
     eval_u_xx,
     strip_scale,
 )
@@ -249,25 +253,26 @@ def find_maxima(
     h = strip_scale(work) / 200.0
     half = span if span is not None else 12.0 / work.k1
     n = int(2.0 * half / h) + 2
-    xs = [-half + 2.0 * half * i / (n - 1) for i in range(n)]
-    us = [_u_real(work, x, 0.0) for x in xs]
-    diffs = [us[i + 1] - us[i - 1] for i in range(1, n - 1)]
+    xs = -half + 2.0 * half * np.arange(n) / (n - 1)
+    us = _u_or_raise_grid(work, xs, 0.0).real
+    diffs = us[2:] - us[:-2]
+    turns = (diffs[:-1] == 0.0) | ((diffs[:-1] > 0.0) != (diffs[1:] > 0.0))
 
     windows: list[float] = []
-    for i in range(len(diffs) - 1):
-        if diffs[i] == 0.0 or (diffs[i] > 0.0) != (diffs[i + 1] > 0.0):
-            center = 0.5 * (xs[i + 1] + xs[i + 2])
-            if not windows or center - windows[-1] > 0.5 * h:
-                windows.append(center)
+    xl = xs.tolist()
+    for i in np.flatnonzero(turns).tolist():
+        center = 0.5 * (xl[i + 1] + xl[i + 2])
+        if not windows or center - windows[-1] > 0.5 * h:
+            windows.append(center)
 
     maxima: list[float] = []
     m = 601
     for center in windows:
-        fine = [center - 1.5 * h + 3.0 * h * j / (m - 1) for j in range(m)]
-        vals = [eval_u_x(work, complex(x, 0.0), 0.0).real for x in fine]
-        for j in range(m - 1):
-            if vals[j] > 0.0 >= vals[j + 1]:
-                maxima.append(_polish_max(work, fine[j], fine[j + 1]))
+        fine = center - 1.5 * h + 3.0 * h * np.arange(m) / (m - 1)
+        vals = eval_u_x_grid(work, fine, 0.0).real
+        fl = fine.tolist()
+        for j in np.flatnonzero((vals[:-1] > 0.0) & (vals[1:] <= 0.0)).tolist():
+            maxima.append(_polish_max(work, fl[j], fl[j + 1]))
 
     maxima.sort()
     out: list[float] = []

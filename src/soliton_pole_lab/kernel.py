@@ -28,6 +28,13 @@ geometry rather than by exp() overflow.  The unscaled entry points (eval_f,
 eval_FG) raise OverflowError only when the *result itself* cannot be
 represented.
 
+Dense grids of x use the grid engine (``F_grid``, ``G_grid``,
+``eval_u_grid``, ``eval_u_x_grid``): one numpy pass over the term table per
+term instead of one Python sum per point, with results equal to the scalar
+evaluators bit for bit (see ``_balanced.ScaledGrid``).  Pointwise callers
+(tracking, Newton correctors, finite-difference stencils) keep the scalar
+evaluators, which are faster for a single point.
+
 Convention for shifts: the shift factors exp(k_j x_j) are folded directly
 into f_j above.  For zero shifts this is the normalized solution whose
 soliton interaction happens at x = 0, t = 0.  ``interaction_point`` returns
@@ -44,7 +51,17 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from ._balanced import Scaled, balanced_sum
+import numpy as np
+
+from ._balanced import (
+    Scaled,
+    ScaledGrid,
+    _near,
+    balanced_sum,
+    balanced_sum_grid,
+    cmul,
+    complex_array,
+)
 
 __all__ = [
     "Variant",
@@ -71,6 +88,10 @@ __all__ = [
     "eval_u_x",
     "eval_u_xx",
     "strip_scale",
+    "F_grid",
+    "G_grid",
+    "eval_u_grid",
+    "eval_u_x_grid",
 ]
 
 ExactLike = Union[int, str, Fraction]
@@ -376,6 +397,24 @@ def _w_pair(cfg: SolitonConfig, x: complex, t: float) -> tuple[complex, complex]
     return w1, w2
 
 
+def _term_table(
+    cfg: SolitonConfig, terms: Sequence[Term], dx: int = 0, dt: int = 0
+) -> list[Term]:
+    """The terms of a dx/dt derivative: each coefficient times its factors,
+    zero terms dropped.  Both the scalar and the grid evaluator read it."""
+    k1, k2 = cfg.k1, cfg.k2
+    k1_3, k2_3 = k1**3, k2**3
+    out: list[Term] = []
+    for c, a1, a2 in terms:
+        if dx:
+            c = c * (-(a1 * k1 + a2 * k2)) ** dx
+        if dt:
+            c = c * (a1 * k1_3 + a2 * k2_3) ** dt
+        if c != 0:
+            out.append((c, a1, a2))
+    return out
+
+
 def _eval_terms(
     cfg: SolitonConfig,
     terms: Sequence[Term],
@@ -385,15 +424,40 @@ def _eval_terms(
     dt: int = 0,
 ) -> Scaled:
     w1, w2 = _w_pair(cfg, x, t)
-    k1, k2 = cfg.k1, cfg.k2
-    out: list[tuple[complex, complex]] = []
-    for c, a1, a2 in terms:
-        if dx:
-            c = c * (-(a1 * k1 + a2 * k2)) ** dx
-        if dt:
-            c = c * (a1 * k1**3 + a2 * k2**3) ** dt
-        out.append((c, a1 * w1 + a2 * w2))
-    return balanced_sum(out)
+    if dx or dt:
+        terms = _term_table(cfg, terms, dx, dt)
+    # Without derivative factors the table is the terms themselves, less
+    # zero terms, which balanced_sum drops anyway.
+    return balanced_sum([(c, a1 * w1 + a2 * w2) for c, a1, a2 in terms])
+
+
+def _w_grid(k: float, shift: float, xr, xi, t: float):
+    """-k (x - shift) + k^3 t over an array of x, as (re, im)."""
+    mr, mi = cmul(-k, 0.0, xr - shift, xi - 0.0)
+    return mr + k**3 * t, mi + 0.0
+
+
+def _eval_terms_grid(
+    cfg: SolitonConfig,
+    terms: Sequence[Term],
+    xs: np.ndarray,
+    t: float,
+    dx: int = 0,
+    dt: int = 0,
+) -> ScaledGrid:
+    """``_eval_terms`` at every point of a complex array, bit for bit."""
+    w1r, w1i = _w_grid(cfg.k1, cfg.x1, xs.real, xs.imag, t)
+    w2r, w2i = _w_grid(cfg.k2, cfg.x2, xs.real, xs.imag, t)
+    out = []
+    for c, a1, a2 in _term_table(cfg, terms, dx, dt):
+        r1, i1 = cmul(float(a1), 0.0, w1r, w1i)
+        r2, i2 = cmul(float(a2), 0.0, w2r, w2i)
+        out.append((c, r1 + r2, i1 + i2))
+    return balanced_sum_grid(out, len(xs))
+
+
+def _as_grid(xs: "Sequence[complex] | np.ndarray") -> np.ndarray:
+    return np.asarray(xs, dtype=complex).reshape(-1)
 
 
 def F_scaled(
@@ -420,6 +484,32 @@ def G_scaled(
     """Log-balanced G (or a mixed x/t derivative of it)."""
     v = cfg.variant if variant is None else Variant.coerce(variant)
     return _eval_terms(cfg, _terms_G(cfg.k1, cfg.k2, v), x, t, dx, dt)
+
+
+def F_grid(
+    cfg: SolitonConfig,
+    xs: "Sequence[complex] | np.ndarray",
+    t: float,
+    variant: Optional[Variant] = None,
+    dx: int = 0,
+    dt: int = 0,
+) -> ScaledGrid:
+    """``F_scaled`` at every point of xs, bit for bit."""
+    v = cfg.variant if variant is None else Variant.coerce(variant)
+    return _eval_terms_grid(cfg, _terms_F(cfg.gamma**2, v), _as_grid(xs), t, dx, dt)
+
+
+def G_grid(
+    cfg: SolitonConfig,
+    xs: "Sequence[complex] | np.ndarray",
+    t: float,
+    variant: Optional[Variant] = None,
+    dx: int = 0,
+    dt: int = 0,
+) -> ScaledGrid:
+    """``G_scaled`` at every point of xs, bit for bit."""
+    v = cfg.variant if variant is None else Variant.coerce(variant)
+    return _eval_terms_grid(cfg, _terms_G(cfg.k1, cfg.k2, v), _as_grid(xs), t, dx, dt)
 
 
 def factor_scaled(
@@ -511,17 +601,76 @@ def eval_u(cfg: SolitonConfig, x: complex, t: float) -> "complex | PoleMarker":
     F = F_scaled(cfg, x, t)
     G = G_scaled(cfg, x, t)
     Fx = F_scaled(cfg, x, t, dx=1)
-    bound = math.log(POLE_TOL) + max(0.0, Fx.log_abs() + math.log(strip_scale(cfg)))
-    if F.log_abs() < bound:
+    if _at_pole(cfg, F, Fx):
         return PoleMarker(complex(x), t, F.relative())
     return 2.0 * cfg.gamma * G.ratio(F)
+
+
+def _at_pole(cfg: SolitonConfig, F: Scaled, Fx: Scaled) -> bool:
+    """The pole test: |F| < POLE_TOL * max(1, |F_x| * strip_scale)."""
+    bound = math.log(POLE_TOL) + max(0.0, Fx.log_abs() + math.log(strip_scale(cfg)))
+    return F.log_abs() < bound
+
+
+def _pole_message(x: complex, t: float) -> str:
+    return f"evaluation at x={x}, t={t} touches a pole"
 
 
 def _u_or_raise(cfg: SolitonConfig, x: complex, t: float) -> complex:
     """``eval_u`` for callers that need a regular point: PoleError at a pole."""
     u = eval_u(cfg, x, t)
     if isinstance(u, PoleMarker):
-        raise PoleError(f"evaluation at x={x}, t={t} touches a pole")
+        raise PoleError(_pole_message(x, t))
+    return u
+
+
+# ---------------------------------------------------------------------------
+# Grid evaluators: the scalar ones above at every point of an array of x,
+# with the same values bit for bit and the same errors, raised for the first
+# offending point in grid order.
+# ---------------------------------------------------------------------------
+
+
+def _u_grid(cfg: SolitonConfig, xs: np.ndarray, t: float):
+    """(u, pole mask, first ratio fault) for ``eval_u`` over xs."""
+    F = F_grid(cfg, xs, t)
+    G = G_grid(cfg, xs, t)
+    Fx = F_grid(cfg, xs, t, dx=1)
+    lhs = F.log_abs()
+    reach = Fx.log_abs() + math.log(strip_scale(cfg))
+    rhs = math.log(POLE_TOL) + np.where(reach > 0.0, reach, 0.0)
+    pole = lhs < rhs
+    for i in np.flatnonzero(_near(lhs, rhs)).tolist():
+        pole[i] = _at_pole(cfg, F.at(i), Fx.at(i))
+    qr, qi, fault = G.ratio(F, active=~pole)
+    u = complex_array(*cmul(2.0 * cfg.gamma, 0.0, qr, qi))
+    u[pole] = complex("nan")
+    return u, pole, fault
+
+
+def eval_u_grid(
+    cfg: SolitonConfig, xs: "Sequence[complex] | np.ndarray", t: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``eval_u`` over xs: (u, pole), where pole marks the points at which
+    ``eval_u`` returns a PoleMarker (u is NaN there)."""
+    u, pole, fault = _u_grid(cfg, _as_grid(xs), t)
+    if fault is not None:
+        raise fault[1]
+    return u, pole
+
+
+def _u_or_raise_grid(
+    cfg: SolitonConfig, xs: "Sequence[complex] | np.ndarray", t: float
+) -> np.ndarray:
+    """``_u_or_raise`` over xs: PoleError (or the ratio's error) for the
+    first offending point in grid order."""
+    xs = _as_grid(xs)
+    u, pole, fault = _u_grid(cfg, xs, t)
+    first = int(np.argmax(pole)) if pole.any() else len(xs)
+    if fault is not None and fault[0] < first:
+        raise fault[1]
+    if first < len(xs):
+        raise PoleError(_pole_message(complex(xs[first]), t))
     return u
 
 
@@ -592,6 +741,21 @@ def eval_u_x(cfg: SolitonConfig, x: complex, t: float) -> complex:
     Gx = G_scaled(cfg, x, t, dx=1)
     num = Gx * F - G * Fx
     return 2.0 * cfg.gamma * num.ratio(F * F)
+
+
+def eval_u_x_grid(
+    cfg: SolitonConfig, xs: "Sequence[complex] | np.ndarray", t: float
+) -> np.ndarray:
+    """``eval_u_x`` over xs, raising its error for the first point that has one."""
+    xs = _as_grid(xs)
+    F = F_grid(cfg, xs, t)
+    Fx = F_grid(cfg, xs, t, dx=1)
+    G = G_grid(cfg, xs, t)
+    Gx = G_grid(cfg, xs, t, dx=1)
+    qr, qi, fault = (Gx * F - G * Fx).ratio(F * F)
+    if fault is not None:
+        raise fault[1]
+    return complex_array(*cmul(2.0 * cfg.gamma, 0.0, qr, qi))
 
 
 def eval_u_xx(cfg: SolitonConfig, x: complex, t: float) -> complex:
