@@ -271,7 +271,10 @@ class CurveMatch:
 
 @dataclass(frozen=True)
 class MatchReport:
-    """Bijective family assignment of tracked curves at one horizon."""
+    """Bijective family assignment of tracked curves at one horizon.
+
+    ``unmatched`` is always empty: every curve gets its nearest label, and a
+    label claimed twice raises instead.  It stays for the JSON schema."""
 
     T: float
     direction: int
@@ -358,7 +361,6 @@ def match_families(
         raise ValueError("direction must be -1 or +1")
     t_h = direction * T
     matches: list[CurveMatch] = []
-    unmatched: list[int] = []
     claimed: dict[FamilyLabel, CurveMatch] = {}
     for i, curve in enumerate(curves):
         x_end = position_at(cfg.with_variant(curve.variant), curve, t_h)
@@ -379,7 +381,7 @@ def match_families(
         T=T,
         direction=direction,
         matches=tuple(matches),
-        unmatched=tuple(unmatched),
+        unmatched=(),
         max_residual=max((m.residual for m in matches), default=0.0),
     )
 

@@ -94,7 +94,6 @@ __all__ = [
     "eval_u_x_grid",
 ]
 
-ExactLike = Union[int, str, Fraction]
 NumberLike = Union[int, float, str, Fraction]
 
 # Dimensionless pole tolerance from the design contract:
@@ -391,18 +390,23 @@ def _terms_kdv(cfg: SolitonConfig) -> list[Term]:
     return [(1.0, 0, 0), (g, 1, 0), (g, 0, 1), (1.0, 1, 1)]
 
 
+def _terms_g(g, variant: Variant) -> tuple[list[Term], list[Term]]:
+    """(numerator, denominator) monomials of the angle representation
+    g = N / D; coefficients keep the type of gamma g (see _terms_F)."""
+    s = variant.sign  # g_plus = -gamma (f1 + f2) / (1 - f1 f2)
+    return [(-s * g, 1, 0), (-g, 0, 1)], [(1, 0, 0), (-s, 1, 1)]
+
+
 def _w_pair(cfg: SolitonConfig, x: complex, t: float) -> tuple[complex, complex]:
     w1 = -cfg.k1 * (x - cfg.x1) + cfg.k1**3 * t
     w2 = -cfg.k2 * (x - cfg.x2) + cfg.k2**3 * t
     return w1, w2
 
 
-def _term_table(
-    cfg: SolitonConfig, terms: Sequence[Term], dx: int = 0, dt: int = 0
-) -> list[Term]:
+def _term_table(k1, k2, terms: Sequence[Term], dx: int = 0, dt: int = 0) -> list[Term]:
     """The terms of a dx/dt derivative: each coefficient times its factors,
-    zero terms dropped.  Both the scalar and the grid evaluator read it."""
-    k1, k2 = cfg.k1, cfg.k2
+    zero terms dropped.  The scalar and grid evaluators read it with float
+    wavenumbers, ``eqg_residual`` with mpf ones."""
     k1_3, k2_3 = k1**3, k2**3
     out: list[Term] = []
     for c, a1, a2 in terms:
@@ -425,7 +429,7 @@ def _eval_terms(
 ) -> Scaled:
     w1, w2 = _w_pair(cfg, x, t)
     if dx or dt:
-        terms = _term_table(cfg, terms, dx, dt)
+        terms = _term_table(cfg.k1, cfg.k2, terms, dx, dt)
     # Without derivative factors the table is the terms themselves, less
     # zero terms, which balanced_sum drops anyway.
     return balanced_sum([(c, a1 * w1 + a2 * w2) for c, a1, a2 in terms])
@@ -449,7 +453,7 @@ def _eval_terms_grid(
     w1r, w1i = _w_grid(cfg.k1, cfg.x1, xs.real, xs.imag, t)
     w2r, w2i = _w_grid(cfg.k2, cfg.x2, xs.real, xs.imag, t)
     out = []
-    for c, a1, a2 in _term_table(cfg, terms, dx, dt):
+    for c, a1, a2 in _term_table(cfg.k1, cfg.k2, terms, dx, dt):
         r1, i1 = cmul(float(a1), 0.0, w1r, w1i)
         r2, i2 = cmul(float(a2), 0.0, w2r, w2i)
         out.append((c, r1 + r2, i1 + i2))
@@ -569,13 +573,7 @@ def eval_g(cfg: SolitonConfig, x: complex, t: float) -> "complex | PoleMarker":
     Returns a PoleMarker when the denominator modulus falls below tolerance
     relative to its term scale.  Note g has poles that u does not inherit.
     """
-    g = cfg.gamma
-    if cfg.variant is Variant.PLUS:
-        num_terms: list[Term] = [(-g, 1, 0), (-g, 0, 1)]
-        den_terms: list[Term] = [(1.0, 0, 0), (-1.0, 1, 1)]
-    else:
-        num_terms = [(g, 1, 0), (-g, 0, 1)]
-        den_terms = [(1.0, 0, 0), (1.0, 1, 1)]
+    num_terms, den_terms = _terms_g(cfg.gamma, cfg.variant)
     num = _eval_terms(cfg, num_terms, x, t)
     den = _eval_terms(cfg, den_terms, x, t)
     if den.relative() < DENOM_TOL:
@@ -819,74 +817,7 @@ def symmetric_center(cfg: SolitonConfig) -> tuple[float, float]:
 # Residual diagnostics
 # ---------------------------------------------------------------------------
 
-# Closed-form x/t derivatives of the angle representation g = N_g / D,
-# D = 1 + s f1 f2 (s = +1 Minus; the Plus tables follow from f1 -> -f1).
-# Each table lists (coeff(k1,k2), a1, a2) for the numerator over D^n.
-
-
-def _g_tables_mp(cfg: SolitonConfig):
-    """Derivative numerator tables with coefficients in mpmath precision.
-
-    Built at the caller's working precision so that gamma = (k2+k1)/(k2-k1)
-    and the k-polynomials are consistent with the float wavenumbers to the
-    working precision (the identity below holds exactly for any real pair).
-    """
-    import mpmath as mp
-
-    k1, k2 = mp.mpf(cfg.k1), mp.mpf(cfg.k2)
-    g = (k2 + k1) / (k2 - k1)
-    c2 = k1**2 + 4 * k1 * k2 + k2**2
-    c3a = k1**3 + 4 * k2**3 + 6 * k1**2 * k2 + 12 * k1 * k2**2
-    c3b = 4 * k1**3 + k2**3 + 6 * k1 * k2**2 + 12 * k1**2 * k2
-    tables = {
-        # g = N_g / D
-        "g": [(g, 1, 0), (-g, 0, 1)],
-        # g_t = N_t / D^2
-        "gt": [
-            (g * k1**3, 1, 0),
-            (-g * k2**3, 0, 1),
-            (g * k1**3, 1, 2),
-            (-g * k2**3, 2, 1),
-        ],
-        # g_x = N_x / D^2
-        "gx": [
-            (-g * k1, 1, 0),
-            (g * k2, 0, 1),
-            (-g * k1, 1, 2),
-            (g * k2, 2, 1),
-        ],
-        # g_xx = N_xx / D^3
-        "gxx": [
-            (g * k1**2, 1, 0),
-            (-g * k2**2, 0, 1),
-            (g * c2, 1, 2),
-            (-g * c2, 2, 1),
-            (-g * k1**2, 2, 3),
-            (g * k2**2, 3, 2),
-        ],
-        # g_xxx = N_xxx / D^4
-        "gxxx": [
-            (-g * k1**3, 1, 0),
-            (g * k2**3, 0, 1),
-            (-g * c3a, 1, 2),
-            (-g * c3a, 3, 2),
-            (g * c3b, 2, 1),
-            (g * c3b, 2, 3),
-            (-g * k1**3, 3, 4),
-            (g * k2**3, 4, 3),
-        ],
-    }
-    if cfg.variant is Variant.PLUS:
-        tables = {
-            name: [(c * (-1) ** a1, a1, a2) for (c, a1, a2) in terms]
-            for name, terms in tables.items()
-        }
-        den = [(mp.mpf(1), 0, 0), (mp.mpf(-1), 1, 1)]
-    else:
-        den = [(mp.mpf(1), 0, 0), (mp.mpf(1), 1, 1)]
-    return tables, den
-
-
+# eqg_residual differentiates g = N / D by the quotient rule on term-table values.
 # Clearing the equation of denominators bounds the monomial degrees at
 # (6, 5) in (f1, f2); used to size the working precision below.
 _EQG_MAX_DEG = (6, 5)
@@ -897,24 +828,23 @@ def eqg_residual(cfg: SolitonConfig, x: complex, t: float) -> complex:
 
         (1 + g^2)(g_t + g_xxx) + 6 g_x (g_x^2 - g g_xx) = 0,
 
-    evaluated from the exact closed-form derivative numerators and
-    normalized by the magnitude of the largest of the two composite terms.
+    evaluated from the numerator and denominator of g = N / D and their
+    derivatives (``_terms_g`` through ``_term_table``), and normalized by
+    the magnitude of the larger of the two composite terms.
 
-    Multiplying by D^6 (D the denominator of g) turns both terms into
-    polynomials in f1, f2 whose exact cancellation spans the full
-    exponential range of the monomials — at large |t| that range exceeds
-    double precision, so the evaluation runs in mpmath at a precision sized
-    from the exponent spread.  Correct derivative tables give residuals at
-    the working-precision floor (far below 1e-10); a wrong coefficient
-    anywhere shows up at its monomial's relative scale.
+    Multiplying by D^6 turns both terms into polynomials in f1, f2 whose
+    exact cancellation spans the full exponential range of the monomials —
+    at large |t| that range exceeds double precision, so the evaluation runs
+    in mpmath at a precision sized from the exponent spread.  A correct
+    table gives residuals at the working-precision floor (far below 1e-10);
+    a wrong coefficient anywhere shows up at its monomial's relative scale.
 
     Raises PoleError at poles of g (denominator below tolerance).
     """
     import mpmath as mp
 
     # Pole pre-check in fast double-precision balanced arithmetic.
-    s = -1.0 if cfg.variant is Variant.PLUS else 1.0
-    D_dbl = _eval_terms(cfg, [(1.0, 0, 0), (s, 1, 1)], x, t)
+    D_dbl = _eval_terms(cfg, _terms_g(cfg.gamma, cfg.variant)[1], x, t)
     if D_dbl.relative() < DENOM_TOL:
         raise PoleError(
             f"angle representation has a pole near x={complex(x)}, t={t}; "
@@ -931,22 +861,29 @@ def eqg_residual(cfg: SolitonConfig, x: complex, t: float) -> complex:
             "closer to the interaction region"
         )
     with mp.workdps(digits):
-        tables, den_terms = _g_tables_mp(cfg)
-        F1 = mp.exp(mp.mpc(w1))
-        F2 = mp.exp(mp.mpc(w2))
+        k1, k2 = mp.mpf(cfg.k1), mp.mpf(cfg.k2)
+        num, den = _terms_g((k2 + k1) / (k2 - k1), cfg.variant)
+        f1 = mp.exp(mp.mpc(w1))
+        f2 = mp.exp(mp.mpc(w2))
 
-        def poly(terms) -> "mp.mpc":
-            return sum(c * F1**a1 * F2**a2 for c, a1, a2 in terms)
+        def at(terms, dx: int = 0, dt: int = 0) -> "mp.mpc":
+            table = _term_table(k1, k2, terms, dx, dt)
+            return sum(c * f1**a1 * f2**a2 for c, a1, a2 in table)
 
-        D = poly(den_terms)
-        Ng = poly(tables["g"])
-        Nt = poly(tables["gt"])
-        Nx = poly(tables["gx"])
-        Nxx = poly(tables["gxx"])
-        Nxxx = poly(tables["gxxx"])
+        N, Nx, Nxx, Nxxx = (at(num, dx) for dx in range(4))
+        D, Dx, Dxx, Dxxx = (at(den, dx) for dx in range(4))
+        Nt, Dt = at(num, dt=1), at(den, dt=1)
+        # Numerators of g_t and g_x over D^2, g_xx over D^3, g_xxx over D^4.
+        gt = Nt * D - N * Dt
+        gx = Nx * D - N * Dx
+        p = Nxx * D - N * Dxx
+        gxx = p * D - 2 * Dx * gx
+        gxxx = (
+            (Nxxx * D + Nxx * Dx - Nx * Dxx - N * Dxxx) * D - Dx * p - 2 * Dxx * gx
+        ) * D - 3 * Dx * gxx
         D2 = D * D
-        term1 = (D2 + Ng * Ng) * (Nt * D2 + Nxxx)
-        term2 = 6 * (Nx * (Nx * Nx - Ng * Nxx))
+        term1 = (D2 + N * N) * (gt * D2 + gxxx)
+        term2 = 6 * (gx * (gx * gx - N * gxx))
         scale = max(abs(term1), abs(term2))
         if scale == 0:
             return 0j

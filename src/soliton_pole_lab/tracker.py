@@ -223,6 +223,21 @@ def track_zero_curve(
         curve.exceptional_collision = True
         curve.collision_point = cp
 
+    def halve(step: float) -> bool:
+        """Halve the step; below dt_floor stop at a declared collision
+        within grace_radius (False) or raise."""
+        nonlocal dt
+        dt = step / 2.0
+        if dt < opts.dt_floor:
+            cp = nearest_declared(x, opts.grace_radius)
+            if cp is None:
+                raise ConvergenceError(
+                    "near-multiple-root: step size underflow at "
+                    f"t={t}, x={x}; last good sample kept"
+                )
+            stop_at(cp)
+        return dt >= opts.dt_floor
+
     dt = opts.dt_init
     t = t_start
     prev_fx = fx_rel
@@ -272,17 +287,9 @@ def track_zero_curve(
             stop_at(cp)
             break
         if not ok:
-            dt = step / 2.0
-            if dt < opts.dt_floor:
-                cp = nearest_declared(x, opts.grace_radius)
-                if cp is not None:
-                    stop_at(cp)
-                    break
-                raise ConvergenceError(
-                    "near-multiple-root: step size underflow at "
-                    f"t={t}, x={x}; last good sample kept"
-                )
-            continue
+            if halve(step):
+                continue
+            break
         # Accept the sample.
         t, x, prev_fx_old = t_next, x_new, prev_fx
         prev_fx = fx_rel
@@ -295,16 +302,8 @@ def track_zero_curve(
         slow = iters > opts.slow_newton
         dropped = prev_fx_old > 0 and fx_rel < prev_fx_old / opts.fx_drop
         if slow or dropped:
-            dt = step / 2.0
-            if dt < opts.dt_floor:
-                cp = nearest_declared(x, opts.grace_radius)
-                if cp is not None:
-                    stop_at(cp)
-                    break
-                raise ConvergenceError(
-                    "near-multiple-root: step size underflow at "
-                    f"t={t}, x={x}; last good sample kept"
-                )
+            if not halve(step):
+                break
         else:
             dt = min(step * opts.grow, opts.dt_max)
     return curve

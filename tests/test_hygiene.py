@@ -1,4 +1,5 @@
-"""Static hygiene of the package sources: no unused module-level imports."""
+"""Static hygiene of the package sources: no unused module-level imports,
+and no module-level definition that the package never refers to."""
 
 from __future__ import annotations
 
@@ -21,14 +22,19 @@ def _names_used(tree: ast.Module) -> set[str]:
         if isinstance(node, ast.Name):
             used.add(node.id)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            # Quoted annotations ("mp.mpc", "Variant | str | None") and
-            # __all__ entries; docstrings rarely parse as expressions.
-            try:
-                expr = ast.parse(node.value, mode="eval")
-            except SyntaxError:
-                continue
-            used.update(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
+            used |= _names_in_string(node.value)
     return used
+
+
+def _names_in_string(text: str) -> set[str]:
+    """Names in a string that parses as an expression: quoted annotations
+    ("mp.mpc", "Variant | str | None") and __all__ entries; docstrings
+    rarely parse."""
+    try:
+        expr = ast.parse(text, mode="eval")
+    except SyntaxError:
+        return set()
+    return {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
 
 
 def _module_imports(tree: ast.Module) -> list[str]:
@@ -66,3 +72,69 @@ def test_no_unused_module_imports() -> None:
         for name in unused_imports(path)
     }
     assert found - ALLOWED == set()
+
+
+def _module_definitions(tree: ast.Module) -> list[str]:
+    """Module-level functions, classes and assigned names, dunders aside."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Names a module refers to: names it reads, attribute names, names it
+    imports, and names in its strings (so a name in __all__ counts).  A
+    definition or assignment alone is not a reference."""
+    refs: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(a.name for a in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            refs |= _names_in_string(node.value)
+    return refs
+
+
+def unreferenced_definitions(paths: list[Path]) -> list[tuple[str, str]]:
+    """(module, name) for each module-level definition that no module among
+    paths refers to."""
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in paths}
+    refs = set().union(*(_references(tree) for tree in trees.values()))
+    return sorted(
+        (module, name)
+        for module, tree in trees.items()
+        for name in _module_definitions(tree)
+        if name not in refs
+    )
+
+
+def test_scanner_flags_an_unreferenced_definition(tmp_path: Path) -> None:
+    (tmp_path / "a.py").write_text(
+        "__all__ = ['exported']\n"
+        "Alias = int\n"
+        "_LIMIT: float = 1.0\n"
+        "_dead_value = 2\n"
+        "class Quoted: pass\n"
+        "def exported(): pass\n"
+        "def imported() -> 'Quoted': pass\n"
+        "def _recursive(n): return _recursive(n - 1) if n else _LIMIT\n"
+        "def _dead(): pass\n"
+        "class _DeadClass: pass\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "from .a import imported\nimport a\nprint(imported(), a.Alias)\n"
+    )
+    found = unreferenced_definitions(sorted(tmp_path.glob("*.py")))
+    assert found == [("a", "_DeadClass"), ("a", "_dead"), ("a", "_dead_value")]
+
+
+def test_every_module_definition_is_referenced() -> None:
+    assert unreferenced_definitions(sorted(PACKAGE.glob("*.py"))) == []

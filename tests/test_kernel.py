@@ -10,9 +10,10 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from soliton_pole_lab import kernel
 from soliton_pole_lab.kernel import (
     PoleError,
     PoleMarker,
@@ -445,6 +446,57 @@ def test_eqg_residual_large_time_balanced() -> None:
 def test_eqg_residual_pole_raises() -> None:
     with pytest.raises(PoleError):
         eqg_residual(C12P, 0.0, 0.0)  # 1 - f1 f2 = 0 at the origin
+
+
+@pytest.mark.parametrize("variant", ["plus", "minus"])
+@pytest.mark.parametrize("part", ["numerator", "denominator"])
+def test_eqg_residual_catches_a_wrong_coefficient(monkeypatch, variant, part) -> None:
+    # eval_g and the certificate read one table: scaling the f2 coefficient
+    # of N, or the f1 f2 coefficient of D, by 1 + 1e-6 must change g and
+    # lift the residual far above its floor.
+    cfg = SolitonConfig.make(1, 2, variant)
+    x, t = 0.3 + 0.4j, 0.2
+    assert abs(eqg_residual(cfg, x, t)) < 1e-30
+    g_clean = eval_g(cfg, x, t)
+    terms_g = kernel._terms_g
+    which = ("numerator", "denominator").index(part)
+
+    def corrupted(g, v):
+        tables = [list(table) for table in terms_g(g, v)]
+        c, a1, a2 = tables[which][-1]
+        tables[which][-1] = (c * (1 + 1e-6), a1, a2)
+        return tuple(tables)
+
+    monkeypatch.setattr(kernel, "_terms_g", corrupted)
+    assert abs(eqg_residual(cfg, x, t)) > 1e-10
+    assert eval_g(cfg, x, t) != g_clean
+
+
+FIELD_CONFIGS = [
+    (p1, p2, variant)
+    for p2 in range(2, 8)
+    for p1 in range(1, p2)
+    if math.gcd(p1, p2) == 1
+    for variant in ("plus", "minus")
+] + [(1.0, math.sqrt(2.0), "plus"), (1.0, math.sqrt(2.0), "minus")]
+
+
+@given(
+    spec=st.sampled_from(FIELD_CONFIGS),
+    x1=st.floats(min_value=-1.0, max_value=1.0),
+    x2=st.floats(min_value=-1.0, max_value=1.0),
+    t=st.floats(min_value=-2.0, max_value=2.0),
+    re=st.floats(min_value=-3.0, max_value=3.0),
+    im=st.floats(min_value=-3.0, max_value=3.0),
+)
+@settings(max_examples=50, deadline=None)
+def test_eqg_residual_small_across_configs(spec, x1, x2, t, re, im) -> None:
+    cfg = SolitonConfig.make(*spec, x1=x1, x2=x2)
+    try:
+        r = eqg_residual(cfg, complex(re, im), t)
+    except ValueError:  # PoleError at a pole of g, or too many digits needed
+        assume(False)
+    assert abs(r) < 1e-10, f"residual {abs(r):.3e} for {spec} at x={re}+{im}j, t={t}"
 
 
 def test_pde_residual_second_order() -> None:
