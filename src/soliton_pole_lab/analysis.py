@@ -79,12 +79,14 @@ from .kernel import (
     PoleError,
     SolitonConfig,
     Variant,
+    _F_point,
+    _factor_point,
     _u_or_raise_grid,
     factor_scaled,
     kdv_F_scaled,
     strip_scale,
 )
-from .tracker import TrackerOptions, _cfg_F, _newton_correct
+from .tracker import TrackerOptions, _newton_correct
 
 __all__ = [
     "RealDecomp",
@@ -393,8 +395,8 @@ def vertical_sign(
     """
     v = _variant(cfg, variant)
     which, _ = _which_factor(cfg, x, t, v)
-    Ft = factor_scaled(cfg, x, t, which, v, dt=1)
-    Fx = factor_scaled(cfg, x, t, which, v, dx=1)
+    factor = _factor_point(cfg, which, v)
+    Ft, Fx = factor(x, t, 0, 1), factor(x, t, 1, 0)
     if Fx.relative() < FX_GATE:
         raise ConvergenceError(
             f"factor derivative below threshold at ({x}, {t}): "
@@ -608,14 +610,13 @@ def residue_at_pole(
     """
     v = _variant(cfg, variant)
     try:
-        x0, _, _, _ = _newton_correct(
-            _cfg_F(cfg, v), complex(x_pole), t, _POLISH_OPTS
+        x0, _, Fx, _ = _newton_correct(
+            _F_point(cfg, v), complex(x_pole), t, _POLISH_OPTS
         )
     except ConvergenceError as exc:
         raise PoleError(
             f"({x_pole}, {t}) did not polish to a zero of F ({exc})"
         ) from exc
-    Fx = F_scaled(cfg, x0, t, v, dx=1)
     if Fx.relative() < FX_GATE:
         raise ConvergenceError(
             f"multiple zero at ({x0}, {t}): relative |F_x|="

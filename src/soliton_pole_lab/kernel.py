@@ -31,9 +31,17 @@ represented.
 Dense grids of x use the grid engine (``F_grid``, ``G_grid``,
 ``eval_u_grid``, ``eval_u_x_grid``): one numpy pass over the term table per
 term instead of one Python sum per point, with results equal to the scalar
-evaluators bit for bit (see ``_balanced.ScaledGrid``).  Pointwise callers
-(tracking, Newton correctors, finite-difference stencils) keep the scalar
-evaluators, which are faster for a single point.
+evaluators bit for bit (see ``_balanced.ScaledGrid``).
+
+Pointwise callers (tracking, Newton correctors, finite-difference stencils)
+use the scalar path: a point evaluator of one term list (``_PointEval``),
+which builds each dx/dt table once from ``_term_table`` and sums in table
+order with ``balanced_sum``'s float steps.  Calls at one point share work
+by two rules: the monomial exponents a1 w1 + a2 w2 are formed once per
+point, and exp(w - base) once per monomial and balance base, so tables
+with the same base share it.  F_scaled, G_scaled and the other one-value
+functions are one call of a fresh evaluator; the tracker keeps one per
+curve, and eval_u, eval_u_x and eval_u_xx one each for F and G.
 
 Convention for shifts: the shift factors exp(k_j x_j) are folded directly
 into f_j above.  For zero shifts this is the normalized solution whose
@@ -45,6 +53,7 @@ docstring for the exact correspondence).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -419,6 +428,92 @@ def _term_table(k1, k2, terms: Sequence[Term], dx: int = 0, dt: int = 0) -> list
     return out
 
 
+@functools.lru_cache(maxsize=256)
+def _plan(k1: float, k2: float, terms: tuple[Term, ...]) -> tuple[dict, dict]:
+    """(monomial (a1, a2) -> index, (dx, dt) -> table) for a term list; a
+    table is (coefficient, monomial index) pairs, filled in on first use.
+    Evaluators of equal term lists share one plan; a table depends on
+    nothing but the key, so filling it in for one serves them all."""
+    slots: dict[tuple[int, int], int] = {}
+    for _, a1, a2 in terms:
+        slots.setdefault((a1, a2), len(slots))
+    return slots, {}
+
+
+class _PointEval:
+    """Point evaluator of one term list: ``ev(x, t, dx, dt)`` is the dx/dt
+    derivative at (x, t) as a ``Scaled``, equal bit for bit to
+    ``balanced_sum`` over that derivative's ``_term_table``.
+
+    Each derivative's table is built once per term list, on first use.  The
+    exponent a1 w1 + a2 w2 of each monomial is formed once per point, and
+    the point is kept until a call passes another x or t object, so the
+    calls a Newton step or a predictor makes at one point share two things:
+
+    - the exponents, formed once for every table;
+    - exp(w - base) per monomial, formed once for every table with the same
+      balance base.  F and F_x agree on their base unless F's constant term
+      dominates; F_x, F_t and F_xx always agree, since all three drop it.
+
+    A table exponentiates only its own monomials: a dropped term can lie
+    far above another table's base, where exp(w - base) would overflow.
+    ``calls`` counts evaluations and ``points`` the points they formed.
+    """
+
+    __slots__ = (
+        "cfg", "terms", "slots", "tables", "x", "t", "ws", "exps", "calls", "points"
+    )
+
+    def __init__(self, cfg: SolitonConfig, terms: Sequence[Term]) -> None:
+        self.cfg = cfg
+        self.terms = tuple(terms)
+        self.slots, self.tables = _plan(cfg.k1, cfg.k2, self.terms)
+        # The current point: its exponents by monomial index, and per
+        # balance base the exponentials formed so far (None until needed).
+        self.x = self.t = None
+        self.ws: list[complex] = []
+        self.exps: dict[float, list[Optional[complex]]] = {}
+        self.calls = self.points = 0
+
+    def _table(self, dx: int, dt: int) -> list[tuple[complex, int]]:
+        table = [
+            (c, self.slots[a1, a2])
+            for c, a1, a2 in _term_table(self.cfg.k1, self.cfg.k2, self.terms, dx, dt)
+        ]
+        self.tables[dx, dt] = table
+        return table
+
+    def __call__(self, x: complex, t: float, dx: int = 0, dt: int = 0) -> Scaled:
+        self.calls += 1
+        table = self.tables.get((dx, dt))
+        if table is None:
+            table = self._table(dx, dt)
+        if x is not self.x or t is not self.t:
+            w1, w2 = _w_pair(self.cfg, x, t)
+            self.ws = [a1 * w1 + a2 * w2 for a1, a2 in self.slots]
+            self.exps = {}
+            self.x, self.t = x, t
+            self.points += 1
+        if not table:
+            return Scaled(0j, 0.0, 0.0)
+        ws = self.ws
+        # balanced_sum's float steps, in table order.
+        base = max([ws[i].real for _, i in table])
+        exps = self.exps.get(base)
+        if exps is None:
+            exps = self.exps[base] = [None] * len(ws)
+        mant = 0j
+        norm = 0.0
+        for c, i in table:
+            e = exps[i]
+            if e is None:
+                e = exps[i] = cmath.exp(ws[i] - base)
+            piece = c * e
+            mant += piece
+            norm += abs(piece)
+        return Scaled(mant, base, norm)
+
+
 def _eval_terms(
     cfg: SolitonConfig,
     terms: Sequence[Term],
@@ -427,12 +522,28 @@ def _eval_terms(
     dx: int = 0,
     dt: int = 0,
 ) -> Scaled:
-    w1, w2 = _w_pair(cfg, x, t)
-    if dx or dt:
-        terms = _term_table(cfg.k1, cfg.k2, terms, dx, dt)
-    # Without derivative factors the table is the terms themselves, less
-    # zero terms, which balanced_sum drops anyway.
-    return balanced_sum([(c, a1 * w1 + a2 * w2) for c, a1, a2 in terms])
+    """One evaluation of a term list: a point evaluator used once."""
+    return _PointEval(cfg, terms)(x, t, dx, dt)
+
+
+def _F_point(cfg: SolitonConfig, variant: "Variant | str | None" = None) -> _PointEval:
+    """The point evaluator of F (of ``variant``, by default the config's)."""
+    v = cfg.variant if variant is None else Variant.coerce(variant)
+    return _PointEval(cfg, _terms_F(cfg.gamma**2, v))
+
+
+def _G_point(cfg: SolitonConfig, variant: "Variant | str | None" = None) -> _PointEval:
+    """The point evaluator of G (see ``_F_point``)."""
+    v = cfg.variant if variant is None else Variant.coerce(variant)
+    return _PointEval(cfg, _terms_G(cfg.k1, cfg.k2, v))
+
+
+def _factor_point(
+    cfg: SolitonConfig, which: int, variant: "Variant | str | None" = None
+) -> _PointEval:
+    """The point evaluator of the factor F1 or F2 (see ``_terms_factor``)."""
+    v = cfg.variant if variant is None else Variant.coerce(variant)
+    return _PointEval(cfg, _terms_factor(cfg, v, which))
 
 
 def _w_grid(k: float, shift: float, xr, xi, t: float):
@@ -473,8 +584,7 @@ def F_scaled(
     dt: int = 0,
 ) -> Scaled:
     """Log-balanced F (or a mixed x/t derivative of it)."""
-    v = cfg.variant if variant is None else Variant.coerce(variant)
-    return _eval_terms(cfg, _terms_F(cfg.gamma**2, v), x, t, dx, dt)
+    return _F_point(cfg, variant)(x, t, dx, dt)
 
 
 def G_scaled(
@@ -486,8 +596,7 @@ def G_scaled(
     dt: int = 0,
 ) -> Scaled:
     """Log-balanced G (or a mixed x/t derivative of it)."""
-    v = cfg.variant if variant is None else Variant.coerce(variant)
-    return _eval_terms(cfg, _terms_G(cfg.k1, cfg.k2, v), x, t, dx, dt)
+    return _G_point(cfg, variant)(x, t, dx, dt)
 
 
 def F_grid(
@@ -526,8 +635,7 @@ def factor_scaled(
     dt: int = 0,
 ) -> Scaled:
     """Log-balanced complex factor F1 or F2 of F (or a derivative)."""
-    v = cfg.variant if variant is None else Variant.coerce(variant)
-    return _eval_terms(cfg, _terms_factor(cfg, v, which), x, t, dx, dt)
+    return _factor_point(cfg, which, variant)(x, t, dx, dt)
 
 
 def kdv_F_scaled(
@@ -596,9 +704,9 @@ def eval_u(cfg: SolitonConfig, x: complex, t: float) -> "complex | PoleMarker":
     Returns a PoleMarker at zeros of F (tolerance scaled by |F_x| and the
     strip scale).  Never overflows: the ratio is formed in balanced form.
     """
-    F = F_scaled(cfg, x, t)
+    F_at = _F_point(cfg)
+    F, Fx = F_at(x, t), F_at(x, t, 1)
     G = G_scaled(cfg, x, t)
-    Fx = F_scaled(cfg, x, t, dx=1)
     if _at_pole(cfg, F, Fx):
         return PoleMarker(complex(x), t, F.relative())
     return 2.0 * cfg.gamma * G.ratio(F)
@@ -733,10 +841,9 @@ def eval_u_sumform(cfg: SolitonConfig, x: complex, t: float) -> "complex | PoleM
 
 def eval_u_x(cfg: SolitonConfig, x: complex, t: float) -> complex:
     """d/dx of u, from the closed form u_x = 2 gamma (G_x F - G F_x) / F^2."""
-    F = F_scaled(cfg, x, t)
-    Fx = F_scaled(cfg, x, t, dx=1)
-    G = G_scaled(cfg, x, t)
-    Gx = G_scaled(cfg, x, t, dx=1)
+    F_at, G_at = _F_point(cfg), _G_point(cfg)
+    F, Fx = F_at(x, t), F_at(x, t, 1)
+    G, Gx = G_at(x, t), G_at(x, t, 1)
     num = Gx * F - G * Fx
     return 2.0 * cfg.gamma * num.ratio(F * F)
 
@@ -761,12 +868,9 @@ def eval_u_xx(cfg: SolitonConfig, x: complex, t: float) -> complex:
 
         u_xx = 2 gamma [ (G_xx F - G F_xx) F - 2 F_x (G_x F - G F_x) ] / F^3.
     """
-    F = F_scaled(cfg, x, t)
-    Fx = F_scaled(cfg, x, t, dx=1)
-    Fxx = F_scaled(cfg, x, t, dx=2)
-    G = G_scaled(cfg, x, t)
-    Gx = G_scaled(cfg, x, t, dx=1)
-    Gxx = G_scaled(cfg, x, t, dx=2)
+    F_at, G_at = _F_point(cfg), _G_point(cfg)
+    F, Fx, Fxx = (F_at(x, t, dx) for dx in range(3))
+    G, Gx, Gxx = (G_at(x, t, dx) for dx in range(3))
     num = (Gxx * F - G * Fxx) * F - 2.0 * (Fx * (Gx * F - G * Fx))
     return 2.0 * cfg.gamma * num.ratio(F * F * F)
 

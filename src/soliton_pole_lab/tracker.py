@@ -17,6 +17,13 @@ and a hard stop inside a small radius of a declared collision point (the
 local model takes over there; continuation through a fourth-order zero is
 ill-posed).  Curves on the far side are produced by the mirror symmetry
 x(t) -> -conj(x(-t)), which maps zero curves to zero curves.
+
+Each step evaluates F through one kernel point evaluator per curve
+(``kernel._F_point``), built once with its dx/dt tables.  The corrector
+returns the F_x of the point it converged to, and the predictor of the next
+step reuses that accepted sample's F_x instead of evaluating it again; its
+F_t at the same point shares the exponentials the corrector formed there.
+The F_x of a corrector whose result is rejected is never reused.
 """
 
 from __future__ import annotations
@@ -32,9 +39,9 @@ from ._balanced import Scaled
 from .exppoly import oracle_poles
 from .kernel import (
     ConvergenceError,
-    F_scaled,
     SolitonConfig,
     Variant,
+    _F_point,
 )
 
 __all__ = [
@@ -96,6 +103,14 @@ class PoleCurve:
     tracking direction); ``residuals`` holds the relative |F| left by the
     corrector at each sample.  ``family`` is attached later by the
     asymptotic matcher.
+
+    Work counters, kept out of every export: ``accepted`` steps (samples
+    after the seed) and ``rejected`` ones (corrector failed, or landed on a
+    near-multiple zero), every step of the loop being one or the other;
+    ``newton_iterations`` summed over the corrector calls that converged,
+    the seed's included.  ``evaluations`` (calls of F) and ``points`` (the
+    distinct points they formed) are filled by ``track_curve`` from its
+    kernel evaluator and stay 0 for another F.
     """
 
     variant: Variant
@@ -105,6 +120,11 @@ class PoleCurve:
     exceptional_collision: bool = False
     branch_class: BranchClass = BranchClass.NONE
     collision_point: Optional[complex] = None
+    accepted: int = 0
+    rejected: int = 0
+    newton_iterations: int = 0
+    evaluations: int = 0
+    points: int = 0
 
     @property
     def t_first(self) -> float:
@@ -124,14 +144,8 @@ class PoleCurve:
 
 
 FFun = Callable[[complex, float, int, int], Scaled]
-"""Signature of a trackable function: (x, t, dx, dt) -> Scaled value."""
-
-
-def _cfg_F(cfg: SolitonConfig, variant: Variant) -> FFun:
-    def fun(x: complex, t: float, dx: int = 0, dt: int = 0) -> Scaled:
-        return F_scaled(cfg, x, t, variant, dx=dx, dt=dt)
-
-    return fun
+"""Signature of a trackable function: (x, t, dx, dt) -> Scaled value.
+The kernel's point evaluator of F (``kernel._F_point``) is one."""
 
 
 def detect_exceptional(cfg: SolitonConfig, q_values: Sequence[int] = (0, -1)) -> dict:
@@ -160,15 +174,15 @@ def _newton_correct(
     x: complex,
     t: float,
     opts: TrackerOptions,
-) -> tuple[complex, float, float, int]:
-    """Newton in x at fixed t.  Returns (x, rel_F, rel_Fx, iterations);
-    raises ConvergenceError when the iteration cap is exhausted."""
+) -> tuple[complex, Scaled, Scaled, int]:
+    """Newton in x at fixed t.  Returns (x, F, F_x, iterations), F and F_x
+    taken at the returned x; raises ConvergenceError when the iteration cap
+    is exhausted."""
     for it in range(1, opts.max_newton + 1):
         Fv = F(x, t, 0, 0)
         Fx = F(x, t, 1, 0)
-        rel = Fv.relative()
-        if rel < opts.newton_tol:
-            return x, rel, Fx.relative(), it - 1
+        if Fv.relative() < opts.newton_tol:
+            return x, Fv, Fx, it - 1
         try:
             step = (Fv / Fx).value()
         except (ZeroDivisionError, OverflowError) as exc:
@@ -178,7 +192,7 @@ def _newton_correct(
         x = x - step
     Fv = F(x, t, 0, 0)
     if Fv.relative() < opts.newton_tol:
-        return x, Fv.relative(), F(x, t, 1, 0).relative(), opts.max_newton
+        return x, Fv, F(x, t, 1, 0), opts.max_newton
     raise ConvergenceError(
         f"corrector did not converge at t={t}: relative |F|={Fv.relative():.3e}"
     )
@@ -212,12 +226,18 @@ def track_zero_curve(
                 best = cp
         return best
 
-    x, rel, fx_rel, _ = _newton_correct(F, complex(x_start), t_start, opts)
+    x, Fv, Fx, iters = _newton_correct(F, complex(x_start), t_start, opts)
+    fx_rel = Fx.relative()
     if fx_rel < opts.fx_min:
         raise ConvergenceError(
             f"near-multiple-root at the seed: relative |F_x|={fx_rel:.3e}"
         )
-    curve = PoleCurve(variant=variant, samples=[(t_start, x)], residuals=[rel])
+    curve = PoleCurve(
+        variant=variant,
+        samples=[(t_start, x)],
+        residuals=[Fv.relative()],
+        newton_iterations=iters,
+    )
 
     def stop_at(cp: complex) -> None:
         curve.exceptional_collision = True
@@ -255,26 +275,31 @@ def track_zero_curve(
             step, t_next = remaining, t_end
         else:
             step, t_next = dt, t + sign * dt
-        # Predictor: x' = -F_t / F_x.
+        # Predictor: x' = -F_t / F_x, with the F_x the corrector left at
+        # this sample.
         Ft = F(x, t, 0, 1)
-        Fx = F(x, t, 1, 0)
         try:
             slope = -(Ft / Fx).value()
         except (ZeroDivisionError, OverflowError):
             slope = 0j
         x_pred = x + slope * sign * step
         try:
-            x_new, rel, fx_rel, iters = _newton_correct(F, x_pred, t_next, opts)
-            ok = True
+            x_new, F_new, Fx_new, iters = _newton_correct(F, x_pred, t_next, opts)
         except ConvergenceError:
-            ok = False
-        if ok and fx_rel < opts.fx_min:
+            curve.rejected += 1
+            if halve(step):
+                continue
+            break
+        curve.newton_iterations += iters
+        fx_rel = Fx_new.relative()
+        if fx_rel < opts.fx_min:
             # The corrector converged onto a (near-)multiple zero.  A
             # clamped jump onto t_end can overshoot the approach (landing
             # directly on the collision time); retry with smaller steps so
             # samples keep resolving the scaling regime.  Otherwise, inside
             # the grace neighborhood of a declared collision point this is
             # the expected endgame; elsewhere it is a hard error.
+            curve.rejected += 1
             if clamped and step / 2.0 >= opts.dt_floor:
                 dt = step / 2.0
                 continue
@@ -286,15 +311,12 @@ def track_zero_curve(
                 )
             stop_at(cp)
             break
-        if not ok:
-            if halve(step):
-                continue
-            break
         # Accept the sample.
-        t, x, prev_fx_old = t_next, x_new, prev_fx
+        t, x, Fx, prev_fx_old = t_next, x_new, Fx_new, prev_fx
         prev_fx = fx_rel
         curve.samples.append((t, x))
-        curve.residuals.append(rel)
+        curve.residuals.append(F_new.relative())
+        curve.accepted += 1
         cp = nearest_declared(x, opts.collision_radius)
         if cp is not None:
             stop_at(cp)
@@ -326,8 +348,9 @@ def track_curve(
     """
     v = cfg.variant if variant is None else Variant.coerce(variant)
     exc = detect_exceptional(cfg.with_variant(v))
-    return track_zero_curve(
-        _cfg_F(cfg, v),
+    F = _F_point(cfg, v)
+    curve = track_zero_curve(
+        F,
         x_start,
         t_start,
         t_end,
@@ -335,6 +358,8 @@ def track_curve(
         collision_points=exc["points"],
         variant=v,
     )
+    curve.evaluations, curve.points = F.calls, F.points
+    return curve
 
 
 def track_ensemble(
@@ -449,7 +474,7 @@ def position_at(
     slack = 2 * opts.dt_max
     if not (lo - slack <= t <= hi + slack):
         raise ValueError(f"t={t} outside the curve's span [{lo}, {hi}]")
-    F = _cfg_F(cfg, curve.variant)
+    F = _F_point(cfg, curve.variant)
     x, _, _, _ = _newton_correct(F, curve.x_at_nearest(t), t, opts)
     return x
 
@@ -458,7 +483,8 @@ def mirror_curve(curve: PoleCurve) -> PoleCurve:
     """The time-reflected curve t -> -conj(x(-t)), also a zero curve of F.
 
     Sample order is reversed so the result stays monotone in t; applying
-    the mirror twice returns the original samples.
+    the mirror twice returns the original samples.  The work counters are
+    the original's: the mirror costs no evaluation.
     """
     samples = [(-t, -x.conjugate()) for t, x in reversed(curve.samples)]
     residuals = list(reversed(curve.residuals))
@@ -473,6 +499,11 @@ def mirror_curve(curve: PoleCurve) -> PoleCurve:
         exceptional_collision=curve.exceptional_collision,
         branch_class=curve.branch_class,
         collision_point=cp,
+        accepted=curve.accepted,
+        rejected=curve.rejected,
+        newton_iterations=curve.newton_iterations,
+        evaluations=curve.evaluations,
+        points=curve.points,
     )
 
 

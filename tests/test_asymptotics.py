@@ -211,17 +211,16 @@ def test_seed_time_formula():
 
 def test_seeds_converge_fast():
     """Newton from a seed polishes in < 5 iterations (both variants)."""
-    from soliton_pole_lab.tracker import _cfg_F, _newton_correct
+    from soliton_pole_lab.kernel import _F_point
+    from soliton_pole_lab.tracker import _newton_correct
 
     for variant in ("plus", "minus"):
         cfg = SolitonConfig.make(1, 2, variant)
         for lab in strip_labels(cfg, -1) + strip_labels(cfg, 1):
             x0, t0 = seed_state(cfg, lab)
-            _, rel, _, iters = _newton_correct(
-                _cfg_F(cfg, cfg.variant), x0, t0, TrackerOptions()
-            )
+            _, F, _, iters = _newton_correct(_F_point(cfg), x0, t0, TrackerOptions())
             assert iters < 5
-            assert rel < 1e-12
+            assert F.relative() < 1e-12
 
 
 def test_strip_labels_counts():

@@ -517,3 +517,115 @@ def test_pde_residual_pole_raises() -> None:
 def test_pde_residual_rejects_bad_step() -> None:
     with pytest.raises(ValueError):
         pde_residual(C12M, 0.0, 0.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Point evaluator: one long-lived evaluator per term list equals a fresh
+# balanced sum of each table, bit for bit, however the calls interleave.
+# ---------------------------------------------------------------------------
+
+
+def _fresh_sum(cfg, terms, x, t, dx, dt):
+    """balanced_sum over the dx/dt term table, every exponent formed anew."""
+    w1, w2 = kernel._w_pair(cfg, x, t)
+    table = kernel._term_table(cfg.k1, cfg.k2, terms, dx, dt)
+    return kernel.balanced_sum([(c, a1 * w1 + a2 * w2) for c, a1, a2 in table])
+
+
+def _bits(s) -> tuple:
+    return tuple(float(v).hex() for v in (s.mant.real, s.mant.imag, s.log, s.norm))
+
+
+POINT_CONFIGS = [(1, 2), (1, 5), (2, 7), (1.0, math.sqrt(2.0))]
+
+
+@given(
+    spec=st.sampled_from(POINT_CONFIGS),
+    variant=st.sampled_from(["plus", "minus"]),
+    res=st.lists(st.floats(min_value=-40.0, max_value=40.0), min_size=1, max_size=3),
+    ims=st.lists(st.floats(min_value=-4.0, max_value=4.0), min_size=1, max_size=2),
+    ts=st.lists(st.floats(min_value=-20.0, max_value=20.0), min_size=1, max_size=2),
+    calls=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=11),  # point
+            st.sampled_from(["F", "G", "F1", "F2"]),
+            st.integers(min_value=0, max_value=3),  # dx
+            st.integers(min_value=0, max_value=1),  # dt
+            st.booleans(),  # pass an equal copy of x instead of the object
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+)
+@settings(max_examples=80, deadline=None)
+def test_point_evaluator_matches_one_shot_bitwise(spec, variant, res, ims, ts, calls) -> None:
+    cfg = SolitonConfig.make(*spec, variant)
+    # Points share their x or their t (the very objects) with other points,
+    # so an evaluator that kept a stale exponent or exponential would show.
+    xs = [complex(r, i) for r in res for i in ims]
+    points = [(x, t) for x in xs for t in ts]
+    one_shot = {
+        "F": (kernel._F_point(cfg), kernel._terms_F(cfg.gamma**2, cfg.variant),
+              lambda x, t, dx, dt: kernel.F_scaled(cfg, x, t, None, dx, dt)),
+        "G": (kernel._G_point(cfg), kernel._terms_G(cfg.k1, cfg.k2, cfg.variant),
+              lambda x, t, dx, dt: kernel.G_scaled(cfg, x, t, None, dx, dt)),
+    }
+    for which in (1, 2):
+        one_shot[f"F{which}"] = (
+            kernel._factor_point(cfg, which),
+            kernel._terms_factor(cfg, cfg.variant, which),
+            lambda x, t, dx, dt, which=which: kernel.factor_scaled(cfg, x, t, which, None, dx, dt),
+        )
+    for i, name, dx, dt, copy in calls:
+        x, t = points[i % len(points)]
+        if copy:
+            x = complex(x.real, x.imag)
+        ev, terms, scalar = one_shot[name]
+        want = _bits(_fresh_sum(cfg, terms, x, t, dx, dt))
+        assert _bits(ev(x, t, dx, dt)) == want, (name, x, t, dx, dt)
+        assert _bits(scalar(x, t, dx, dt)) == want, (name, x, t, dx, dt)
+    assert sum(ev.calls for ev, _, _ in one_shot.values()) == len(calls)
+
+
+DERIVS = ((0, 0), (1, 0), (0, 1), (2, 0))
+
+
+@pytest.mark.parametrize("x", [-0.4 + 0.2j, 40.0 + 0.3j, 800.0 + 0.3j])
+def test_point_evaluator_shares_one_point_and_counts_it(x) -> None:
+    ev = kernel._F_point(C12P)
+    t = 0.25
+    values = [ev(x, t, dx, dt) for dx, dt in DERIVS]
+    assert (ev.calls, ev.points) == (4, 1)
+    for v, (dx, dt) in zip(values, DERIVS):
+        assert _bits(v) == _bits(kernel.F_scaled(C12P, x, t, None, dx, dt))
+    if x.real > 0:
+        # The constant term dominates F: F's base is 0 and F_x's far below
+        # it; at x = 800 exponentiating the constant term against F_x's
+        # base would overflow.
+        assert values[0].log == 0.0 and values[1].log < -39.0
+    ev(x, 0.5)
+    ev(complex(x.real, x.imag), 0.5)
+    assert ev.points == 3  # a new t, then a new x object
+
+
+def _cbits(z: complex) -> tuple:
+    return (z.real.hex(), z.imag.hex())
+
+
+@pytest.mark.parametrize("cfg", [C12M, C12P, SolitonConfig.make(1, 5, "minus", 0.3, -0.2)])
+def test_u_derivatives_equal_their_formulas_on_separate_evaluations(cfg) -> None:
+    rng = random.Random(11)
+    g2 = 2.0 * cfg.gamma
+    for _ in range(40):
+        x = complex(rng.uniform(-6.0, 6.0), rng.uniform(-3.0, 3.0))
+        t = rng.uniform(-3.0, 3.0)
+        F, Fx, Fxx = (kernel.F_scaled(cfg, x, t, dx=k) for k in range(3))
+        G, Gx, Gxx = (kernel.G_scaled(cfg, x, t, dx=k) for k in range(3))
+        u = eval_u(cfg, x, t)
+        if isinstance(u, PoleMarker):
+            continue
+        assert _cbits(u) == _cbits(g2 * G.ratio(F))
+        ux = g2 * (Gx * F - G * Fx).ratio(F * F)
+        assert _cbits(eval_u_x(cfg, x, t)) == _cbits(ux)
+        num = (Gxx * F - G * Fxx) * F - 2.0 * (Fx * (Gx * F - G * Fx))
+        assert _cbits(eval_u_xx(cfg, x, t)) == _cbits(g2 * num.ratio(F * F * F))
