@@ -80,7 +80,6 @@ from .kernel import (
     SolitonConfig,
     Variant,
     _F_point,
-    _factor_point,
     _u_or_raise_grid,
     factor_scaled,
     kdv_F_scaled,
@@ -395,8 +394,8 @@ def vertical_sign(
     """
     v = _variant(cfg, variant)
     which, _ = _which_factor(cfg, x, t, v)
-    factor = _factor_point(cfg, which, v)
-    Ft, Fx = factor(x, t, 0, 1), factor(x, t, 1, 0)
+    Ft = factor_scaled(cfg, x, t, which, v, dt=1)
+    Fx = factor_scaled(cfg, x, t, which, v, dx=1)
     if Fx.relative() < FX_GATE:
         raise ConvergenceError(
             f"factor derivative below threshold at ({x}, {t}): "

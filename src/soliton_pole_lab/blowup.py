@@ -41,9 +41,9 @@ import numpy as np
 from ._balanced import complex_array
 from .kernel import (
     ConvergenceError,
+    F_scaled,
     SolitonConfig,
     Variant,
-    _F_point,
     _u_or_raise,
     _u_or_raise_grid,
     strip_scale,
@@ -102,8 +102,8 @@ class Crossing:
 
 
 def _im_velocity(cfg: SolitonConfig, x: complex, t: float) -> float:
-    F = _F_point(cfg)
-    Ft, Fx = F(x, t, 0, 1), F(x, t, 1, 0)
+    Ft = F_scaled(cfg, x, t, dt=1)
+    Fx = F_scaled(cfg, x, t, dx=1)
     return (-Ft.ratio(Fx)).imag
 
 

@@ -34,14 +34,17 @@ term instead of one Python sum per point, with results equal to the scalar
 evaluators bit for bit (see ``_balanced.ScaledGrid``).
 
 Pointwise callers (tracking, Newton correctors, finite-difference stencils)
-use the scalar path: a point evaluator of one term list (``_PointEval``),
-which builds each dx/dt table once from ``_term_table`` and sums in table
-order with ``balanced_sum``'s float steps.  Calls at one point share work
-by two rules: the monomial exponents a1 w1 + a2 w2 are formed once per
-point, and exp(w - base) once per monomial and balance base, so tables
-with the same base share it.  F_scaled, G_scaled and the other one-value
-functions are one call of a fresh evaluator; the tracker keeps one per
-curve, and eval_u, eval_u_x and eval_u_xx one each for F and G.
+keep the scalar path.  The one-value functions (F_scaled, G_scaled, ...)
+sum one term table with ``balanced_sum``.  Callers that evaluate F many
+times at few points -- the tracker and the Newton polish of
+``analysis.residue_at_pole`` -- hold a point evaluator instead
+(``_PointEval``, from ``_F_point``).  It builds each dx/dt table once from
+``_term_table`` and sums in table order with ``balanced_sum``'s float
+steps, so its values equal F_scaled's bit for bit.  Calls at one point
+share work by two rules: the monomial exponents a1 w1 + a2 w2 are formed
+once per point, and exp(w - base) once per monomial and balance base, so
+tables with the same base share it.  A fresh evaluator used for one value
+costs more than the plain sum, so the one-value functions do not use one.
 
 Convention for shifts: the shift factors exp(k_j x_j) are folded directly
 into f_j above.  For zero shifts this is the normalized solution whose
@@ -53,7 +56,6 @@ docstring for the exact correspondence).
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -428,24 +430,12 @@ def _term_table(k1, k2, terms: Sequence[Term], dx: int = 0, dt: int = 0) -> list
     return out
 
 
-@functools.lru_cache(maxsize=256)
-def _plan(k1: float, k2: float, terms: tuple[Term, ...]) -> tuple[dict, dict]:
-    """(monomial (a1, a2) -> index, (dx, dt) -> table) for a term list; a
-    table is (coefficient, monomial index) pairs, filled in on first use.
-    Evaluators of equal term lists share one plan; a table depends on
-    nothing but the key, so filling it in for one serves them all."""
-    slots: dict[tuple[int, int], int] = {}
-    for _, a1, a2 in terms:
-        slots.setdefault((a1, a2), len(slots))
-    return slots, {}
-
-
 class _PointEval:
     """Point evaluator of one term list: ``ev(x, t, dx, dt)`` is the dx/dt
     derivative at (x, t) as a ``Scaled``, equal bit for bit to
     ``balanced_sum`` over that derivative's ``_term_table``.
 
-    Each derivative's table is built once per term list, on first use.  The
+    Each derivative's table is built once per evaluator, on first use.  The
     exponent a1 w1 + a2 w2 of each monomial is formed once per point, and
     the point is kept until a call passes another x or t object, so the
     calls a Newton step or a predictor makes at one point share two things:
@@ -457,23 +447,24 @@ class _PointEval:
 
     A table exponentiates only its own monomials: a dropped term can lie
     far above another table's base, where exp(w - base) would overflow.
-    ``calls`` counts evaluations and ``points`` the points they formed.
     """
 
-    __slots__ = (
-        "cfg", "terms", "slots", "tables", "x", "t", "ws", "exps", "calls", "points"
-    )
+    __slots__ = ("cfg", "terms", "slots", "tables", "x", "t", "ws", "exps")
 
     def __init__(self, cfg: SolitonConfig, terms: Sequence[Term]) -> None:
         self.cfg = cfg
-        self.terms = tuple(terms)
-        self.slots, self.tables = _plan(cfg.k1, cfg.k2, self.terms)
+        self.terms = terms
+        # Monomial (a1, a2) -> index, and (dx, dt) -> table of
+        # (coefficient, monomial index) pairs, filled in on first use.
+        self.slots: dict[tuple[int, int], int] = {}
+        for _, a1, a2 in terms:
+            self.slots.setdefault((a1, a2), len(self.slots))
+        self.tables: dict[tuple[int, int], list[tuple[complex, int]]] = {}
         # The current point: its exponents by monomial index, and per
         # balance base the exponentials formed so far (None until needed).
         self.x = self.t = None
         self.ws: list[complex] = []
         self.exps: dict[float, list[Optional[complex]]] = {}
-        self.calls = self.points = 0
 
     def _table(self, dx: int, dt: int) -> list[tuple[complex, int]]:
         table = [
@@ -484,7 +475,6 @@ class _PointEval:
         return table
 
     def __call__(self, x: complex, t: float, dx: int = 0, dt: int = 0) -> Scaled:
-        self.calls += 1
         table = self.tables.get((dx, dt))
         if table is None:
             table = self._table(dx, dt)
@@ -493,7 +483,6 @@ class _PointEval:
             self.ws = [a1 * w1 + a2 * w2 for a1, a2 in self.slots]
             self.exps = {}
             self.x, self.t = x, t
-            self.points += 1
         if not table:
             return Scaled(0j, 0.0, 0.0)
         ws = self.ws
@@ -522,28 +511,18 @@ def _eval_terms(
     dx: int = 0,
     dt: int = 0,
 ) -> Scaled:
-    """One evaluation of a term list: a point evaluator used once."""
-    return _PointEval(cfg, terms)(x, t, dx, dt)
+    w1, w2 = _w_pair(cfg, x, t)
+    if dx or dt:
+        terms = _term_table(cfg.k1, cfg.k2, terms, dx, dt)
+    # Without derivative factors the table is the terms themselves, less
+    # zero terms, which balanced_sum drops anyway.
+    return balanced_sum([(c, a1 * w1 + a2 * w2) for c, a1, a2 in terms])
 
 
 def _F_point(cfg: SolitonConfig, variant: "Variant | str | None" = None) -> _PointEval:
     """The point evaluator of F (of ``variant``, by default the config's)."""
     v = cfg.variant if variant is None else Variant.coerce(variant)
     return _PointEval(cfg, _terms_F(cfg.gamma**2, v))
-
-
-def _G_point(cfg: SolitonConfig, variant: "Variant | str | None" = None) -> _PointEval:
-    """The point evaluator of G (see ``_F_point``)."""
-    v = cfg.variant if variant is None else Variant.coerce(variant)
-    return _PointEval(cfg, _terms_G(cfg.k1, cfg.k2, v))
-
-
-def _factor_point(
-    cfg: SolitonConfig, which: int, variant: "Variant | str | None" = None
-) -> _PointEval:
-    """The point evaluator of the factor F1 or F2 (see ``_terms_factor``)."""
-    v = cfg.variant if variant is None else Variant.coerce(variant)
-    return _PointEval(cfg, _terms_factor(cfg, v, which))
 
 
 def _w_grid(k: float, shift: float, xr, xi, t: float):
@@ -584,7 +563,8 @@ def F_scaled(
     dt: int = 0,
 ) -> Scaled:
     """Log-balanced F (or a mixed x/t derivative of it)."""
-    return _F_point(cfg, variant)(x, t, dx, dt)
+    v = cfg.variant if variant is None else Variant.coerce(variant)
+    return _eval_terms(cfg, _terms_F(cfg.gamma**2, v), x, t, dx, dt)
 
 
 def G_scaled(
@@ -596,7 +576,8 @@ def G_scaled(
     dt: int = 0,
 ) -> Scaled:
     """Log-balanced G (or a mixed x/t derivative of it)."""
-    return _G_point(cfg, variant)(x, t, dx, dt)
+    v = cfg.variant if variant is None else Variant.coerce(variant)
+    return _eval_terms(cfg, _terms_G(cfg.k1, cfg.k2, v), x, t, dx, dt)
 
 
 def F_grid(
@@ -635,7 +616,8 @@ def factor_scaled(
     dt: int = 0,
 ) -> Scaled:
     """Log-balanced complex factor F1 or F2 of F (or a derivative)."""
-    return _factor_point(cfg, which, variant)(x, t, dx, dt)
+    v = cfg.variant if variant is None else Variant.coerce(variant)
+    return _eval_terms(cfg, _terms_factor(cfg, v, which), x, t, dx, dt)
 
 
 def kdv_F_scaled(
@@ -704,9 +686,9 @@ def eval_u(cfg: SolitonConfig, x: complex, t: float) -> "complex | PoleMarker":
     Returns a PoleMarker at zeros of F (tolerance scaled by |F_x| and the
     strip scale).  Never overflows: the ratio is formed in balanced form.
     """
-    F_at = _F_point(cfg)
-    F, Fx = F_at(x, t), F_at(x, t, 1)
+    F = F_scaled(cfg, x, t)
     G = G_scaled(cfg, x, t)
+    Fx = F_scaled(cfg, x, t, dx=1)
     if _at_pole(cfg, F, Fx):
         return PoleMarker(complex(x), t, F.relative())
     return 2.0 * cfg.gamma * G.ratio(F)
@@ -841,9 +823,10 @@ def eval_u_sumform(cfg: SolitonConfig, x: complex, t: float) -> "complex | PoleM
 
 def eval_u_x(cfg: SolitonConfig, x: complex, t: float) -> complex:
     """d/dx of u, from the closed form u_x = 2 gamma (G_x F - G F_x) / F^2."""
-    F_at, G_at = _F_point(cfg), _G_point(cfg)
-    F, Fx = F_at(x, t), F_at(x, t, 1)
-    G, Gx = G_at(x, t), G_at(x, t, 1)
+    F = F_scaled(cfg, x, t)
+    Fx = F_scaled(cfg, x, t, dx=1)
+    G = G_scaled(cfg, x, t)
+    Gx = G_scaled(cfg, x, t, dx=1)
     num = Gx * F - G * Fx
     return 2.0 * cfg.gamma * num.ratio(F * F)
 
@@ -868,9 +851,12 @@ def eval_u_xx(cfg: SolitonConfig, x: complex, t: float) -> complex:
 
         u_xx = 2 gamma [ (G_xx F - G F_xx) F - 2 F_x (G_x F - G F_x) ] / F^3.
     """
-    F_at, G_at = _F_point(cfg), _G_point(cfg)
-    F, Fx, Fxx = (F_at(x, t, dx) for dx in range(3))
-    G, Gx, Gxx = (G_at(x, t, dx) for dx in range(3))
+    F = F_scaled(cfg, x, t)
+    Fx = F_scaled(cfg, x, t, dx=1)
+    Fxx = F_scaled(cfg, x, t, dx=2)
+    G = G_scaled(cfg, x, t)
+    Gx = G_scaled(cfg, x, t, dx=1)
+    Gxx = G_scaled(cfg, x, t, dx=2)
     num = (Gxx * F - G * Fxx) * F - 2.0 * (Fx * (Gx * F - G * Fx))
     return 2.0 * cfg.gamma * num.ratio(F * F * F)
 

@@ -103,14 +103,6 @@ class PoleCurve:
     tracking direction); ``residuals`` holds the relative |F| left by the
     corrector at each sample.  ``family`` is attached later by the
     asymptotic matcher.
-
-    Work counters, kept out of every export: ``accepted`` steps (samples
-    after the seed) and ``rejected`` ones (corrector failed, or landed on a
-    near-multiple zero), every step of the loop being one or the other;
-    ``newton_iterations`` summed over the corrector calls that converged,
-    the seed's included.  ``evaluations`` (calls of F) and ``points`` (the
-    distinct points they formed) are filled by ``track_curve`` from its
-    kernel evaluator and stay 0 for another F.
     """
 
     variant: Variant
@@ -120,11 +112,6 @@ class PoleCurve:
     exceptional_collision: bool = False
     branch_class: BranchClass = BranchClass.NONE
     collision_point: Optional[complex] = None
-    accepted: int = 0
-    rejected: int = 0
-    newton_iterations: int = 0
-    evaluations: int = 0
-    points: int = 0
 
     @property
     def t_first(self) -> float:
@@ -226,17 +213,14 @@ def track_zero_curve(
                 best = cp
         return best
 
-    x, Fv, Fx, iters = _newton_correct(F, complex(x_start), t_start, opts)
+    x, Fv, Fx, _ = _newton_correct(F, complex(x_start), t_start, opts)
     fx_rel = Fx.relative()
     if fx_rel < opts.fx_min:
         raise ConvergenceError(
             f"near-multiple-root at the seed: relative |F_x|={fx_rel:.3e}"
         )
     curve = PoleCurve(
-        variant=variant,
-        samples=[(t_start, x)],
-        residuals=[Fv.relative()],
-        newton_iterations=iters,
+        variant=variant, samples=[(t_start, x)], residuals=[Fv.relative()]
     )
 
     def stop_at(cp: complex) -> None:
@@ -286,11 +270,9 @@ def track_zero_curve(
         try:
             x_new, F_new, Fx_new, iters = _newton_correct(F, x_pred, t_next, opts)
         except ConvergenceError:
-            curve.rejected += 1
             if halve(step):
                 continue
             break
-        curve.newton_iterations += iters
         fx_rel = Fx_new.relative()
         if fx_rel < opts.fx_min:
             # The corrector converged onto a (near-)multiple zero.  A
@@ -299,7 +281,6 @@ def track_zero_curve(
             # samples keep resolving the scaling regime.  Otherwise, inside
             # the grace neighborhood of a declared collision point this is
             # the expected endgame; elsewhere it is a hard error.
-            curve.rejected += 1
             if clamped and step / 2.0 >= opts.dt_floor:
                 dt = step / 2.0
                 continue
@@ -316,7 +297,6 @@ def track_zero_curve(
         prev_fx = fx_rel
         curve.samples.append((t, x))
         curve.residuals.append(F_new.relative())
-        curve.accepted += 1
         cp = nearest_declared(x, opts.collision_radius)
         if cp is not None:
             stop_at(cp)
@@ -348,9 +328,8 @@ def track_curve(
     """
     v = cfg.variant if variant is None else Variant.coerce(variant)
     exc = detect_exceptional(cfg.with_variant(v))
-    F = _F_point(cfg, v)
-    curve = track_zero_curve(
-        F,
+    return track_zero_curve(
+        _F_point(cfg, v),
         x_start,
         t_start,
         t_end,
@@ -358,8 +337,6 @@ def track_curve(
         collision_points=exc["points"],
         variant=v,
     )
-    curve.evaluations, curve.points = F.calls, F.points
-    return curve
 
 
 def track_ensemble(
@@ -483,8 +460,7 @@ def mirror_curve(curve: PoleCurve) -> PoleCurve:
     """The time-reflected curve t -> -conj(x(-t)), also a zero curve of F.
 
     Sample order is reversed so the result stays monotone in t; applying
-    the mirror twice returns the original samples.  The work counters are
-    the original's: the mirror costs no evaluation.
+    the mirror twice returns the original samples.
     """
     samples = [(-t, -x.conjugate()) for t, x in reversed(curve.samples)]
     residuals = list(reversed(curve.residuals))
@@ -499,11 +475,6 @@ def mirror_curve(curve: PoleCurve) -> PoleCurve:
         exceptional_collision=curve.exceptional_collision,
         branch_class=curve.branch_class,
         collision_point=cp,
-        accepted=curve.accepted,
-        rejected=curve.rejected,
-        newton_iterations=curve.newton_iterations,
-        evaluations=curve.evaluations,
-        points=curve.points,
     )
 
 

@@ -520,16 +520,9 @@ def test_pde_residual_rejects_bad_step() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Point evaluator: one long-lived evaluator per term list equals a fresh
-# balanced sum of each table, bit for bit, however the calls interleave.
+# Point evaluator: one long-lived evaluator per term list equals the
+# one-value functions bit for bit, however the calls interleave.
 # ---------------------------------------------------------------------------
-
-
-def _fresh_sum(cfg, terms, x, t, dx, dt):
-    """balanced_sum over the dx/dt term table, every exponent formed anew."""
-    w1, w2 = kernel._w_pair(cfg, x, t)
-    table = kernel._term_table(cfg.k1, cfg.k2, terms, dx, dt)
-    return kernel.balanced_sum([(c, a1 * w1 + a2 * w2) for c, a1, a2 in table])
 
 
 def _bits(s) -> tuple:
@@ -565,67 +558,47 @@ def test_point_evaluator_matches_one_shot_bitwise(spec, variant, res, ims, ts, c
     xs = [complex(r, i) for r in res for i in ims]
     points = [(x, t) for x in xs for t in ts]
     one_shot = {
-        "F": (kernel._F_point(cfg), kernel._terms_F(cfg.gamma**2, cfg.variant),
+        "F": (kernel._terms_F(cfg.gamma**2, cfg.variant),
               lambda x, t, dx, dt: kernel.F_scaled(cfg, x, t, None, dx, dt)),
-        "G": (kernel._G_point(cfg), kernel._terms_G(cfg.k1, cfg.k2, cfg.variant),
+        "G": (kernel._terms_G(cfg.k1, cfg.k2, cfg.variant),
               lambda x, t, dx, dt: kernel.G_scaled(cfg, x, t, None, dx, dt)),
     }
     for which in (1, 2):
         one_shot[f"F{which}"] = (
-            kernel._factor_point(cfg, which),
             kernel._terms_factor(cfg, cfg.variant, which),
             lambda x, t, dx, dt, which=which: kernel.factor_scaled(cfg, x, t, which, None, dx, dt),
         )
+    evaluators = {name: kernel._PointEval(cfg, terms) for name, (terms, _) in one_shot.items()}
     for i, name, dx, dt, copy in calls:
         x, t = points[i % len(points)]
         if copy:
             x = complex(x.real, x.imag)
-        ev, terms, scalar = one_shot[name]
-        want = _bits(_fresh_sum(cfg, terms, x, t, dx, dt))
-        assert _bits(ev(x, t, dx, dt)) == want, (name, x, t, dx, dt)
-        assert _bits(scalar(x, t, dx, dt)) == want, (name, x, t, dx, dt)
-    assert sum(ev.calls for ev, _, _ in one_shot.values()) == len(calls)
+        _, scalar = one_shot[name]
+        want = _bits(scalar(x, t, dx, dt))
+        assert _bits(evaluators[name](x, t, dx, dt)) == want, (name, x, t, dx, dt)
 
 
 DERIVS = ((0, 0), (1, 0), (0, 1), (2, 0))
 
 
 @pytest.mark.parametrize("x", [-0.4 + 0.2j, 40.0 + 0.3j, 800.0 + 0.3j])
-def test_point_evaluator_shares_one_point_and_counts_it(x) -> None:
+def test_point_evaluator_shares_exponentials_per_base(x) -> None:
     ev = kernel._F_point(C12P)
     t = 0.25
     values = [ev(x, t, dx, dt) for dx, dt in DERIVS]
-    assert (ev.calls, ev.points) == (4, 1)
     for v, (dx, dt) in zip(values, DERIVS):
         assert _bits(v) == _bits(kernel.F_scaled(C12P, x, t, None, dx, dt))
+    # One point, and one set of exponentials per distinct balance base.
+    assert ev.x is x and ev.t is t
+    assert sorted(ev.exps) == sorted({v.log for v in values})
     if x.real > 0:
         # The constant term dominates F: F's base is 0 and F_x's far below
         # it; at x = 800 exponentiating the constant term against F_x's
         # base would overflow.
         assert values[0].log == 0.0 and values[1].log < -39.0
-    ev(x, 0.5)
-    ev(complex(x.real, x.imag), 0.5)
-    assert ev.points == 3  # a new t, then a new x object
-
-
-def _cbits(z: complex) -> tuple:
-    return (z.real.hex(), z.imag.hex())
-
-
-@pytest.mark.parametrize("cfg", [C12M, C12P, SolitonConfig.make(1, 5, "minus", 0.3, -0.2)])
-def test_u_derivatives_equal_their_formulas_on_separate_evaluations(cfg) -> None:
-    rng = random.Random(11)
-    g2 = 2.0 * cfg.gamma
-    for _ in range(40):
-        x = complex(rng.uniform(-6.0, 6.0), rng.uniform(-3.0, 3.0))
-        t = rng.uniform(-3.0, 3.0)
-        F, Fx, Fxx = (kernel.F_scaled(cfg, x, t, dx=k) for k in range(3))
-        G, Gx, Gxx = (kernel.G_scaled(cfg, x, t, dx=k) for k in range(3))
-        u = eval_u(cfg, x, t)
-        if isinstance(u, PoleMarker):
-            continue
-        assert _cbits(u) == _cbits(g2 * G.ratio(F))
-        ux = g2 * (Gx * F - G * Fx).ratio(F * F)
-        assert _cbits(eval_u_x(cfg, x, t)) == _cbits(ux)
-        num = (Gxx * F - G * Fxx) * F - 2.0 * (Fx * (Gx * F - G * Fx))
-        assert _cbits(eval_u_xx(cfg, x, t)) == _cbits(g2 * num.ratio(F * F * F))
+        assert len(ev.exps) == 2
+    # A new t at the same x object, then a new x at the same t object.
+    t2 = 0.5
+    assert _bits(ev(x, t2)) == _bits(kernel.F_scaled(C12P, x, t2))
+    x2 = x + 1.0
+    assert _bits(ev(x2, t2)) == _bits(kernel.F_scaled(C12P, x2, t2))

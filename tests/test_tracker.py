@@ -346,7 +346,7 @@ def test_csv_rows(collision_curves):
 
 
 # ---------------------------------------------------------------------------
-# The kernel's point evaluator changes no sample, and curves count their work.
+# The kernel's point evaluator changes no sample.
 # ---------------------------------------------------------------------------
 
 # name -> (config, t0, t1, options, seed filter)
@@ -384,45 +384,3 @@ def test_track_curve_equals_tracking_plain_F_scaled(case):
             want.exceptional_collision,
             want.collision_point,
         )
-        work = ("accepted", "rejected", "newton_iterations")
-        assert [getattr(got, a) for a in work] == [getattr(want, a) for a in work]
-        assert got.accepted == len(got.samples) - 1
-        assert (want.evaluations, want.points) == (0, 0)
-        assert got.points <= got.evaluations
-
-
-def test_work_counters_of_12p_are_pinned():
-    cfg = SolitonConfig.make(1, 2, "plus")
-    curves = track_ensemble(cfg, -10.0, 10.0)
-    work = [
-        (c.accepted, c.rejected, c.newton_iterations, c.evaluations, c.points)
-        for c in curves
-    ]
-    assert work == [
-        (408, 0, 499, 2224, 908),
-        (408, 0, 367, 1960, 776),
-        (408, 0, 379, 1984, 788),
-        (408, 0, 379, 1984, 788),
-        (408, 0, 367, 1960, 776),
-        (408, 0, 499, 2224, 908),
-    ]
-    for c in curves:
-        # Each corrector call (seed and steps) evaluates F and F_x at each
-        # iterate, and each step adds one F_t; that F_t lands on the point
-        # the corrector left, so the predictor forms no point of its own.
-        correctors = 1 + c.accepted + c.rejected
-        steps = c.accepted + c.rejected
-        assert c.evaluations == 2 * (c.newton_iterations + correctors) + steps
-        assert c.points == c.newton_iterations + correctors
-        m = mirror_curve(c)
-        assert (m.accepted, m.rejected, m.newton_iterations, m.evaluations, m.points) == (
-            c.accepted, c.rejected, c.newton_iterations, c.evaluations, c.points
-        )
-        assert all(len(row) == 5 for row in curve_to_csv_rows(c))
-
-
-def test_collision_curves_count_rejected_steps(collision_curves):
-    _, _, curves = collision_curves
-    for c in curves:
-        assert c.accepted == len(c.samples) - 1
-        assert c.rejected > 0  # clamped retries and the final landing
