@@ -42,16 +42,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from ._balanced import Scaled, balanced_sum
+from .exppoly import oracle_poles
 from .kernel import (
     ConvergenceError,
     SolitonConfig,
     Variant,
+    _F_point,
     _terms_F,
 )
-from .tracker import PoleCurve, position_at, track_ensemble
+from .tracker import PoleCurve, TrackerOptions, _newton_correct, position_at
 
 __all__ = [
     "Speed",
@@ -342,6 +344,42 @@ def _best_label(
     return best  # type: ignore[return-value]
 
 
+def _label_positions(
+    cfg: SolitonConfig, positions: Iterable[complex], T: float, direction: int
+) -> MatchReport:
+    """Bijective family labels for pole positions at t = direction*T.
+
+    ``positions`` is consumed only after the arguments are checked.  Two
+    positions claiming the same label is an ambiguity error reporting both
+    distances."""
+    if T <= 0:
+        raise ValueError("horizon T must be positive")
+    if direction not in (-1, 1):
+        raise ValueError("direction must be -1 or +1")
+    t_h = direction * T
+    matches: list[CurveMatch] = []
+    claimed: dict[FamilyLabel, CurveMatch] = {}
+    for i, x in enumerate(positions):
+        label, dist = _best_label(cfg, x, t_h, direction)
+        entry = CurveMatch(i, label, x, dist)
+        if label in claimed:
+            other = claimed[label]
+            raise ConvergenceError(
+                f"ambiguous family match: curves {other.curve_index} and "
+                f"{i} both nearest to {label!r} "
+                f"(distances {other.residual:.3e}, {dist:.3e})"
+            )
+        claimed[label] = entry
+        matches.append(entry)
+    return MatchReport(
+        T=T,
+        direction=direction,
+        matches=tuple(matches),
+        unmatched=(),
+        max_residual=max((m.residual for m in matches), default=0.0),
+    )
+
+
 def match_families(
     curves: Sequence[PoleCurve],
     cfg: SolitonConfig,
@@ -355,49 +393,39 @@ def match_families(
     quotients the imaginary period in commensurable mode.  Two curves
     claiming the same label is an ambiguity error reporting both distances.
     """
-    if T <= 0:
-        raise ValueError("horizon T must be positive")
-    if direction not in (-1, 1):
-        raise ValueError("direction must be -1 or +1")
     t_h = direction * T
-    matches: list[CurveMatch] = []
-    claimed: dict[FamilyLabel, CurveMatch] = {}
-    for i, curve in enumerate(curves):
-        x_end = position_at(cfg.with_variant(curve.variant), curve, t_h)
-        label, dist = _best_label(cfg, x_end, t_h, direction)
-        entry = CurveMatch(i, label, x_end, dist)
-        if label in claimed:
-            other = claimed[label]
-            raise ConvergenceError(
-                f"ambiguous family match: curves {other.curve_index} and "
-                f"{i} both nearest to {label!r} "
-                f"(distances {other.residual:.3e}, {dist:.3e})"
-            )
-        claimed[label] = entry
-        matches.append(entry)
-        if attach:
-            curve.family = label
-    return MatchReport(
-        T=T,
-        direction=direction,
-        matches=tuple(matches),
-        unmatched=(),
-        max_residual=max((m.residual for m in matches), default=0.0),
+    report = _label_positions(
+        cfg,
+        (position_at(cfg.with_variant(c.variant), c, t_h) for c in curves),
+        T,
+        direction,
     )
+    if attach:
+        for m in report.matches:
+            curves[m.curve_index].family = m.label
+    return report
 
 
 def match_horizons(cfg: SolitonConfig, T: float) -> list[MatchReport]:
     """Family match reports at t = -T and t = +T (in that order).
 
-    Each horizon gets its own ensemble, seeded from the exact oracle at
-    t = +-T and tracked one unit inward, rather than one sweep across
-    [-T, T]: continuation through an exceptional collision can put two
-    curves on one outgoing branch, which makes horizon matching
-    ill-posed for reasons that say nothing about the family law.
+    Each horizon is labelled from the exact oracle's poles at t = +-T, each
+    Newton-corrected as the first sample of a curve tracked from there is.
+    ``match_families`` on such a curve reads ``position_at`` of that sample,
+    whose second correction returns a converged point unchanged, so these
+    are the same positions and no curve is tracked.  Horizons are not
+    matched on one sweep across [-T, T]: continuation through an exceptional
+    collision can put two curves on one outgoing branch, which makes
+    horizon matching ill-posed for reasons that say nothing about the
+    family law.
     """
+    F = _F_point(cfg, cfg.variant)
+    opts = TrackerOptions()
     reports = []
     for direction in (-1, 1):
-        horizon = direction * T
-        ensemble = track_ensemble(cfg, horizon, horizon - direction)
-        reports.append(match_families(ensemble, cfg, T, direction))
+        t_h = direction * T
+        positions = [
+            _newton_correct(F, x, t_h, opts)[0] for x, _ in oracle_poles(cfg, t=t_h)
+        ]
+        reports.append(_label_positions(cfg, positions, T, direction))
     return reports

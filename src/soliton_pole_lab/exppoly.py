@@ -14,10 +14,20 @@ bijectively to roots of F(., t) in y != 0, and the root count with
 multiplicity is exactly 2(p1 + p2) for every t.
 
 This module builds those polynomials exactly, finds *all* their roots at a
-fixed time (simultaneous Aberth-style iteration on Newton-polygon initial
-circles, then arbitrary-precision Newton polishing with multiplicity
-certification), and maps roots back to pole positions in the strip.  It is
-the global oracle against which the local pole tracker is validated.
+fixed time, and maps roots back to pole positions in the strip.  It is the
+global oracle against which the local pole tracker is validated.  Two
+stages:
+
+* A numpy Aberth sweep on Newton-polygon initial circles updates every
+  unconverged estimate at once, in log-scaled coordinates (log y), so roots
+  far beyond double range stay representable.
+* An arbitrary-precision Newton polish (``_POLISH_DPS`` digits) with
+  cluster merging and multiplicity certification by the derivative ladder.
+  One evaluator gives p and its derivatives from one power of y per term.
+  F and G have real coefficients, so their non-real roots come in exact
+  conjugate pairs: of two estimates that are unambiguously each other's
+  conjugate, one is polished and certified and the other is recorded as its
+  conjugate, which mpmath's arithmetic makes exact, not approximate.
 """
 
 from __future__ import annotations
@@ -30,8 +40,9 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import mpmath as mp
+import numpy as np
 
-from ._balanced import Scaled, balanced_sum
+from ._balanced import Scaled, balanced_sum, complex_array
 from .kernel import ConvergenceError, SolitonConfig, Variant, _terms_F, _terms_G
 
 __all__ = [
@@ -56,7 +67,7 @@ MAX_ITER = 500
 _POLISH_DPS = 45
 # An Aberth estimate stops once its relative residual is below this many
 # times the rounding-error bound of the log-scaled evaluation
-# (_rounding_floor); the 45-digit Newton polish stops at this many times its
+# (_aberth_sweep); the 45-digit Newton polish stops at this many times its
 # own bound.
 _FLOOR_FACTOR = 4.0
 # log|y| outside this range does not survive conversion to a normal double.
@@ -152,9 +163,10 @@ class RootSet:
     ``roots`` pairs each root y with its multiplicity; multiplicities sum to
     the polynomial degree.  ``condition`` holds a per-root sensitivity
     estimate (relative root change per unit relative coefficient change).
-    ``iterations`` counts Aberth sweeps; ``cap_hit`` is true when the sweeps
-    ran out (``max_iter``) with estimates still unconverged, which the
-    polish then had to finish.  ``log_roots`` holds log y of each root,
+    ``iterations`` counts simultaneous Aberth sweeps (each updates every
+    estimate not yet converged); ``cap_hit`` is true when the sweeps ran
+    out (``max_iter``) with estimates still unconverged, which the polish
+    then had to finish.  ``log_roots`` holds log y of each root,
     taken from its 45-digit value: finite even where y over- or underflows a
     double (real part -inf only for a root at y = 0).
     """
@@ -336,10 +348,17 @@ def x_to_y(x: complex, lam: float) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _newton_polygon_inits(coeffs: list[Scaled]) -> list[tuple[complex, float]]:
-    """Initial root estimates (z, rho) with y = z e^{rho}, |z| = 1, from the
-    upper convex hull of (n, log|c_n|): each hull segment of width m yields
-    m points on the circle of its balance radius."""
+def _wrap_phase(log_y: np.ndarray) -> np.ndarray:
+    """log y with its imaginary part folded into [-pi, pi)."""
+    return complex_array(
+        log_y.real, np.remainder(log_y.imag + math.pi, 2 * math.pi) - math.pi
+    )
+
+
+def _newton_polygon_inits(coeffs: list[Scaled]) -> np.ndarray:
+    """Initial root estimates, as log y, from the upper convex hull of
+    (n, log|c_n|): each hull segment of width m yields m points on the
+    circle of its balance radius e^rho."""
     pts = [(n, c.log_abs()) for n, c in enumerate(coeffs) if c.mant != 0]
     # Upper hull, left to right.
     hull: list[tuple[int, float]] = []
@@ -352,96 +371,108 @@ def _newton_polygon_inits(coeffs: list[Scaled]) -> list[tuple[complex, float]]:
             else:
                 break
         hull.append(p)
-    inits: list[tuple[complex, float]] = []
+    inits: list[complex] = []
     for (n1, l1), (n2, l2) in zip(hull, hull[1:]):
         m = n2 - n1
         rho = (l1 - l2) / m
         for j in range(m):
-            z = cmath.exp(2j * math.pi * (j + 0.26) / m + 0.7j / (1 + n1))
-            inits.append((z, rho))
-    return inits
-
-
-def _eval_scaled_poly(
-    coeffs: list[Scaled], z: complex, rho: float, deriv: int = 0
-) -> Scaled:
-    """Evaluate sum c_n y^n (or a derivative) at y = z e^{rho}, |z| ~ 1."""
-    pieces = []
-    for n, c in enumerate(coeffs):
-        if c.mant == 0 or n < deriv:
-            continue
-        fall = 1.0
-        for i in range(deriv):
-            fall *= n - i
-        pieces.append((c.mant * fall * z ** (n - deriv), c.log + (n - deriv) * rho))
-    return balanced_sum([(m, complex(w)) for m, w in pieces])
-
-
-def _rounding_floor(coeffs: list[Scaled], rho: float) -> float:
-    """Relative residual below which _eval_scaled_poly at |y| = e^rho is
-    rounding noise.  Each term is exp(log c_n + n rho) times a mantissa, and
-    the float exponent carries an absolute error of about
-    eps (|log c_n| + n |rho|), a relative error of the term; z^n adds n eps.
-    At large |t| or |log y| this is far above deg * eps."""
-    return sys.float_info.epsilon * max(
-        n + abs(c.log) + n * abs(rho) for n, c in enumerate(coeffs) if c.mant != 0
-    )
+            inits.append(complex(rho, 2 * math.pi * (j + 0.26) / m + 0.7 / (1 + n1)))
+    return _wrap_phase(np.array(inits, dtype=complex))
 
 
 def _aberth_sweep(
-    coeffs: list[Scaled], roots: list[tuple[complex, float]], max_iter: int
-) -> tuple[list[tuple[complex, float]], int, bool]:
-    """Simultaneous iteration in scaled coordinates; returns roots, the
-    number of sweeps used and whether the sweeps ran out before every
-    estimate converged."""
-    n_roots = len(roots)
-    converged = [False] * n_roots
+    coeffs: list[Scaled], log_y: np.ndarray, max_iter: int
+) -> tuple[np.ndarray, int, bool]:
+    """Simultaneous Aberth iteration on every unconverged estimate at once
+    (Jacobi style: a sweep reads the positions the previous one left).
+    Returns log y of each estimate, the number of sweeps used and whether
+    the sweeps ran out before every estimate converged.
+
+    Row i of the term array holds log(c_n y_i^n), shifted by the row's
+    maximum before ``exp``, so every quantity is relative to y_i and stays
+    in range however large or small |y_i| is: the Newton ratio
+    p/(y_i p') = sum T / sum n T, and the Aberth sum
+    y_i sum_j 1/(y_i - y_j) = sum_j 1/(1 - y_j/y_i), with Re log(y_j/y_i)
+    clipped.  An estimate stops when its relative residual falls below
+    _FLOOR_FACTOR times the rounding floor of this evaluation, or when its
+    step is below 1e-14 of |y|.  The floor: each exponent log c_n + n log y
+    carries an absolute error of about eps (|log c_n| + n |log|y||), a
+    relative error of its term, and the phase adds n eps.  At large |t| or
+    |log y| this is far above deg * eps."""
+    nonzero = [(n, c) for n, c in enumerate(coeffs) if c.mant != 0]
+    deg = np.array([n for n, _ in nonzero], dtype=float)
+    mant = np.array([c.mant for _, c in nonzero], dtype=complex)
+    log_c = np.array([c.log for _, c in nonzero], dtype=float)
+    log_y = log_y.copy()
+    active = np.ones(len(log_y), dtype=bool)
     it = 0
-    for it in range(1, max_iter + 1):
-        moved = False
-        for i in range(n_roots):
-            if converged[i]:
-                continue
-            z_i, rho_i = roots[i]
-            P = _eval_scaled_poly(coeffs, z_i, rho_i)
-            if P.relative() < _FLOOR_FACTOR * _rounding_floor(coeffs, rho_i):
-                converged[i] = True
-                continue
-            Pp = _eval_scaled_poly(coeffs, z_i, rho_i, deriv=1)
-            if Pp.mant == 0:
-                # Derivative vanished (dead center of a cluster): nudge.
-                roots[i] = (z_i * cmath.exp(0.05j), rho_i + 1e-3)
-                moved = True
-                continue
-            N = P / Pp
-            y_i = Scaled(z_i, rho_i, 1.0)
-            S = Scaled(0j, 0.0, 0.0)
-            for j in range(n_roots):
-                if j == i:
-                    continue
-                z_j, rho_j = roots[j]
-                d = y_i - Scaled(z_j, rho_j, 1.0)
-                if d.mant == 0 or abs(d.mant) < 1e-14:
-                    d = Scaled(1e-12 * (1 + 1j), max(rho_i, rho_j), 1.0)
-                S = S + Scaled(1.0 / d.mant, -d.log, 0.0)
-            denom = Scaled(1.0 + 0j, 0.0, 0.0) - (N * S)
-            w = N if denom.mant == 0 else N / denom
-            y_new = y_i - w
-            if y_new.mant == 0:
-                roots[i] = (z_i * cmath.exp(0.03j), rho_i - 0.1)
-                moved = True
-                continue
-            rho_new = y_new.log + math.log(abs(y_new.mant))
-            z_new = y_new.mant / abs(y_new.mant)
-            # Converged when the step is tiny relative to the root.
-            if w.log_abs() < rho_new + math.log(1e-14):
-                converged[i] = True
-            else:
-                moved = True
-            roots[i] = (z_new, rho_new)
-        if all(converged) or not moved:
-            break
-    return roots, it, not all(converged)
+    with np.errstate(all="ignore"):
+        for it in range(1, max_iter + 1):
+            rows = np.flatnonzero(active)
+            ly = log_y[rows]
+            w = log_c + deg * ly[:, None]
+            terms = mant * np.exp(w - w.real.max(axis=1, keepdims=True))
+            p = terms.sum(axis=1)
+            yp = (deg * terms).sum(axis=1)
+            floor = sys.float_info.epsilon * np.max(
+                deg + np.abs(log_c) + deg * np.abs(ly.real)[:, None], axis=1
+            )
+            settled = np.abs(p) < _FLOOR_FACTOR * floor * np.abs(terms).sum(axis=1)
+            # gap[i, j] = (y_i - y_j) / y_i; coincident estimates are pulled
+            # apart by 1e-12 of the larger modulus, and j = i drops out.
+            q = log_y - ly[:, None]
+            q = np.exp(np.clip(q.real, -700.0, 700.0) + 1j * q.imag)
+            scale = np.maximum(1.0, np.abs(q))
+            gap = 1.0 - q
+            gap = np.where(np.abs(gap) < 1e-14 * scale, 1e-12 * (1 + 1j) * scale, gap)
+            gap[np.arange(len(rows)), rows] = np.inf
+            ratio = p / yp
+            denom = 1.0 - ratio * (1.0 / gap).sum(axis=1)
+            step = np.where(denom == 0, ratio, ratio / denom)
+            new = 1.0 - step  # y_new / y_i
+            moved = ~settled & np.isfinite(new) & (new != 0) & (yp != 0)
+            converged = settled | (moved & (np.abs(step) < 1e-14 * np.abs(new)))
+            ly = np.where(moved, ly + np.log(np.where(moved, new, 1.0)), ly)
+            # A vanished derivative (dead centre of a cluster) or a step onto
+            # the origin gets a nudge instead.
+            ly = np.where(~settled & (yp == 0), ly + complex(1e-3, 0.05), ly)
+            stuck = ~settled & (yp != 0) & ~moved
+            ly = np.where(stuck, ly + complex(-0.1, 0.03), ly)
+            log_y[rows] = _wrap_phase(ly)
+            active[rows[converged]] = False
+            if not active.any():
+                break
+    return log_y, it, bool(active.any())
+
+
+def _conjugate_pairs(log_y: np.ndarray) -> dict[int, int]:
+    """{j: i} for each lower-half-plane estimate j that is unambiguously the
+    conjugate of the upper-half-plane estimate i: the nearest lower estimate
+    to conj(y_i), and a thousand times closer to it than either estimate is
+    to any other.  Distances are |log(a/b)|, relative in y.  Newton from
+    conj(y_i) then reaches the root Newton from y_j reaches.  Estimates of a
+    multiple root scatter by eps^(1/m) and fail the margin, as do two
+    near-real estimates that are not each other's conjugate; those are
+    polished on their own."""
+    n = len(log_y)
+    if n < 2:
+        return {}
+    near = np.abs(_wrap_phase(log_y[:, None] - log_y[None, :]))
+    np.fill_diagonal(near, np.inf)
+    sep = near.min(axis=1)
+    theta = log_y.imag
+    upper = np.flatnonzero((theta > 0) & (theta < math.pi))
+    lower = np.flatnonzero((theta < 0) & (theta > -math.pi))
+    if not len(upper) or not len(lower):
+        return {}
+    to_conj = np.abs(_wrap_phase(log_y[lower][None, :] - log_y[upper][:, None].conj()))
+    pairs: dict[int, int] = {}
+    for row, i in enumerate(upper):
+        col = int(np.argmin(to_conj[row]))
+        j = int(lower[col])
+        if j not in pairs and to_conj[row, col] < 1e-3 * min(sep[i], sep[j]):
+            pairs[j] = int(i)
+    return pairs
 
 
 def _mp_exact(exact: Optional[Fraction], approx: complex) -> "mp.mpc":
@@ -455,18 +486,28 @@ def _mp_exact(exact: Optional[Fraction], approx: complex) -> "mp.mpc":
 def _polish_and_certify(
     poly: ExpPoly,
     t: float,
-    estimates: list[tuple[complex, float]],
+    estimates: np.ndarray,
+    pairs: dict[int, int],
     zero_mult: int,
     cluster_tol: float,
     cert_tol: float,
 ) -> tuple[list[tuple[complex, int]], list[complex], list[float], float]:
     """Arbitrary-precision Newton polish, cluster merging, multiplicity
-    certification via the derivative ladder.  Returns (roots, log of each
+    certification via the derivative ladder.  ``estimates`` holds log y of
+    each root estimate, ``pairs`` maps an estimate to the estimate whose
+    conjugate it is (``_conjugate_pairs``).  Returns (roots, log of each
     root, condition, worst relative residual).
 
     The polynomial is built from the exact rationals of each term when it
     has them: rounding gamma^2 to a double already splits the 4-fold roots
-    of the exceptional collisions into simple roots ~1e-5 apart."""
+    of the exceptional collisions into simple roots ~1e-5 apart.
+
+    With real coefficients, p(conj y) = conj p(y) holds exactly in mpmath's
+    arithmetic (each operation rounds real and imaginary parts alike, toward
+    zero), so the Newton iterates, residual and condition of a conjugate
+    estimate are the conjugates of its partner's: only one member of each
+    pair is polished and certified, and the other is recorded as its
+    conjugate."""
     with mp.workdps(_POLISH_DPS):
         mp_terms = [
             (
@@ -477,23 +518,37 @@ def _polish_and_certify(
             for term in poly.terms
         ]
         degree = poly.degree
+        if any(mp.im(c) != 0 for c, _ in mp_terms):
+            pairs = {}
 
-        def p_terms(y: "mp.mpc", deriv: int) -> list["mp.mpc"]:
-            """Terms of the deriv-th derivative at y."""
-            return [
-                c * math.perm(n, deriv) * y ** (n - deriv)
-                for c, n in mp_terms
-                if n >= deriv
-            ]
+        # c * n!/(n-j)!, the coefficient of y^(n-j) in the j-th derivative.
+        falling: dict[tuple[int, int], "mp.mpf"] = {}
 
-        def p_value(y: "mp.mpc", deriv: int = 0) -> "mp.mpc":
-            return sum(p_terms(y, deriv), mp.mpc(0))
-
-        def p_eval(y: "mp.mpc", deriv: int = 0) -> tuple["mp.mpc", "mp.mpf"]:
-            """(value, term 1-norm) of the deriv-th derivative at y; the
-            norm costs as much as the value, so only residual tests ask."""
-            terms = p_terms(y, deriv)
-            return sum(terms, mp.mpc(0)), sum(map(abs, terms), mp.mpf(0))
+        def derivs(
+            y: "mp.mpc", lo: int, hi: int, norms: int = 0
+        ) -> tuple[list["mp.mpc"], list["mp.mpf"]]:
+            """p^(j)(y) for j = lo..hi from one power y^(n-hi) per term
+            (y^(n-j) = y^(n-hi) y^(hi-j)), and the term 1-norms of the first
+            ``norms`` of them: a norm costs an absolute value per term, so
+            only residual tests ask."""
+            values = [mp.mpc(0)] * (hi - lo + 1)
+            sizes = [mp.mpf(0)] * norms
+            for k, (c, n) in enumerate(mp_terms):
+                if n < lo:
+                    continue
+                top = min(n, hi)
+                power = y ** (n - top)
+                for j in range(top, lo - 1, -1):
+                    coeff = falling.get((k, j))
+                    if coeff is None:
+                        coeff = falling[(k, j)] = c * math.perm(n, j)
+                    term = coeff * power
+                    values[j - lo] += term
+                    if j - lo < norms:
+                        sizes[j - lo] += abs(term)
+                    if j > lo:
+                        power = power * y
+            return values, sizes
 
         step_tol = mp.mpf(10) ** (-_POLISH_DPS + 8)
         floor = _FLOOR_FACTOR * degree * mp.eps
@@ -510,20 +565,19 @@ def _polish_and_certify(
             prev = None
             multiple = False
             for _ in range(max_steps):
-                dv = p_value(y, deriv + 1)
-                if dv == 0:
-                    break
                 if multiple:
-                    pv, norm = p_eval(y, deriv)
-                    if abs(pv) <= floor * norm:
+                    (pv, dv, d2v), (norm,) = derivs(y, deriv, deriv + 2, 1)
+                    if dv == 0 or abs(pv) <= floor * norm:
                         break
-                    d2v = p_value(y, deriv + 2)
                     step = pv * dv / (dv * dv - pv * d2v)
                     if prev is not None and abs(step) >= abs(prev):
                         break
                     prev = step
                 else:
-                    step = p_value(y, deriv) / dv
+                    (pv, dv), _ = derivs(y, deriv, deriv + 1)
+                    if dv == 0:
+                        break
+                    step = pv / dv
                     multiple = prev is not None and abs(step) > abs(prev) / 3
                     prev = None if multiple else step
                 y = y - step
@@ -531,12 +585,15 @@ def _polish_and_certify(
                     break
             return y
 
-        polished = [
-            newton(mp.mpc(z) * mp.exp(mp.mpf(rho)), 0, 80) for z, rho in estimates
-        ]
+        n_est = len(estimates)
+        polished: list["mp.mpc"] = [mp.mpc(0)] * n_est
+        for i, log_y in enumerate(estimates):
+            if i not in pairs:
+                polished[i] = newton(mp.exp(mp.mpc(complex(log_y))), 0, 80)
+        for j, i in pairs.items():
+            polished[j] = mp.conj(polished[i])
 
         # Cluster into connected components under the relative tolerance.
-        n_est = len(polished)
         parent = list(range(n_est))
 
         def find(i: int) -> int:
@@ -546,87 +603,93 @@ def _polish_and_certify(
             return i
 
         for i in range(n_est):
+            # |d| < bound needs |Re d| and |Im d| below it; those cost no
+            # square root, so abs(d) runs only for near pairs.
+            bound = cluster_tol * (1 + abs(polished[i]))
             for j in range(i + 1, n_est):
-                if abs(polished[i] - polished[j]) < cluster_tol * (
-                    1 + abs(polished[i])
-                ):
+                d = polished[i] - polished[j]
+                if abs(d.real) < bound and abs(d.imag) < bound and abs(d) < bound:
                     parent[find(i)] = find(j)
         clusters: dict[int, list[int]] = {}
         for i in range(n_est):
             clusters.setdefault(find(i), []).append(i)
 
-        roots: list[tuple["mp.mpc", int]] = []
+        # (y, multiplicity, log y) as doubles, from the 45-digit root.
+        roots: list[tuple[complex, int, complex]] = []
         condition: list[float] = []
         worst = 0.0
-        if zero_mult:
-            roots.append((mp.mpc(0), zero_mult))
-            condition.append(1.0)
 
-        def keep_simple(y: "mp.mpc") -> None:
-            """Certify y as a simple root and record it with its condition."""
+        def record(y: "mp.mpc", m: int, kappa: float) -> None:
+            roots.append((complex(y), m, complex(mp.log(y))))
+            condition.append(kappa)
+
+        if zero_mult:
+            record(mp.mpc(0), zero_mult, 1.0)
+        # Estimate index -> (relative residual, condition, y, log y).
+        certified: dict[int, tuple[float, float, complex, complex]] = {}
+
+        def keep_simple(k: int) -> None:
+            """Certify estimate k's root as simple and record it with its
+            condition; a conjugate estimate takes its partner's numbers and
+            the conjugates of its y and log y."""
             nonlocal worst
-            pv, norm = p_eval(y)
-            rel = float(abs(pv) / norm) if norm > 0 else 0.0
+            src = pairs.get(k, k)
+            if src not in certified:
+                y = polished[src]
+                (pv, dv), (norm,) = derivs(y, 0, 1, 1)
+                rel = float(abs(pv) / norm) if norm > 0 else 0.0
+                kappa = (
+                    float(norm / (abs(dv) * max(abs(y), mp.mpf(1e-300))))
+                    if dv != 0
+                    else math.inf
+                )
+                certified[src] = (rel, kappa, complex(y), complex(mp.log(y)))
+            rel, kappa, y_d, log_d = certified[src]
             worst = max(worst, rel)
             if rel > cert_tol:
                 raise ConvergenceError(
-                    f"root {complex(y)} failed certification: "
+                    f"root {complex(polished[k])} failed certification: "
                     f"relative residual {rel:.3e} > {cert_tol:.1e}"
                 )
-            dv = p_value(y, 1)
-            kappa = (
-                float(norm / (abs(dv) * max(abs(y), mp.mpf(1e-300))))
-                if dv != 0
-                else math.inf
-            )
-            roots.append((y, 1))
+            if k != src:
+                y_d, log_d = y_d.conjugate(), log_d.conjugate()
+            roots.append((y_d, 1, log_d))
             condition.append(kappa)
 
         for members in clusters.values():
             m = len(members)
             if m == 1:
-                keep_simple(polished[members[0]])
+                keep_simple(members[0])
                 continue
             center = newton(sum(polished[i] for i in members) / m, m - 1, 60)
             # Derivative ladder: p^{(j)} must vanish (relative to its term
             # norm) for j < m and must not for j = m.
-            ladder_ok = True
-            rels = []
-            for j in range(m):
-                pv, norm = p_eval(center, j)
-                rel = float(abs(pv) / norm) if norm > 0 else 0.0
-                rels.append(rel)
-                if rel > (cert_tol if j == 0 else 1e-3):
-                    ladder_ok = False
-            pv_m, norm_m = p_eval(center, m)
-            nondeg = norm_m > 0 and abs(pv_m) / norm_m > 1e-12
+            values, sizes = derivs(center, 0, m, m + 1)
+            rels = [
+                float(abs(v) / s) if s > 0 else 0.0
+                for v, s in zip(values[:m], sizes[:m])
+            ]
+            ladder_ok = rels[0] <= cert_tol and all(r <= 1e-3 for r in rels[1:])
+            nondeg = sizes[m] > 0 and abs(values[m]) / sizes[m] > 1e-12
             if not ladder_ok or not nondeg:
                 # Not a genuine multiple root: keep members as simple roots.
                 for i in members:
-                    keep_simple(polished[i])
+                    keep_simple(i)
                 continue
             worst = max(worst, rels[0])
-            if rels[0] > cert_tol:
-                raise ConvergenceError(
-                    f"root {complex(center)} failed certification: "
-                    f"relative residual {rels[0]:.3e} > {cert_tol:.1e}"
-                )
             # Multiplicity-m sensitivity: eps^(1/m) scaling.
-            _, norm0 = p_eval(center)
-            fact = math.factorial(m)
-            base = norm0 / (abs(pv_m) / fact)
+            base = sizes[0] / (abs(values[m]) / math.factorial(m))
             kappa = float(base) ** (1.0 / m) / max(float(abs(center)), 1.0)
-            roots.append((center, m))
-            condition.append(kappa)
+            record(center, m, kappa)
 
-        got = sum(m for _, m in roots)
+        got = sum(m for _, m, _ in roots)
         if got != degree:
             raise ConvergenceError(
                 f"root multiplicities sum to {got}, expected degree {degree}"
             )
         return (
-            [(complex(y), m) for y, m in roots],
-            [complex(mp.log(y)) for y, _ in roots],
+            [(y, m) for y, m, _ in roots],
+            [log_y for _, _, log_y in roots],
             condition,
             worst,
         )
@@ -641,11 +704,14 @@ def roots_at_time(
 ) -> RootSet:
     """All complex roots of the polynomial specialized at time t.
 
-    Strategy: Newton-polygon circles seed a simultaneous (Aberth-style)
-    iteration run in log-scaled double precision, every estimate is polished
-    by arbitrary-precision Newton, clusters within ``cluster_tol`` are merged
-    and certified for multiplicity by the derivative ladder, and each root
-    must pass a relative-residual certificate below ``cert_tol``.
+    Strategy: Newton-polygon circles seed a simultaneous Aberth iteration
+    run in log-scaled double precision, one numpy sweep over all
+    unconverged estimates at a time.  Every estimate is polished by
+    arbitrary-precision Newton, except that of an unambiguous conjugate
+    pair only one is, and the other becomes its exact conjugate (skipped
+    when the sweeps hit ``max_iter``).  Clusters within ``cluster_tol`` are
+    merged and certified for multiplicity by the derivative ladder, and
+    each root must pass a relative-residual certificate below ``cert_tol``.
     """
     coeffs = poly.coefficients_at(t)
     while coeffs and coeffs[-1].mant == 0:
@@ -670,9 +736,10 @@ def roots_at_time(
             log_roots=(complex(-math.inf),) if zero_mult else tuple(),
         )
     inits = _newton_polygon_inits(reduced)
-    roots, iters, cap_hit = _aberth_sweep(reduced, inits, max_iter)
+    estimates, iters, cap_hit = _aberth_sweep(reduced, inits, max_iter)
+    pairs = {} if cap_hit else _conjugate_pairs(estimates)
     roots_m, logs, condition, worst = _polish_and_certify(
-        poly, t, roots, zero_mult, cluster_tol, cert_tol
+        poly, t, estimates, pairs, zero_mult, cluster_tol, cert_tol
     )
     ordered = sorted(
         zip(roots_m, logs, condition), key=lambda r: (r[0][0].real, r[0][0].imag)

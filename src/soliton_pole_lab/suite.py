@@ -371,8 +371,9 @@ def _check_pole_count(cfg: SolitonConfig) -> CheckResult:
 
 
 def _check_asymptotics(cfg: SolitonConfig, T: float) -> CheckResult:
-    """Match oracle roots at each horizon against the family asymptotes
-    (per-horizon ensembles, see ``match_horizons``)."""
+    """Match the oracle's poles at each horizon against the family
+    asymptotes (Newton-corrected in place, no tracking; see
+    ``match_horizons``)."""
     name = "asymptotic-families"
     if cfg.comm is None:
         return _skip(name, "family matching requires exact commensurable wavenumbers")

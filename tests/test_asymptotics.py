@@ -24,6 +24,7 @@ from soliton_pole_lab.asymptotics import (
     MovingFrame,
     Speed,
     match_families,
+    match_horizons,
     predicted_pole,
     seed_state,
     seed_time,
@@ -31,7 +32,12 @@ from soliton_pole_lab.asymptotics import (
     strip_labels,
     tangent_slope,
 )
-from soliton_pole_lab.tracker import TrackerOptions, position_at, track_curve
+from soliton_pole_lab.tracker import (
+    TrackerOptions,
+    position_at,
+    track_curve,
+    track_ensemble,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -305,3 +311,19 @@ def test_match_report_serializes(tracked_12):
     entry = d["matches"][0]
     assert set(entry) == {"curve", "label", "endpoint", "residual"}
     assert isinstance(entry["endpoint"], list)
+
+
+@pytest.mark.parametrize(
+    "k1,k2,variant,T",
+    [(1, 2, "plus", 10.0), (1, 5, "minus", 10.0), (2, 7, "plus", 4.0), (1, 3, "minus", 2.5)],
+)
+def test_match_horizons_equals_matching_tracked_curves(
+    k1: int, k2: int, variant: str, T: float
+) -> None:
+    # Labelling the Newton-corrected oracle poles gives the very reports
+    # that matching curves tracked one unit inward from each horizon gives.
+    cfg = SolitonConfig.make(k1, k2, variant)
+    for report, direction in zip(match_horizons(cfg, T), (-1, 1)):
+        curves = track_ensemble(cfg, direction * T, direction * T - direction)
+        assert report == match_families(curves, cfg, T, direction, attach=False)
+

@@ -22,6 +22,12 @@ CASES = {
                     "--x", "0", "--t", "0"],
     "poles_15m_t0": ["poles", "--k1", "1", "--k2", "5", "--variant", "minus",
                      "--t", "0"],
+    # Degree 16 with two 4-fold roots, and roots whose y lies beyond double
+    # range: both pin the oracle's reported poles.
+    "poles_17p_t0": ["poles", "--k1", "1", "--k2", "7", "--variant", "plus",
+                     "--t", "0"],
+    "poles_89p_t12": ["poles", "--k1", "8", "--k2", "9", "--variant", "plus",
+                      "--t", "12.114"],
     "track_12p": ["track", "--k1", "1", "--k2", "2", "--variant", "plus",
                   "--t0", "-1", "--t1", "1"],
     "track_12p_csv": ["track", "--k1", "1", "--k2", "2", "--variant", "plus",

@@ -12,10 +12,12 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from soliton_pole_lab import exppoly
 from soliton_pole_lab.exppoly import (
     MAX_ITER,
     ExpPoly,
@@ -334,12 +336,27 @@ def test_oracle_poles_shift_translation() -> None:
         assert abs(xs - (xb + 0.7)) < 1e-8
 
 
+def _nonzero_roots(rs) -> list[complex]:
+    """Roots other than y = 0, told apart by ``log_roots`` (real part -inf
+    only for y = 0): ``.roots`` reads a root beyond double range as 0j."""
+    return [y for (y, _), log_y in zip(rs.roots, rs.log_roots) if log_y.real != -math.inf]
+
+
+def test_nonzero_roots_keeps_roots_that_underflow_a_double() -> None:
+    # (8,9)+ at t = 12.114: every root y underflows to 0j as a double.
+    rs = roots_at_time(build_F_poly(SolitonConfig.make(8, 9, "plus")), 12.114)
+    assert any(y == 0 for y, _ in rs.roots)
+    assert len(_nonzero_roots(rs)) == len(rs.roots)
+    g = roots_at_time(build_G_poly(C12M), 0.4)
+    assert len(_nonzero_roots(g)) == len(g.roots) - 1  # G has y = 0 as a root
+
+
 def test_zero_sets_of_F_and_G_distinct_generic() -> None:
     # Away from exceptional data the pole positions (F zeros) stay clear of
     # the G zeros; at the (1,5) exceptional time they collide at y = +-i.
     t = 0.4
-    f_roots = [y for y, _ in roots_at_time(build_F_poly(C12M), t).roots if y != 0]
-    g_roots = [y for y, _ in roots_at_time(build_G_poly(C12M), t).roots if y != 0]
+    f_roots = _nonzero_roots(roots_at_time(build_F_poly(C12M), t))
+    g_roots = _nonzero_roots(roots_at_time(build_G_poly(C12M), t))
     dmin = min(abs(a - b) for a in f_roots for b in g_roots)
     assert dmin > 1e-3
     f15 = [y for y, _ in roots_at_time(build_F_poly(C15M), 0.0).roots]
@@ -373,3 +390,128 @@ def test_residue_sum_continuity_at_collision() -> None:
             Fx = F_scaled(cfg, x, t, dx=1)
             total += 2.0 * cfg.gamma * G.ratio(Fx)
         assert abs(total - res0) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# Conjugate symmetry: real coefficients, and the mirror t -> -t
+# ---------------------------------------------------------------------------
+
+_COPRIME_9 = [(a, b) for b in range(2, 10) for a in range(1, b) if math.gcd(a, b) == 1]
+
+
+def _log_distance(a: complex, b: complex) -> float:
+    """|log y_a - log y_b| with the phase difference folded into [-pi, pi]:
+    the relative distance of two roots, finite beyond double range."""
+    d = a - b
+    return abs(complex(d.real, math.remainder(d.imag, 2 * math.pi)))
+
+
+@given(
+    pair=st.sampled_from(_COPRIME_9),
+    variant=st.sampled_from(["plus", "minus"]),
+    t=st.floats(min_value=-20.0, max_value=20.0),
+)
+@settings(max_examples=25, deadline=None)
+def test_root_sets_are_closed_under_conjugation(
+    pair: tuple[int, int], variant: str, t: float
+) -> None:
+    # F and G have real coefficients, so each root y comes with conj(y), of
+    # the same multiplicity and condition (y itself when it is real).
+    cfg = SolitonConfig.make(*pair, variant)
+    for poly in (build_F_poly(cfg), build_G_poly(cfg)):
+        rs = roots_at_time(poly, t)
+        entries = list(zip(rs.log_roots, (m for _, m in rs.roots), rs.condition))
+        for log_y, m, kappa in entries:
+            if log_y.real == -math.inf:
+                continue
+            partner = min(entries, key=lambda e: _log_distance(e[0], log_y.conjugate()))
+            assert _log_distance(partner[0], log_y.conjugate()) < 1e-12
+            assert partner[1] == m
+            assert partner[2] == pytest.approx(kappa, rel=1e-9)
+
+
+def _fold(x: complex, lam: float) -> complex:
+    """x with Im x folded into the strip (-lam pi, lam pi]."""
+    im = -math.remainder(-x.imag, 2 * math.pi * lam)
+    return complex(x.real, im)
+
+
+@given(
+    pair=st.sampled_from(_COPRIME_9),
+    variant=st.sampled_from(["plus", "minus"]),
+    t=st.floats(min_value=-20.0, max_value=20.0),
+)
+@settings(max_examples=25, deadline=None)
+def test_oracle_poles_mirror_in_time(pair: tuple[int, int], variant: str, t: float) -> None:
+    # F(x, t) = 0 exactly when F(-conj x, -t) = 0: the poles at -t are
+    # {-conj x} of the poles at t, multiplicities included.
+    cfg = SolitonConfig.make(*pair, variant)
+    lam = cfg.comm.lam
+    ahead = oracle_poles(cfg, t=t)
+    behind = oracle_poles(cfg, t=-t)
+    assert len(ahead) == len(behind)
+    unmatched = list(behind)
+    for x, m in ahead:
+        image = _fold(-x.conjugate(), lam)
+        best = min(unmatched, key=lambda pm: abs(pm[0] - image))
+        assert abs(best[0] - image) <= 1e-12 * max(1.0, abs(image))
+        assert best[1] == m
+        unmatched.remove(best)
+
+
+@pytest.mark.parametrize(
+    "k1,k2,variant,t",
+    [
+        (1, 2, "plus", 0.3),
+        (1, 7, "plus", 0.0),
+        (1, 5, "minus", 1e-5),
+        (2, 7, "plus", -4.0),
+        (3, 8, "minus", 10.0),
+        (8, 9, "plus", 12.114),
+    ],
+)
+def test_conjugate_mirror_equals_polishing_every_estimate(
+    monkeypatch, k1: int, k2: int, variant: str, t: float
+) -> None:
+    # Recording conj of a polished root for its conjugate estimate must give
+    # what polishing that estimate gives: same roots to 45-digit noise, same
+    # multiplicities and conditions.  The spy proves the mirror was used.
+    poly = build_F_poly(SolitonConfig.make(k1, k2, variant))
+    pair_up = exppoly._conjugate_pairs
+    paired = []
+
+    def spy(log_y):
+        pairs = pair_up(log_y)
+        paired.append(len(pairs))
+        return pairs
+
+    monkeypatch.setattr(exppoly, "_conjugate_pairs", spy)
+    mirrored = roots_at_time(poly, t)
+    monkeypatch.setattr(exppoly, "_conjugate_pairs", lambda log_y: {})
+    each = roots_at_time(poly, t)
+    assert paired and paired[0] >= 2
+    assert sorted(m for _, m in mirrored.roots) == sorted(m for _, m in each.roots)
+    for log_y, (_, m), kappa in zip(mirrored.log_roots, mirrored.roots, mirrored.condition):
+        k = min(range(len(each.log_roots)), key=lambda i: _log_distance(each.log_roots[i], log_y))
+        assert _log_distance(each.log_roots[k], log_y) < 1e-20
+        assert each.roots[k][1] == m
+        assert each.condition[k] == pytest.approx(kappa, rel=1e-12)
+
+
+def test_conjugate_pairs_only_unambiguous_partners() -> None:
+    # Conjugates pair, even near the real axis.  Two near-real estimates
+    # that are no closer to each other's conjugate than to each other, and
+    # the scattered estimates of a multiple root, do not.
+    def logs(ys):
+        return np.log(np.array(ys, dtype=complex))
+
+    assert exppoly._conjugate_pairs(logs([1 + 2j, 3 - 1j, 1 - 2j, 3 + 1j])) == {2: 0, 1: 3}
+    assert exppoly._conjugate_pairs(logs([2 + 1e-9j, 2 - 1e-9j])) == {1: 0}
+    assert exppoly._conjugate_pairs(logs([2 + 1e-9j, 2 + 1e-7 - 3e-9j])) == {}
+    scatter = [1j + 1e-4 * cmath.exp(1j * (0.4 + k * math.pi / 2)) for k in range(4)]
+    other = [-1j + 1e-4 * cmath.exp(1j * (0.9 + k * math.pi / 2)) for k in range(4)]
+    assert exppoly._conjugate_pairs(logs(scatter + other)) == {}
+    # Beyond double range, where only log y exists.
+    far = np.array([complex(-900.0, 0.5), complex(-900.0, -0.5)])
+    assert exppoly._conjugate_pairs(far) == {1: 0}
+
