@@ -58,8 +58,10 @@ __all__ = [
     "oracle_poles",
 ]
 
-# A root estimate y with |y - true| below CLUSTER_TOL*(1+|y|) of another is
-# considered the same underlying (possibly multiple) root.
+# A root estimate y with |y - true| below CLUSTER_TOL*(min(1,|y|)+|y|) of
+# another is considered the same underlying (possibly multiple) root: the
+# bound is relative at every modulus, so roots of tiny |y| (x far out on
+# the positive real side) do not all merge into one cluster.
 CLUSTER_TOL = 1e-6
 # Certified relative residual required of every reported root.
 CERT_TOL = 1e-8
@@ -161,7 +163,8 @@ class RootSet:
     """All roots of an ExpPoly at one time, with certified multiplicities.
 
     ``roots`` pairs each root y with its multiplicity; multiplicities sum to
-    the polynomial degree.  ``condition`` holds a per-root sensitivity
+    the polynomial degree.  They are sorted by (Re y, Im y), where a part
+    below 1e-30 |y| counts as 0.  ``condition`` holds a per-root sensitivity
     estimate (relative root change per unit relative coefficient change).
     ``iterations`` counts simultaneous Aberth sweeps (each updates every
     estimate not yet converged); ``cap_hit`` is true when the sweeps ran
@@ -605,7 +608,8 @@ def _polish_and_certify(
         for i in range(n_est):
             # |d| < bound needs |Re d| and |Im d| below it; those cost no
             # square root, so abs(d) runs only for near pairs.
-            bound = cluster_tol * (1 + abs(polished[i]))
+            size = abs(polished[i])
+            bound = cluster_tol * (min(1, size) + size)
             for j in range(i + 1, n_est):
                 d = polished[i] - polished[j]
                 if abs(d.real) < bound and abs(d.imag) < bound and abs(d) < bound:
@@ -695,6 +699,14 @@ def _polish_and_certify(
         )
 
 
+def _sort_key(y: complex) -> tuple[float, float]:
+    """(Re y, Im y), with a part below 1e-30 |y| read as 0: a root on an
+    axis has the other part at the 45-digit polish's noise, whose sign must
+    not decide its place."""
+    size = abs(y)
+    return tuple(0.0 if abs(part) < 1e-30 * size else part for part in (y.real, y.imag))
+
+
 def roots_at_time(
     poly: ExpPoly,
     t: float,
@@ -741,9 +753,7 @@ def roots_at_time(
     roots_m, logs, condition, worst = _polish_and_certify(
         poly, t, estimates, pairs, zero_mult, cluster_tol, cert_tol
     )
-    ordered = sorted(
-        zip(roots_m, logs, condition), key=lambda r: (r[0][0].real, r[0][0].imag)
-    )
+    ordered = sorted(zip(roots_m, logs, condition), key=lambda r: _sort_key(r[0][0]))
     return RootSet(
         t=t,
         roots=tuple(r for r, _, _ in ordered),

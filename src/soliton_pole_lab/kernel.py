@@ -907,10 +907,93 @@ def symmetric_center(cfg: SolitonConfig) -> tuple[float, float]:
 # Residual diagnostics
 # ---------------------------------------------------------------------------
 
-# eqg_residual differentiates g = N / D by the quotient rule on term-table values.
-# Clearing the equation of denominators bounds the monomial degrees at
-# (6, 5) in (f1, f2); used to size the working precision below.
+# The g-equation cleared of denominators has monomial degrees up to (6, 5)
+# in (f1, f2); eqg_residual sizes its working precision from them.
 _EQG_MAX_DEG = (6, 5)
+
+
+def _eqg_terms(k1, k2, variant: Variant, value) -> tuple:
+    """The two composite terms of the g-equation multiplied by D^6,
+
+        (D^2 + N^2)(g_t D^2 + g_xxx),    6 g_x (g_x^2 - N g_xx),
+
+    where g_t, g_x stand for their numerators over D^2, g_xx over D^3 and
+    g_xxx over D^4 (the quotient rule on g = N / D).  The equation holds
+    exactly when the two terms sum to zero.
+
+    ``value`` turns one derivative's term table (``_term_table`` of
+    ``_terms_g``) into a number.  The algebra uses only +, -, * and integer
+    scaling, so it runs unchanged on mpmath values at one point
+    (``eqg_residual``) and on exact polynomials in (f1, f2) over Q
+    (``_eqg_exact``).
+    """
+    num, den = _terms_g((k2 + k1) / (k2 - k1), variant)
+
+    def at(terms, dx: int = 0, dt: int = 0):
+        return value(_term_table(k1, k2, terms, dx, dt))
+
+    N, Nx, Nxx, Nxxx = (at(num, dx) for dx in range(4))
+    D, Dx, Dxx, Dxxx = (at(den, dx) for dx in range(4))
+    Nt, Dt = at(num, dt=1), at(den, dt=1)
+    gt = Nt * D - N * Dt
+    gx = Nx * D - N * Dx
+    p = Nxx * D - N * Dxx
+    gxx = p * D - 2 * Dx * gx
+    gxxx = (
+        (Nxxx * D + Nxx * Dx - Nx * Dxx - N * Dxxx) * D - Dx * p - 2 * Dxx * gx
+    ) * D - 3 * Dx * gxx
+    D2 = D * D
+    term1 = (D2 + N * N) * (gt * D2 + gxxx)
+    term2 = 6 * (gx * (gx * gx - N * gxx))
+    return term1, term2
+
+
+class _QPoly:
+    """A polynomial in (f1, f2) with rational coefficients: ``coeffs`` maps
+    each monomial (a1, a2) to its nonzero coefficient.  Carries the ring
+    operations ``_eqg_terms`` uses: +, -, * and scaling by an int."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: dict[tuple[int, int], Fraction]) -> None:
+        self.coeffs = coeffs
+
+    @classmethod
+    def collect(cls, items) -> "_QPoly":
+        """The sum of (monomial, coefficient) pairs, zero terms dropped."""
+        out: dict[tuple[int, int], Fraction] = {}
+        for m, c in items:
+            out[m] = out.get(m, 0) + c
+        return cls({m: c for m, c in out.items() if c != 0})
+
+    @classmethod
+    def from_terms(cls, terms: Sequence[Term]) -> "_QPoly":
+        return cls.collect(((a1, a2), c) for c, a1, a2 in terms)
+
+    def __add__(self, other: "_QPoly") -> "_QPoly":
+        return _QPoly.collect([*self.coeffs.items(), *other.coeffs.items()])
+
+    def __sub__(self, other: "_QPoly") -> "_QPoly":
+        return self + other * -1
+
+    def __mul__(self, other: "_QPoly | int") -> "_QPoly":
+        if isinstance(other, int):
+            return _QPoly.collect((m, other * c) for m, c in self.coeffs.items())
+        return _QPoly.collect(
+            ((a1 + b1, a2 + b2), c * d)
+            for (a1, a2), c in self.coeffs.items()
+            for (b1, b2), d in other.coeffs.items()
+        )
+
+    __rmul__ = __mul__
+
+
+def _eqg_exact(cfg: SolitonConfig, variant: Variant) -> tuple[_QPoly, _QPoly]:
+    """The two composite terms of ``_eqg_terms`` as exact polynomials in
+    (f1, f2) over Q, for the exact binary values of the config's float
+    wavenumbers.  The field equation holds identically, for every x, t and
+    shift, exactly when they sum to the zero polynomial."""
+    return _eqg_terms(Fraction(cfg.k1), Fraction(cfg.k2), variant, _QPoly.from_terms)
 
 
 def eqg_residual(cfg: SolitonConfig, x: complex, t: float) -> complex:
@@ -918,16 +1001,19 @@ def eqg_residual(cfg: SolitonConfig, x: complex, t: float) -> complex:
 
         (1 + g^2)(g_t + g_xxx) + 6 g_x (g_x^2 - g g_xx) = 0,
 
-    evaluated from the numerator and denominator of g = N / D and their
-    derivatives (``_terms_g`` through ``_term_table``), and normalized by
-    the magnitude of the larger of the two composite terms.
+    sampled at one point: the two composite terms of ``_eqg_terms`` (the
+    equation times D^6) from the numerator and denominator of g = N / D and
+    their derivatives, normalized by the magnitude of the larger term.  The
+    battery proves the identity instead, from the same terms as exact
+    polynomials (``_eqg_exact``); this sampled form serves callers
+    that want a residual at given points.
 
-    Multiplying by D^6 turns both terms into polynomials in f1, f2 whose
-    exact cancellation spans the full exponential range of the monomials —
-    at large |t| that range exceeds double precision, so the evaluation runs
-    in mpmath at a precision sized from the exponent spread.  A correct
-    table gives residuals at the working-precision floor (far below 1e-10);
-    a wrong coefficient anywhere shows up at its monomial's relative scale.
+    The exact cancellation spans the full exponential range of the
+    monomials -- at large |t| that range exceeds double precision, so the
+    evaluation runs in mpmath at a precision sized from the exponent
+    spread.  A correct table gives residuals at the working-precision floor
+    (far below 1e-10); a wrong coefficient anywhere shows up at its
+    monomial's relative scale.
 
     Raises PoleError at poles of g (denominator below tolerance).
     """
@@ -951,29 +1037,14 @@ def eqg_residual(cfg: SolitonConfig, x: complex, t: float) -> complex:
             "closer to the interaction region"
         )
     with mp.workdps(digits):
-        k1, k2 = mp.mpf(cfg.k1), mp.mpf(cfg.k2)
-        num, den = _terms_g((k2 + k1) / (k2 - k1), cfg.variant)
         f1 = mp.exp(mp.mpc(w1))
         f2 = mp.exp(mp.mpc(w2))
-
-        def at(terms, dx: int = 0, dt: int = 0) -> "mp.mpc":
-            table = _term_table(k1, k2, terms, dx, dt)
-            return sum(c * f1**a1 * f2**a2 for c, a1, a2 in table)
-
-        N, Nx, Nxx, Nxxx = (at(num, dx) for dx in range(4))
-        D, Dx, Dxx, Dxxx = (at(den, dx) for dx in range(4))
-        Nt, Dt = at(num, dt=1), at(den, dt=1)
-        # Numerators of g_t and g_x over D^2, g_xx over D^3, g_xxx over D^4.
-        gt = Nt * D - N * Dt
-        gx = Nx * D - N * Dx
-        p = Nxx * D - N * Dxx
-        gxx = p * D - 2 * Dx * gx
-        gxxx = (
-            (Nxxx * D + Nxx * Dx - Nx * Dxx - N * Dxxx) * D - Dx * p - 2 * Dxx * gx
-        ) * D - 3 * Dx * gxx
-        D2 = D * D
-        term1 = (D2 + N * N) * (gt * D2 + gxxx)
-        term2 = 6 * (gx * (gx * gx - N * gxx))
+        term1, term2 = _eqg_terms(
+            mp.mpf(cfg.k1),
+            mp.mpf(cfg.k2),
+            cfg.variant,
+            lambda table: sum(c * f1**a1 * f2**a2 for c, a1, a2 in table),
+        )
         scale = max(abs(term1), abs(term2))
         if scale == 0:
             return 0j

@@ -351,6 +351,30 @@ def test_nonzero_roots_keeps_roots_that_underflow_a_double() -> None:
     assert len(_nonzero_roots(g)) == len(g.roots) - 1  # G has y = 0 as a root
 
 
+def test_tiny_roots_form_singleton_clusters(monkeypatch) -> None:
+    # (8,9)+ at t = 12.114: all 34 roots have |y| between e^-982 and e^-775.
+    # A cluster bound that is absolute below |y| = 1 merges them into one
+    # 34-member cluster and recentres it by Newton on p^(33); relative, each
+    # root is its own cluster and the polish forms no derivative above p''.
+    orders = []
+    perm = math.perm
+    monkeypatch.setattr(math, "perm", lambda n, j: orders.append(j) or perm(n, j))
+    rs = roots_at_time(build_F_poly(SolitonConfig.make(8, 9, "plus")), 12.114)
+    assert len(rs.roots) == 34 and all(m == 1 for _, m in rs.roots)
+    assert max(orders) <= 2
+
+
+def test_roots_on_the_imaginary_axis_sort_by_imaginary_part() -> None:
+    # G of (1,3)+ at t = 0: triple roots at -i and +i around the simple y = 0.
+    rs = roots_at_time(build_G_poly(SolitonConfig.make(1, 3, "plus")), 0.0)
+    assert [(round(y.imag), m) for y, m in rs.roots] == [(-1, 3), (0, 1), (1, 3)]
+    assert all(abs(y.real) < 1e-30 for y, _ in rs.roots)
+    # The real parts of those triples are 45-digit noise of either sign; the
+    # order must not follow them.
+    noisy = [complex(-1.4e-85, 1.0), complex(-5.1e-86, -1.0), 0j]
+    assert sorted(noisy, key=exppoly._sort_key) == [noisy[1], noisy[2], noisy[0]]
+
+
 def test_zero_sets_of_F_and_G_distinct_generic() -> None:
     # Away from exceptional data the pole positions (F zeros) stay clear of
     # the G zeros; at the (1,5) exceptional time they collide at y = +-i.

@@ -472,6 +472,37 @@ def test_eqg_residual_catches_a_wrong_coefficient(monkeypatch, variant, part) ->
     assert eval_g(cfg, x, t) != g_clean
 
 
+@pytest.mark.parametrize("spec", [(1, 2), ("1/3", 5), (1.0, 2**0.5)])
+@pytest.mark.parametrize("variant", ["plus", "minus"])
+def test_exact_eqg_terms_match_the_sampled_ones(spec, variant) -> None:
+    # The proof's two polynomials over Q, evaluated at mpmath f1, f2, are
+    # the composite terms the sampled residual forms from the same helper.
+    import mpmath as mp
+
+    cfg = SolitonConfig.make(*spec, variant, x1=0.2, x2=-0.1)
+    exact = kernel._eqg_exact(cfg, cfg.variant)
+    rng = random.Random(11)
+    k1, k2 = mp.mpf(cfg.k1), mp.mpf(cfg.k2)
+    for _ in range(20):
+        x = complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
+        w1, w2 = kernel._w_pair(cfg, x, rng.uniform(-1.5, 1.5))
+        # Enough digits for the cancellation across the monomials' range.
+        spread = 6 * abs(w1.real) + 5 * abs(w2.real)
+        with mp.workdps(40 + int(spread / math.log(10.0))):
+            f1, f2 = mp.exp(mp.mpc(w1)), mp.exp(mp.mpc(w2))
+
+            def value(table):
+                return sum(c * f1**a1 * f2**a2 for c, a1, a2 in table)
+
+            sampled = kernel._eqg_terms(k1, k2, cfg.variant, value)
+            for poly, term in zip(exact, sampled):
+                at = sum(
+                    mp.mpf(c.numerator) / c.denominator * f1**a1 * f2**a2
+                    for (a1, a2), c in poly.coeffs.items()
+                )
+                assert abs(at - term) <= 1e-30 * abs(term)
+
+
 FIELD_CONFIGS = [
     (p1, p2, variant)
     for p2 in range(2, 8)

@@ -6,10 +6,13 @@ from __future__ import annotations
 import math
 import random
 import re
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from soliton_pole_lab import exppoly, suite
+from soliton_pole_lab import exppoly, kernel, suite
 from soliton_pole_lab.kernel import SolitonConfig
 from soliton_pole_lab.suite import run_battery
 
@@ -176,6 +179,116 @@ class TestReportShape:
     def test_check_dict_keys(self, report12):
         entry = report12.to_dict()["checks"][0]
         assert list(entry) == ["name", "passed", "worst", "witness", "detail", "skipped"]
+
+
+    def test_elapsed_time_recorded_but_not_reported(self, report12):
+        for check in report12.checks:
+            assert "elapsed_s" not in check.to_dict()
+            if check.skipped is None:
+                assert check.elapsed_s > 0
+
+
+MUTATION = Fraction(1000001, 1000000)
+
+
+class TestFieldEquationProof:
+    """The field-equation check expands the g-equation times D^6 over Q."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            (1, 2, "plus"),
+            (1, 2, "minus"),
+            (1, 5, "plus"),
+            (1, 5, "minus"),
+            (2, 7, "plus"),
+            (2, 7, "minus"),
+            ("1/3", 5, "plus"),
+            ("1/3", 5, "minus"),
+            (1.0, 2**0.5, "plus"),
+            (1.0, 2**0.5, "minus"),
+            (1, 2, "minus", 0.3, -0.2),
+        ],
+    )
+    def test_proved_with_zero_worst(self, spec):
+        result = suite._check_field_equation(SolitonConfig.make(*spec), random.Random(0))
+        assert result.passed and result.worst == 0.0 and result.witness == ""
+        assert result.detail.endswith(": 0 nonzero coefficients")
+
+    def test_draws_the_probes_it_does_not_use(self):
+        # Every later check must see the random stream a sampled version
+        # left: 2 x 4n probes, 3 draws each.
+        rng, ref = random.Random(4), random.Random(4)
+        suite._check_field_equation(SolitonConfig.make(1, 2, "plus"), rng, n=5)
+        for _ in range(2 * 4 * 5 * 3):
+            ref.random()
+        assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("variant", ["plus", "minus"])
+    @pytest.mark.parametrize("part,index", [("N", 0), ("N", 1), ("D", 0), ("D", 1)])
+    def test_coefficient_mutation_fails_in_its_variant(
+        self, monkeypatch, variant, part, index
+    ):
+        # Scale one coefficient of N or D by 1 + 1e-6 in one variant: the
+        # expansion must leave survivors there, and the witness name it.
+        terms_g = kernel._terms_g
+        target = kernel.Variant.coerce(variant)
+        which = ("N", "D").index(part)
+
+        def corrupted(g, v):
+            tables = [list(table) for table in terms_g(g, v)]
+            if v is target:
+                c, a1, a2 = tables[which][index]
+                tables[which][index] = (c * MUTATION, a1, a2)
+            return tuple(tables)
+
+        monkeypatch.setattr(kernel, "_terms_g", corrupted)
+        result = suite._check_field_equation(SolitonConfig.make(1, 2), random.Random(0))
+        assert not result.passed and result.worst > 0
+        assert result.witness.startswith(f"variant={variant}, monomial f1^")
+
+    def test_rate_mutation_fails_in_both_variants(self, monkeypatch):
+        # Scale the t-derivative rates a1 k1^3 + a2 k2^3 by 1 + 1e-6.
+        term_table = kernel._term_table
+
+        def mutated(k1, k2, terms, dx=0, dt=0):
+            table = term_table(k1, k2, terms, dx, dt)
+            return [(c * MUTATION**dt, a1, a2) for c, a1, a2 in table]
+
+        monkeypatch.setattr(kernel, "_term_table", mutated)
+        cfg = SolitonConfig.make(1, 2)
+        for variant in kernel.Variant:
+            term1, term2 = kernel._eqg_exact(cfg, variant)
+            assert (term1 + term2).coeffs
+        result = suite._check_field_equation(cfg, random.Random(0))
+        assert not result.passed and result.worst > 0
+        assert re.fullmatch(r"variant=(plus|minus), monomial f1\^\d+ f2\^\d+", result.witness)
+
+    @given(
+        pair=st.sampled_from(
+            [(p1, p2) for p2 in range(2, 10) for p1 in range(1, p2) if math.gcd(p1, p2) == 1]
+        ),
+        q=st.integers(min_value=1, max_value=7),
+        k1=st.floats(min_value=0.01, max_value=10.0),
+        k2=st.floats(min_value=0.01, max_value=10.0),
+        kind=st.sampled_from(["coprime", "rational", "float"]),
+        variant=st.sampled_from(["plus", "minus"]),
+        x1=st.floats(min_value=-2.0, max_value=2.0).filter(lambda s: s != 0.0),
+        x2=st.floats(min_value=-2.0, max_value=2.0).filter(lambda s: s != 0.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_proof_holds_across_configs(self, pair, q, k1, k2, kind, variant, x1, x2):
+        p1, p2 = pair
+        if kind == "coprime":
+            spec = (p1, p2)
+        elif kind == "rational":
+            spec = (Fraction(p1, q), p2)
+        else:
+            assume(k1 < k2)
+            spec = (k1, k2)
+        cfg = SolitonConfig.make(*spec, variant, x1=x1, x2=x2)
+        result = suite._check_field_equation(cfg, random.Random(0))
+        assert result.passed and result.worst == 0.0, (spec, result.witness)
 
 
 class TestDeterminism:
