@@ -156,12 +156,19 @@ class RealDecomp:
         }
 
 
+def _log_moduli(cfg: SolitonConfig, x: complex, t: float) -> tuple[float, float]:
+    """log a1, log a2: the real parts of the exponents of f1, f2."""
+    return (
+        -cfg.k1 * (x.real - cfg.x1) + cfg.k1**3 * t,
+        -cfg.k2 * (x.real - cfg.x2) + cfg.k2**3 * t,
+    )
+
+
 def real_decomp(cfg: SolitonConfig, x: complex, t: float) -> RealDecomp:
     """Split f_j into positive modulus a_j and phase e^{i k_j alpha}."""
     x = complex(x)
     alpha = -x.imag
-    a1 = math.exp(-cfg.k1 * (x.real - cfg.x1) + cfg.k1**3 * t)
-    a2 = math.exp(-cfg.k2 * (x.real - cfg.x2) + cfg.k2**3 * t)
+    a1, a2 = map(math.exp, _log_moduli(cfg, x, t))
     f1 = a1 * cmath.exp(1j * cfg.k1 * alpha)
     f2 = a2 * cmath.exp(1j * cfg.k2 * alpha)
     return RealDecomp(alpha, a1, a2, f1, f2)
@@ -376,6 +383,16 @@ class VerticalSign:
         }
 
 
+def _a1_law(log_a1: float) -> float:
+    """A1 - 1/A1 from log A1, or an infinity of log A1's sign where
+    exp(log A1) overflows or underflows to 0."""
+    try:
+        a1 = math.exp(log_a1)
+    except OverflowError:
+        return math.inf
+    return a1 - 1 / a1 if a1 > 0.0 else -math.inf
+
+
 def vertical_sign(
     cfg: SolitonConfig,
     x: complex,
@@ -386,7 +403,8 @@ def vertical_sign(
 
     The vanishing factor is located first; the prediction is
     s * (A1 - 1/A1) * cos(k2 alpha) with the factor's sign s from the
-    table (+1, -1, -1, +1) for (plus F1, plus F2, minus F1, minus F2).
+    table (+1, -1, -1, +1) for (plus F1, plus F2, minus F1, minus F2);
+    A1 - 1/A1 is an infinity of its sign where A1 leaves double range.
     Predictions smaller than 1e-12 count as 0 (the symmetric dead zone:
     t = 0 with Re x = 0, or alpha an odd multiple of pi*lambda/2); the
     measured velocity uses a 1e-10 dead zone.  Raises PoleError when
@@ -402,10 +420,9 @@ def vertical_sign(
             f"relative |F_x|={Fx.relative():.3e} (multiple zero?)"
         )
     measured = (-Ft.ratio(Fx)).imag
-    d = real_decomp(cfg, x, t)
-    expression = _FACTOR_SIGN[(v, which)] * (d.a1 - 1 / d.a1) * math.cos(
-        cfg.k2 * d.alpha
-    )
+    z = complex(x)
+    log_a1, _ = _log_moduli(cfg, z, t)
+    expression = _FACTOR_SIGN[(v, which)] * _a1_law(log_a1) * math.cos(cfg.k2 * -z.imag)
     if abs(expression) < 1e-12:
         predicted = 0
     else:
@@ -566,15 +583,12 @@ def _isolation_radius(
 
     Exact commensurable configurations use the global root oracle's poles
     (``poles`` when given, else a fresh snapshot) with their vertical-period
-    translates; otherwise the asymptotic lattice gap pi/(2 k2) stands in,
-    quartered for safety.
+    translates; otherwise the strip scale pi/k2 (the fast soliton's pole
+    spacing) stands in, quartered for safety.
     """
-    if cfg.comm is not None:
-        base = math.pi * cfg.comm.lam / 4.0
-    else:
-        base = math.pi / (4.0 * cfg.k2)
+    base = strip_scale(cfg) / 4.0
     if cfg.comm is not None and cfg.exact:
-        period = 2.0 * math.pi * cfg.comm.lam
+        period = cfg.comm.period
         nearest = math.inf
         if poles is None:
             poles = oracle_poles(cfg, v, t)

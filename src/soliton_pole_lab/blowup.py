@@ -77,6 +77,12 @@ __all__ = [
 # apply (horizontally moving poles sit exactly on their line).
 TRANSVERSAL_MIN = 1e-8
 
+# The |t - t_star| ladder of a blowup profile series: a hair over two
+# decades, because ``fit_blowup_rate`` recomputes |t - t_star| from the
+# rounded profile times, and a ladder spanning exactly 100x can land at
+# 99.99...x when |t_star| is not small.
+_DELTA_LADDER = (1e-2, 3e-3, 1e-3, 3e-4, 8e-5)
+
 
 # ---------------------------------------------------------------------------
 # Crossing detection.

@@ -38,7 +38,7 @@ from typing import Callable, Optional, Sequence
 
 from . import exppoly
 from .asymptotics import match_horizons
-from .blowup import blowup_profile, build_scenario, fit_blowup_rate
+from .blowup import _DELTA_LADDER, blowup_profile, build_scenario, fit_blowup_rate
 from .exppoly import oracle_poles
 from .interaction import SWEEP_HEADER, sweep_rows
 from .kernel import ConvergenceError, PoleError, PoleMarker, SolitonConfig, eval_u
@@ -48,11 +48,6 @@ from .tracker import PoleCurve, curve_to_csv_rows, track_curve, track_ensemble
 __all__ = ["run", "main"]
 
 SCHEMA = "soliton-pole-lab/1"
-
-# |t - t_star| ladder for the blowup subcommand: a hair over two
-# decades so the fit's recomputed spans stay above the two-decade
-# validation even after rounding against a large t_star.
-_BLOWUP_DELTAS = (1e-2, 3e-3, 1e-3, 3e-4, 8e-5)
 
 _MIN_DPS = 30
 
@@ -405,7 +400,7 @@ def _cmd_blowup(args):
     cfg = _config_from_args(args, exact=True)
     t_span = args.t1 if args.t1 is not None else 6.0
     scenario = build_scenario(cfg, alpha=args.alpha, t_span=t_span)
-    blowup_profile(scenario, [scenario.t_star + d for d in _BLOWUP_DELTAS])
+    blowup_profile(scenario, [scenario.t_star + d for d in _DELTA_LADDER])
     fit = fit_blowup_rate(scenario)
     payload = dict(scenario.header_dict())
     payload["samples"] = [s.to_dict() for s in scenario.series]

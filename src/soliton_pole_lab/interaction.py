@@ -34,8 +34,8 @@ import numpy as np
 from .kernel import (
     SolitonConfig,
     Variant,
+    _u_or_raise,
     _u_or_raise_grid,
-    eval_u,
     eval_u_x,
     eval_u_x_grid,
     eval_u_xx,
@@ -136,7 +136,7 @@ def extremum_speed(cfg: SolitonConfig, variant: Optional[Variant] = None) -> flo
 def _u_real(cfg: SolitonConfig, x: float, t: float) -> float:
     # On the real line (real x, real t) the field is real: both
     # exponentials are positive reals.
-    return eval_u(cfg, complex(x, 0.0), t).real
+    return _u_or_raise(cfg, complex(x, 0.0), t).real
 
 
 def _fd_uxx(cfg: SolitonConfig, h: float) -> float:

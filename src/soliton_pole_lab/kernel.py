@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -282,30 +282,10 @@ class SolitonConfig:
 
     def with_variant(self, variant: "Variant | str") -> "SolitonConfig":
         v = Variant.coerce(variant)
-        if v is self.variant:
-            return self
-        return SolitonConfig(
-            k1=self.k1,
-            k2=self.k2,
-            x1=self.x1,
-            x2=self.x2,
-            variant=v,
-            k1_exact=self.k1_exact,
-            k2_exact=self.k2_exact,
-            comm=self.comm,
-        )
+        return self if v is self.variant else replace(self, variant=v)
 
     def with_shifts(self, x1: float, x2: float) -> "SolitonConfig":
-        return SolitonConfig(
-            k1=self.k1,
-            k2=self.k2,
-            x1=float(x1),
-            x2=float(x2),
-            variant=self.variant,
-            k1_exact=self.k1_exact,
-            k2_exact=self.k2_exact,
-            comm=self.comm,
-        )
+        return replace(self, x1=float(x1), x2=float(x2))
 
     def to_dict(self) -> dict:
         return {

@@ -248,6 +248,23 @@ def test_sign_dead_zone_exceptional_line():
     assert vs.to_dict()["consistent"] is True
 
 
+@pytest.mark.parametrize("variant", ["plus", "minus"])
+@pytest.mark.parametrize("t", [-10.0, 10.0])
+def test_sign_law_where_a1_leaves_double_range(variant, t):
+    """The far fast-family zeros of (2, 7) at |t| = 10 (Re x near -+490)
+    have log A1 near +-900: A1 overflows at t = -10 and underflows to 0 at
+    t = 10.  The law's amplitude A1 - 1/A1 is then an infinity of the
+    exponent's sign, and the verdict stands."""
+    cfg = SolitonConfig.make(2, 7, variant)
+    far = [x for x, _ in oracle_poles(cfg, t=t) if abs(x.real) > 400.0]
+    assert len(far) == 14
+    for x in far:
+        vs = vertical_sign(cfg, x, t)
+        assert math.isinf(vs.expression)
+        assert vs.predicted_sign == (1 if vs.expression > 0 else -1)
+        assert vs.consistent
+
+
 def test_sign_law_errors():
     with pytest.raises(PoleError, match="not a zero"):
         vertical_sign(SolitonConfig.make(1, 2, "plus"), 50 + 0.3j, 0.0)

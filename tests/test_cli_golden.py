@@ -36,6 +36,9 @@ CASES = {
                    "--t1", "10"],
     "verify_12p": ["verify", "--k1", "1", "--k2", "2", "--variant", "plus"],
     "verify_1r2p": ["verify", "--k1", "1", "--k2", "1.4142135623730951"],
+    # The one verify report with a data-dependent skip reason (blowup-rate:
+    # no transversal crossing).
+    "verify_15m": ["verify", "--k1", "1", "--k2", "5", "--variant", "minus"],
     "blowup_12p": ["blowup", "--k1", "1", "--k2", "2", "--variant", "plus"],
     "interaction": ["interaction", "--ratios", "1.5,2.0,2.618,3.0"],
 }

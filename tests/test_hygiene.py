@@ -74,6 +74,28 @@ def test_no_unused_module_imports() -> None:
     assert found - ALLOWED == set()
 
 
+def catch_all_handlers(paths: list[Path]) -> list[tuple[str, int]]:
+    """(module, line) of each handler that catches every exception: a bare
+    ``except:`` or one naming Exception or BaseException."""
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ExceptHandler) and (
+                node.type is None
+                or isinstance(node.type, ast.Name)
+                and node.type.id in ("Exception", "BaseException")
+            ):
+                found.append((path.stem, node.lineno))
+    return found
+
+
+def test_battery_harness_is_the_only_catch_all() -> None:
+    # Turning any exception into a result is the battery's policy alone;
+    # every other handler names what it expects.
+    found = catch_all_handlers(sorted(PACKAGE.glob("*.py")))
+    assert [module for module, _ in found] == ["suite"]
+
+
 def _module_definitions(tree: ast.Module) -> list[str]:
     """Module-level functions, classes and assigned names, dunders aside."""
     names = []

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from soliton_pole_lab import exppoly, kernel, suite
+from soliton_pole_lab import analysis, exppoly, kernel, suite
 from soliton_pole_lab.kernel import SolitonConfig
 from soliton_pole_lab.suite import run_battery
 
@@ -88,6 +88,40 @@ class TestFullBattery:
     def test_pole_count_detail(self, report12):
         (check,) = [c for c in report12.checks if c.name == "pole-count-conservation"]
         assert "2(p1+p2) = 6" in check.detail
+
+
+@pytest.mark.parametrize("variant", ["plus", "minus"])
+def test_sign_law_passes_where_a1_leaves_double_range(variant):
+    # The (2, 7) ensembles reach fast-family zeros at |t| = 10 whose A1
+    # lies beyond double range; the row must judge them, not fail.
+    report = run_battery(SolitonConfig.make(2, 7, variant), seed=0)
+    (check,) = [c for c in report.checks if c.name == "vertical-sign-law"]
+    m = re.fullmatch(r"(\d+)/(\d+) decisive samples, (\d+) violations", check.detail)
+    assert m is not None, check.detail
+    decisive, total, violations = map(int, m.groups())
+    assert check.passed and 0 < decisive <= total and violations == 0
+
+
+class TestHarness:
+    def test_a_raising_check_fails_only_its_own_row(self, monkeypatch, report12):
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(analysis, "check_no_real_poles", boom)
+        report = run_battery(SolitonConfig.make(1, 2, "plus"), seed=0)
+        (row,) = [c for c in report.checks if c.name == "real-line-regularity"]
+        assert (row.passed, row.worst, row.witness, row.detail, row.skipped) == (
+            False,
+            math.inf,
+            "",
+            "RuntimeError: boom",
+            None,
+        )
+        assert not report.passed
+        others = [c.to_dict() for c in report.checks if c is not row]
+        clean = [c.to_dict() for c in report12.checks if c.name != row.name]
+        assert others == clean
+        assert all(c.elapsed_s > 0 for c in report.checks)
 
 
 class TestExceptionalConfig:
@@ -181,11 +215,11 @@ class TestReportShape:
         assert list(entry) == ["name", "passed", "worst", "witness", "detail", "skipped"]
 
 
-    def test_elapsed_time_recorded_but_not_reported(self, report12):
-        for check in report12.checks:
+    def test_elapsed_time_recorded_but_not_reported(self, report12, report_irr):
+        # Skipped rows are timed too: report_irr skips six checks.
+        for check in report12.checks + report_irr.checks:
             assert "elapsed_s" not in check.to_dict()
-            if check.skipped is None:
-                assert check.elapsed_s > 0
+            assert check.elapsed_s > 0
 
 
 MUTATION = Fraction(1000001, 1000000)
