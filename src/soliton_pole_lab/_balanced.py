@@ -26,7 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -38,9 +38,14 @@ _LOG_HUGE = math.log(1.7976931348623157e308)
 _LOG_TINY = -745.0
 
 
-@dataclass(frozen=True)
-class Scaled:
-    """A complex number stored as ``mant * exp(log)`` with a term-scale norm."""
+class Scaled(NamedTuple):
+    """A complex number stored as ``mant * exp(log)`` with a term-scale norm.
+
+    A ``Scaled`` is the triple (mant, log, norm) itself, so hot loops can
+    build and unpack plain triples and still meet a ``Scaled`` contract.
+    The arithmetic operators are this class's own, not tuple concatenation
+    or repetition.
+    """
 
     mant: complex
     log: float
@@ -49,15 +54,7 @@ class Scaled:
     def value(self) -> complex:
         """Return the plain complex value; raise OverflowError when it cannot
         be represented as a float pair (the message names the exponent)."""
-        if self.mant == 0:
-            return 0j
-        total = self.log + math.log(abs(self.mant))
-        if total > _LOG_HUGE:
-            raise OverflowError(
-                f"exponent {total:.3f} exceeds the representable range "
-                f"(limit {_LOG_HUGE:.3f})"
-            )
-        return self.mant * math.exp(self.log)
+        return _unscale(self.mant, self.log)
 
     def log_abs(self) -> float:
         """log|value|; -inf for an exact zero."""
@@ -67,9 +64,7 @@ class Scaled:
 
     def relative(self) -> float:
         """|value| divided by the balanced 1-norm of the generating terms."""
-        if self.norm == 0.0:
-            return abs(self.mant)
-        return abs(self.mant) / self.norm
+        return _relative_of(self)
 
     def __mul__(self, other: "Scaled | complex | float") -> "Scaled":
         if isinstance(other, Scaled):
@@ -128,6 +123,33 @@ class Scaled:
         if total < _LOG_TINY:  # graceful underflow to zero
             return 0j
         return q * math.exp(dlog)
+
+
+def _unscale(mant: complex, log: float) -> complex:
+    """mant * exp(log) as a plain complex (``Scaled.value``)."""
+    if mant == 0:
+        return 0j
+    total = log + math.log(abs(mant))
+    if total > _LOG_HUGE:
+        raise OverflowError(
+            f"exponent {total:.3f} exceeds the representable range "
+            f"(limit {_LOG_HUGE:.3f})"
+        )
+    return mant * math.exp(log)
+
+
+def _relative_of(v: tuple) -> float:
+    """``Scaled.relative`` of a (mant, log, norm) triple."""
+    mant, _, norm = v
+    return abs(mant) if norm == 0.0 else abs(mant) / norm
+
+
+def _quotient(num: tuple, den: tuple) -> complex:
+    """``(num / den).value()`` of two (mant, log, norm) triples, without
+    building the intermediate ``Scaled``: the same float steps and errors."""
+    if den[0] == 0:
+        raise ZeroDivisionError("scaled division by zero mantissa")
+    return _unscale(num[0] / den[0], num[1] - den[1])
 
 
 def balanced_sum(terms: Iterable[tuple[complex, complex]]) -> Scaled:

@@ -406,7 +406,11 @@ def match_families(
     return report
 
 
-def match_horizons(cfg: SolitonConfig, T: float) -> list[MatchReport]:
+def match_horizons(
+    cfg: SolitonConfig,
+    T: float,
+    poles: Optional[Sequence[tuple[complex, int]]] = None,
+) -> list[MatchReport]:
     """Family match reports at t = -T and t = +T (in that order).
 
     Each horizon is labelled from the exact oracle's poles at t = +-T, each
@@ -418,14 +422,20 @@ def match_horizons(cfg: SolitonConfig, T: float) -> list[MatchReport]:
     collision can put two curves on one outgoing branch, which makes
     horizon matching ill-posed for reasons that say nothing about the
     family law.
+
+    ``poles`` is the ``oracle_poles(cfg, t=-T)`` snapshot, if the caller
+    has one (the battery seeds its ensemble from it); without it one is
+    solved.
     """
     F = _F_point(cfg, cfg.variant)
     opts = TrackerOptions()
     reports = []
     for direction in (-1, 1):
         t_h = direction * T
-        positions = [
-            _newton_correct(F, x, t_h, opts)[0] for x, _ in oracle_poles(cfg, t=t_h)
-        ]
+        if direction < 0 and poles is not None:
+            snapshot = poles
+        else:
+            snapshot = oracle_poles(cfg, t=t_h)
+        positions = [_newton_correct(F, x, t_h, opts)[0] for x, _ in snapshot]
         reports.append(_label_positions(cfg, positions, T, direction))
     return reports

@@ -4,7 +4,8 @@ Subcommands
 -----------
 eval         evaluate u at one complex point and time
 poles        exact pole snapshot in the fundamental strip (exact mode)
-track        track pole curves over a time window
+track        track pole curves over a time window (--stats: each curve's
+             work counters on stderr)
 asympt       asymptotic family match report at both horizons
 verify       full verification battery (exit 1 when any check fails)
 blowup       construct a blowup scenario and fit the sup-norm rate
@@ -259,6 +260,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="optional seed 're,im' (default: all oracle poles; "
         "--x=-1.5,0.2 when negative)",
     )
+    p.add_argument(
+        "--stats",
+        action="store_true",
+        help="print each curve's work counters to stderr",
+    )
 
     p = sub.add_parser("asympt", parents=[common], help="family match report")
     p.add_argument("--t1", type=float, help="horizon T > 0 (default 10)")
@@ -332,6 +338,13 @@ def _cmd_track(args):
     cfg = _config_from_args(args, exact=False)
     _need(args, "t0", "t1")
     curves = _track_ensemble(cfg, args)
+    if args.stats:
+        for i, c in enumerate(curves):
+            print(
+                f"curve {i}: accepted={c.accepted} rejected={c.rejected} "
+                f"newton_iterations={c.newton_iterations} points={c.points}",
+                file=sys.stderr,
+            )
     payload = {
         "config": cfg.to_dict(),
         "t0": args.t0,

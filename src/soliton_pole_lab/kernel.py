@@ -43,8 +43,11 @@ times at few points -- the tracker and the Newton polish of
 steps, so its values equal F_scaled's bit for bit.  Calls at one point
 share work by two rules: the monomial exponents a1 w1 + a2 w2 are formed
 once per point, and exp(w - base) once per monomial and balance base, so
-tables with the same base share it.  A fresh evaluator used for one value
-costs more than the plain sum, so the one-value functions do not use one.
+tables with the same base share it.  A call returns its ``Scaled`` as
+the bare (mant, log, norm) triple (``Scaled`` is a ``NamedTuple``), which
+the tracker's predictor-corrector unpacks without method calls.  A fresh
+evaluator used for one value costs more than the plain sum, so the
+one-value functions do not use one.
 
 Convention for shifts: the shift factors exp(k_j x_j) are folded directly
 into f_j above.  For zero shifts this is the normalized solution whose
@@ -427,6 +430,9 @@ class _PointEval:
 
     A table exponentiates only its own monomials: a dropped term can lie
     far above another table's base, where exp(w - base) would overflow.
+
+    A call is the hot loop of the tracker, so it builds its ``Scaled`` as
+    the bare triple, without NamedTuple's keyword-aware constructor.
     """
 
     __slots__ = ("cfg", "terms", "slots", "tables", "x", "t", "ws", "exps")
@@ -480,7 +486,12 @@ class _PointEval:
             piece = c * e
             mant += piece
             norm += abs(piece)
-        return Scaled(mant, base, norm)
+        return _new_triple(Scaled, (mant, base, norm))
+
+
+# Scaled(mant, log, norm) without NamedTuple's keyword-aware __new__, as
+# ``Scaled._make`` builds it.
+_new_triple = tuple.__new__
 
 
 def _eval_terms(

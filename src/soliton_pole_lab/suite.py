@@ -364,12 +364,14 @@ def _check_pole_count(cfg: SolitonConfig):
     "asymptotic-families",
     exact_only="family matching requires exact commensurable wavenumbers",
 )
-def _check_asymptotics(cfg: SolitonConfig, T: float):
+def _check_asymptotics(
+    cfg: SolitonConfig, T: float, poles: Optional[Sequence[tuple[complex, int]]]
+):
     """Match the oracle's poles at each horizon against the family
     asymptotes (Newton-corrected in place, no tracking; see
-    ``match_horizons``)."""
+    ``match_horizons``).  ``poles`` is the battery's snapshot at t = -T."""
     worst, witness, n = 0.0, "", 0
-    for report in match_horizons(cfg, T):
+    for report in match_horizons(cfg, T, poles):
         n = len(report.matches)
         if report.max_residual > worst:
             worst, witness = report.max_residual, f"direction={report.direction}"
@@ -441,10 +443,14 @@ def run_battery(cfg: SolitonConfig, seed: int = 0) -> BatteryReport:
     """Run every check against cfg; deterministic for a fixed seed."""
     rng = random.Random(seed)
     curves: Optional[list[PoleCurve]] = None
+    seeds: Optional[list[tuple[complex, int]]] = None
     horizon = 10.0
     if cfg.comm is not None:
         horizon = max(10.0, seed_time(cfg, 1e-6) + 2.0)
-        curves = track_ensemble(cfg, -horizon, horizon)
+        # One snapshot at t = -horizon seeds the ensemble and the family
+        # match at that horizon.
+        seeds = oracle_poles(cfg, t=-horizon)
+        curves = track_ensemble(cfg, -horizon, horizon, poles=seeds)
 
     checks = (
         _check_field_equation(cfg, rng),
@@ -456,7 +462,7 @@ def run_battery(cfg: SolitonConfig, seed: int = 0) -> BatteryReport:
         _check_translation(cfg, rng),
         _check_residues(cfg, rng),
         _check_pole_count(cfg),
-        _check_asymptotics(cfg, horizon),
+        _check_asymptotics(cfg, horizon, seeds),
         _check_blowup(cfg, curves),
         _check_interaction(cfg),
     )

@@ -24,6 +24,15 @@ returns the F_x of the point it converged to, and the predictor of the next
 step reuses that accepted sample's F_x instead of evaluating it again; its
 F_t at the same point shares the exponentials the corrector formed there.
 The F_x of a corrector whose result is rejected is never reused.
+
+Values stay the (mant, log, norm) triples the evaluator returns: the
+corrector's |F| test and Newton step and the predictor's slope are formed
+from the triples by ``_balanced._relative_of`` (``Scaled.relative``) and
+``_balanced._quotient`` (``(a / b).value()``), so no intermediate ``Scaled``
+is built and no method is called.  A ``Scaled`` is such a triple, so any F
+returning ``Scaled`` values can still be followed, with the same samples.
+Each curve records its work: accepted and rejected steps, Newton
+iterations and distinct evaluation points (see ``PoleCurve``).
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._balanced import Scaled
+from ._balanced import _quotient, _relative_of
 from .exppoly import oracle_poles
 from .kernel import (
     ConvergenceError,
@@ -103,6 +112,14 @@ class PoleCurve:
     tracking direction); ``residuals`` holds the relative |F| left by the
     corrector at each sample.  ``family`` is attached later by the
     asymptotic matcher.
+
+    The work counters say what the follower spent on the curve: steps
+    ``accepted`` (one per sample after the seed) and ``rejected`` (every
+    other corrector run: a failed corrector, a near-multiple landing),
+    ``newton_iterations`` over every corrector run, the seed polish
+    included, and the distinct ``points`` (x, t) at which F was evaluated,
+    one per Newton iterate of each run.  They take no part in equality and
+    stay out of every export.
     """
 
     variant: Variant
@@ -112,6 +129,10 @@ class PoleCurve:
     exceptional_collision: bool = False
     branch_class: BranchClass = BranchClass.NONE
     collision_point: Optional[complex] = None
+    accepted: int = field(default=0, compare=False)
+    rejected: int = field(default=0, compare=False)
+    newton_iterations: int = field(default=0, compare=False)
+    points: int = field(default=0, compare=False)
 
     @property
     def t_first(self) -> float:
@@ -130,9 +151,14 @@ class PoleCurve:
         return min(self.samples, key=lambda s: abs(s[0] - t))[1]
 
 
-FFun = Callable[[complex, float, int, int], Scaled]
-"""Signature of a trackable function: (x, t, dx, dt) -> Scaled value.
-The kernel's point evaluator of F (``kernel._F_point``) is one."""
+Triple = tuple[complex, float, float]
+"""A value as (mant, log, norm): mant * exp(log), with the balanced 1-norm
+of its terms.  A ``Scaled`` is one."""
+
+FFun = Callable[[complex, float, int, int], Triple]
+"""Signature of a trackable function: (x, t, dx, dt) -> the value as a
+triple, e.g. a ``Scaled``.  The kernel's point evaluator of F
+(``kernel._F_point``) is one."""
 
 
 def detect_exceptional(cfg: SolitonConfig, q_values: Sequence[int] = (0, -1)) -> dict:
@@ -156,32 +182,42 @@ def detect_exceptional(cfg: SolitonConfig, q_values: Sequence[int] = (0, -1)) ->
     return {"is_exceptional": True, "points": points}
 
 
+def _gave_up(message: str, iterations: int) -> ConvergenceError:
+    """The corrector's ConvergenceError, carrying the Newton iterations it
+    took (``iterations``) for the follower's work counters."""
+    exc = ConvergenceError(message)
+    exc.iterations = iterations
+    return exc
+
+
 def _newton_correct(
     F: FFun,
     x: complex,
     t: float,
     opts: TrackerOptions,
-) -> tuple[complex, Scaled, Scaled, int]:
+) -> tuple[complex, Triple, Triple, int]:
     """Newton in x at fixed t.  Returns (x, F, F_x, iterations), F and F_x
-    taken at the returned x; raises ConvergenceError when the iteration cap
-    is exhausted."""
-    for it in range(1, opts.max_newton + 1):
+    the triples F returned at the returned x, after evaluating at
+    iterations + 1 points.  Raises ConvergenceError when the iteration cap
+    is exhausted or a step cannot be formed."""
+    tol = opts.newton_tol
+    for it in range(opts.max_newton):
         Fv = F(x, t, 0, 0)
         Fx = F(x, t, 1, 0)
-        if Fv.relative() < opts.newton_tol:
-            return x, Fv, Fx, it - 1
+        if _relative_of(Fv) < tol:
+            return x, Fv, Fx, it
         try:
-            step = (Fv / Fx).value()
+            step = _quotient(Fv, Fx)
         except (ZeroDivisionError, OverflowError) as exc:
-            raise ConvergenceError(
-                f"corrector diverged at t={t}, x={x}: {exc}"
-            ) from exc
+            raise _gave_up(f"corrector diverged at t={t}, x={x}: {exc}", it) from exc
         x = x - step
     Fv = F(x, t, 0, 0)
-    if Fv.relative() < opts.newton_tol:
+    rel = _relative_of(Fv)
+    if rel < tol:
         return x, Fv, F(x, t, 1, 0), opts.max_newton
-    raise ConvergenceError(
-        f"corrector did not converge at t={t}: relative |F|={Fv.relative():.3e}"
+    raise _gave_up(
+        f"corrector did not converge at t={t}: relative |F|={rel:.3e}",
+        opts.max_newton,
     )
 
 
@@ -197,7 +233,8 @@ def track_zero_curve(
     """Follow a zero curve of an arbitrary entire function F(x, t).
 
     Core engine behind ``track_curve``; usable directly for other
-    meromorphic families (e.g. the one-soliton denominator).
+    meromorphic families (e.g. the one-soliton denominator).  The returned
+    curve carries its work counters (see ``PoleCurve``).
     """
     opts = opts or TrackerOptions()
     if t_end == t_start:
@@ -213,15 +250,15 @@ def track_zero_curve(
                 best = cp
         return best
 
-    x, Fv, Fx, _ = _newton_correct(F, complex(x_start), t_start, opts)
-    fx_rel = Fx.relative()
+    x, Fv, Fx, newton = _newton_correct(F, complex(x_start), t_start, opts)
+    fx_rel = _relative_of(Fx)
     if fx_rel < opts.fx_min:
         raise ConvergenceError(
             f"near-multiple-root at the seed: relative |F_x|={fx_rel:.3e}"
         )
-    curve = PoleCurve(
-        variant=variant, samples=[(t_start, x)], residuals=[Fv.relative()]
-    )
+    samples = [(t_start, x)]
+    residuals = [_relative_of(Fv)]
+    curve = PoleCurve(variant=variant, samples=samples, residuals=residuals)
 
     def stop_at(cp: complex) -> None:
         curve.exceptional_collision = True
@@ -263,17 +300,19 @@ def track_zero_curve(
         # this sample.
         Ft = F(x, t, 0, 1)
         try:
-            slope = -(Ft / Fx).value()
+            slope = -_quotient(Ft, Fx)
         except (ZeroDivisionError, OverflowError):
             slope = 0j
         x_pred = x + slope * sign * step
         try:
             x_new, F_new, Fx_new, iters = _newton_correct(F, x_pred, t_next, opts)
-        except ConvergenceError:
+        except ConvergenceError as exc:
+            newton += getattr(exc, "iterations", 0)
             if halve(step):
                 continue
             break
-        fx_rel = Fx_new.relative()
+        newton += iters
+        fx_rel = _relative_of(Fx_new)
         if fx_rel < opts.fx_min:
             # The corrector converged onto a (near-)multiple zero.  A
             # clamped jump onto t_end can overshoot the approach (landing
@@ -295,8 +334,8 @@ def track_zero_curve(
         # Accept the sample.
         t, x, Fx, prev_fx_old = t_next, x_new, Fx_new, prev_fx
         prev_fx = fx_rel
-        curve.samples.append((t, x))
-        curve.residuals.append(F_new.relative())
+        samples.append((t, x))
+        residuals.append(_relative_of(F_new))
         cp = nearest_declared(x, opts.collision_radius)
         if cp is not None:
             stop_at(cp)
@@ -308,6 +347,12 @@ def track_zero_curve(
                 break
         else:
             dt = min(step * opts.grow, opts.dt_max)
+    # Each loop pass ran the corrector once; every run, the seed polish
+    # too, evaluated at one point per iteration plus one.
+    curve.accepted = len(samples) - 1
+    curve.rejected = steps - curve.accepted
+    curve.newton_iterations = newton
+    curve.points = newton + 1 + steps
     return curve
 
 
@@ -344,14 +389,16 @@ def track_ensemble(
     t_start: float,
     t_end: float,
     opts: Optional[TrackerOptions] = None,
+    poles: Optional[Sequence[tuple[complex, int]]] = None,
 ) -> list[PoleCurve]:
     """Track every pole of u from t_start to t_end: one curve per pole the
     exact oracle finds in the fundamental strip at t_start (commensurable
-    configs only), in the oracle's order."""
-    return [
-        track_curve(cfg, None, x, t_start, t_end, opts)
-        for x, _ in oracle_poles(cfg, t=t_start)
-    ]
+    configs only), in the oracle's order.  ``poles`` is that
+    ``oracle_poles(cfg, t=t_start)`` snapshot, if the caller has one;
+    without it one is solved."""
+    if poles is None:
+        poles = oracle_poles(cfg, t=t_start)
+    return [track_curve(cfg, None, x, t_start, t_end, opts) for x, _ in poles]
 
 
 @dataclass(frozen=True)
@@ -460,7 +507,8 @@ def mirror_curve(curve: PoleCurve) -> PoleCurve:
     """The time-reflected curve t -> -conj(x(-t)), also a zero curve of F.
 
     Sample order is reversed so the result stays monotone in t; applying
-    the mirror twice returns the original samples.
+    the mirror twice returns the original samples.  The work counters are
+    the original's: the same samples, found by the same work.
     """
     samples = [(-t, -x.conjugate()) for t, x in reversed(curve.samples)]
     residuals = list(reversed(curve.residuals))
@@ -475,6 +523,10 @@ def mirror_curve(curve: PoleCurve) -> PoleCurve:
         exceptional_collision=curve.exceptional_collision,
         branch_class=curve.branch_class,
         collision_point=cp,
+        accepted=curve.accepted,
+        rejected=curve.rejected,
+        newton_iterations=curve.newton_iterations,
+        points=curve.points,
     )
 
 

@@ -9,6 +9,11 @@ and says so in CHANGES.md.
 
 from __future__ import annotations
 
+import csv
+import io
+import json
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -50,3 +55,31 @@ def test_stdout_matches_golden(capsys, name):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / f"{name}.out").read_bytes().decode("utf-8")
+
+
+_STATS = re.compile(
+    r"curve (\d+): accepted=(\d+) rejected=(\d+) newton_iterations=(\d+) points=(\d+)"
+)
+
+
+@pytest.mark.parametrize("name", ["track_12p", "track_12p_csv"])
+def test_track_stats_go_to_stderr_only(capsys, name):
+    code = run(CASES[name] + ["--stats"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == (GOLDEN / f"{name}.out").read_bytes().decode("utf-8")
+    if name.endswith("_csv"):
+        rows = list(csv.reader(io.StringIO(captured.out)))[1:]
+        counts = Counter(int(row[0]) for row in rows)
+        n_samples = [counts[i] for i in range(len(counts))]
+    else:
+        n_samples = [c["n_samples"] for c in json.loads(captured.out)["curves"]]
+    lines = captured.err.splitlines()
+    assert len(lines) == len(n_samples) == 6
+    for i, (line, n) in enumerate(zip(lines, n_samples)):
+        index, accepted, rejected, newton, points = map(
+            int, _STATS.fullmatch(line).groups()
+        )
+        assert index == i
+        assert accepted == n - 1
+        assert points == newton + 1 + accepted + rejected

@@ -346,3 +346,19 @@ def test_residue_check_solves_one_snapshot_per_time(monkeypatch):
     result = suite._check_residues(SolitonConfig.make(1, 2, "plus"), random.Random(0))
     assert result.passed
     assert len(solves) == 2
+
+
+def test_battery_solves_each_snapshot_once(monkeypatch, report12):
+    # The snapshot at t = -horizon seeds both the tracked ensemble and the
+    # family match at that horizon; no (polynomial, time) is solved twice.
+    solves = []
+    solve = exppoly.roots_at_time
+    monkeypatch.setattr(
+        exppoly,
+        "roots_at_time",
+        lambda poly, t, *a, **k: solves.append((poly.kind, poly.variant, t))
+        or solve(poly, t, *a, **k),
+    )
+    report = run_battery(SolitonConfig.make(1, 2, "plus"), seed=0)
+    assert repr(report.to_dict()) == repr(report12.to_dict())
+    assert len(solves) == len(set(solves)) == 12

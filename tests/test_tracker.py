@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soliton_pole_lab._balanced import balanced_sum
 from soliton_pole_lab.exppoly import oracle_poles
@@ -20,6 +22,7 @@ from soliton_pole_lab.kernel import (
     F_scaled,
     SolitonConfig,
     Variant,
+    _F_point,
 )
 from soliton_pole_lab.tracker import (
     BranchClass,
@@ -254,6 +257,9 @@ def test_mirror_curve_properties(collision_curves):
     # Involution.
     double = mirror_curve(mirrored)
     assert double.samples == curve.samples
+    # The mirror keeps the work counters of the curve it reflects.
+    assert curve.accepted == len(curve.samples) - 1
+    assert _counters(mirrored) == _counters(double) == _counters(curve)
 
 
 # ---------------------------------------------------------------------------
@@ -364,23 +370,114 @@ TRACK_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(TRACK_CASES))
-def test_track_curve_equals_tracking_plain_F_scaled(case):
-    spec, t0, t1, opts, keep = TRACK_CASES[case]
-    cfg = SolitonConfig.make(*spec)
-    seeds = [x for x, _ in oracle_poles(cfg, t=t0) if keep is None or keep(x)]
+def _assert_same_as_plain_F_scaled(cfg, x0, t0, t1, opts=None):
+    """track_curve (the kernel's point evaluator, values kept as triples)
+    and track_zero_curve over one-shot F_scaled give the same curve bit for
+    bit, or fail with the same error."""
     points = detect_exceptional(cfg)["points"]
 
     def plain(x, t, dx=0, dt=0):
         return F_scaled(cfg, x, t, None, dx, dt)
 
-    for x0 in seeds:
-        got = track_curve(cfg, None, x0, t0, t1, opts)
+    try:
         want = track_zero_curve(plain, x0, t0, t1, opts, points, cfg.variant)
-        # repr is exact for floats and tells -0.0 from 0.0.
-        assert repr(got.samples) == repr(want.samples)
-        assert repr(got.residuals) == repr(want.residuals)
-        assert (got.exceptional_collision, got.collision_point) == (
-            want.exceptional_collision,
-            want.collision_point,
+    except ConvergenceError as exc:
+        with pytest.raises(ConvergenceError) as got_exc:
+            track_curve(cfg, None, x0, t0, t1, opts)
+        assert str(got_exc.value) == str(exc)
+        return
+    got = track_curve(cfg, None, x0, t0, t1, opts)
+    # repr is exact for floats and tells -0.0 from 0.0.
+    assert repr(got.samples) == repr(want.samples)
+    assert repr(got.residuals) == repr(want.residuals)
+    assert (got.exceptional_collision, got.collision_point) == (
+        want.exceptional_collision,
+        want.collision_point,
+    )
+    assert _counters(got) == _counters(want)
+
+
+def _counters(curve):
+    return (curve.accepted, curve.rejected, curve.newton_iterations, curve.points)
+
+
+@pytest.mark.parametrize("case", sorted(TRACK_CASES))
+def test_track_curve_equals_tracking_plain_F_scaled(case):
+    spec, t0, t1, opts, keep = TRACK_CASES[case]
+    cfg = SolitonConfig.make(*spec)
+    seeds = [x for x, _ in oracle_poles(cfg, t=t0) if keep is None or keep(x)]
+    for x0 in seeds:
+        _assert_same_as_plain_F_scaled(cfg, x0, t0, t1, opts)
+
+
+_COPRIME_9 = [(a, b) for b in range(2, 10) for a in range(1, b) if math.gcd(a, b) == 1]
+
+
+@given(
+    pair=st.sampled_from(_COPRIME_9),
+    variant=st.sampled_from(["plus", "minus"]),
+    t0=st.floats(-10.0, 10.0),
+    t1=st.floats(-10.0, 10.0),
+    pick=st.integers(0, 10**6),
+)
+@settings(max_examples=60, deadline=None)
+def test_track_curve_equals_plain_F_scaled_property(pair, variant, t0, t1, pick):
+    """The bit identity of ``TRACK_CASES`` over every coprime pair up to 9,
+    both variants and windows inside [-10, 10]: one oracle pole per window,
+    exceptional collisions and seeds on multiple roots included."""
+    if abs(t1 - t0) < 1e-3:
+        t1 = t0 + (1.0 if t0 < 0 else -1.0)
+    cfg = SolitonConfig.make(*pair, variant)
+    poles = oracle_poles(cfg, t=t0)
+    x0, _ = poles[pick % len(poles)]
+    _assert_same_as_plain_F_scaled(cfg, x0, t0, t1)
+
+
+# ---------------------------------------------------------------------------
+# Work counters.
+# ---------------------------------------------------------------------------
+
+
+def _spied(cfg):
+    """The kernel's point evaluator of F behind a spy that records the
+    distinct points (x, t) it is called at and counts the predictor's F_t
+    calls, one per corrector run after the seed's."""
+    ev = _F_point(cfg)
+    seen = {"points": set(), "F_t": 0}
+
+    def spy(x, t, dx=0, dt=0):
+        seen["points"].add((x, t))
+        seen["F_t"] += (dx, dt) == (0, 1)
+        return ev(x, t, dx, dt)
+
+    return spy, seen
+
+
+@pytest.mark.parametrize("case", sorted(TRACK_CASES))
+def test_work_counters_match_a_spy(case):
+    spec, t0, t1, opts, keep = TRACK_CASES[case]
+    cfg = SolitonConfig.make(*spec)
+    points = detect_exceptional(cfg)["points"]
+    seeds = [x for x, _ in oracle_poles(cfg, t=t0) if keep is None or keep(x)]
+    rejected = 0
+    for x0 in seeds:
+        spy, seen = _spied(cfg)
+        curve = track_zero_curve(spy, x0, t0, t1, opts, points, cfg.variant)
+        assert curve.accepted == len(curve.samples) - 1
+        assert curve.accepted + curve.rejected == seen["F_t"]
+        assert curve.points == len(seen["points"])
+        # One point per Newton iterate plus one per corrector run.
+        assert curve.newton_iterations == curve.points - 1 - seen["F_t"]
+        rejected += curve.rejected
+        # The counters are no part of the curve's value.
+        bare = PoleCurve(
+            variant=curve.variant,
+            samples=curve.samples,
+            residuals=curve.residuals,
+            exceptional_collision=curve.exceptional_collision,
+            collision_point=curve.collision_point,
         )
+        assert bare == curve
+    if case == "collision":
+        assert rejected > 0  # the approach halves its step
+
