@@ -70,6 +70,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._balanced import ScaledGrid
 from .exppoly import oracle_poles
 from .kernel import (
     ConvergenceError,
@@ -80,6 +81,7 @@ from .kernel import (
     SolitonConfig,
     Variant,
     _F_point,
+    _factor_grid,
     _u_or_raise_grid,
     factor_scaled,
     kdv_F_scaled,
@@ -393,6 +395,20 @@ def _a1_law(log_a1: float) -> float:
     return a1 - 1 / a1 if a1 > 0.0 else -math.inf
 
 
+def _sign_prediction(
+    cfg: SolitonConfig, v: Variant, which: int, x: complex, t: float
+) -> tuple[int, float]:
+    """The law's (predicted sign, expression) at a zero of factor ``which``:
+    the expression s * (A1 - 1/A1) * cos(k2 alpha), and its sign with
+    predictions smaller than 1e-12 counted as 0.  The one prediction of
+    ``vertical_sign`` and ``_vertical_signs``."""
+    log_a1, _ = _log_moduli(cfg, x, t)
+    expression = _FACTOR_SIGN[(v, which)] * _a1_law(log_a1) * math.cos(cfg.k2 * -x.imag)
+    if abs(expression) < 1e-12:
+        return 0, expression
+    return (1 if expression > 0 else -1), expression
+
+
 def vertical_sign(
     cfg: SolitonConfig,
     x: complex,
@@ -409,6 +425,10 @@ def vertical_sign(
     t = 0 with Re x = 0, or alpha an odd multiple of pi*lambda/2); the
     measured velocity uses a 1e-10 dead zone.  Raises PoleError when
     (x, t) is not a zero and ConvergenceError at a multiple zero.
+
+    This is the form for one point.  Callers with many samples use
+    ``_vertical_signs``, which gives the same verdicts bit for bit from
+    one grid evaluation per factor table.
     """
     v = _variant(cfg, variant)
     which, _ = _which_factor(cfg, x, t, v)
@@ -420,14 +440,65 @@ def vertical_sign(
             f"relative |F_x|={Fx.relative():.3e} (multiple zero?)"
         )
     measured = (-Ft.ratio(Fx)).imag
-    z = complex(x)
-    log_a1, _ = _log_moduli(cfg, z, t)
-    expression = _FACTOR_SIGN[(v, which)] * _a1_law(log_a1) * math.cos(cfg.k2 * -z.imag)
-    if abs(expression) < 1e-12:
-        predicted = 0
-    else:
-        predicted = 1 if expression > 0 else -1
+    predicted, expression = _sign_prediction(cfg, v, which, complex(x), t)
     return VerticalSign(predicted, measured, expression, which)
+
+
+def _pick(first: np.ndarray, a: ScaledGrid, b: ScaledGrid) -> ScaledGrid:
+    """a where ``first`` holds, else b, pointwise."""
+    return ScaledGrid(
+        np.where(first, a.re, b.re),
+        np.where(first, a.im, b.im),
+        np.where(first, a.log, b.log),
+        np.where(first, a.norm, b.norm),
+    )
+
+
+def _vertical_signs(
+    cfg: SolitonConfig,
+    xs: Sequence[complex],
+    ts: Sequence[float],
+    variant: Optional[Variant] = None,
+) -> list[Optional[VerticalSign]]:
+    """``vertical_sign`` at every sample (xs[i], ts[i]), bit for bit: one
+    ``VerticalSign`` per sample, or None where the scalar form raises
+    PoleError (not a zero) or ConvergenceError (a multiple zero).  Any
+    other error is raised for the first sample in order that has one,
+    with the scalar form's type and message.
+
+    Both factors and their F_t and F_x are evaluated once each over all
+    samples on the grid engine, with one time per point; the vanishing
+    factor's values are then picked per sample.
+    """
+    v = _variant(cfg, variant)
+    zs = np.asarray(xs, dtype=complex).reshape(-1)
+    times = np.asarray(ts, dtype=float).reshape(-1)
+    (F1, F1t, F1x), (F2, F2t, F2x) = (
+        [
+            _factor_grid(cfg, zs, times, which, v, dx, dt)
+            for dx, dt in ((0, 0), (0, 1), (1, 0))  # F, F_t, F_x
+        ]
+        for which in (1, 2)
+    )
+    r1, r2 = F1.relative(), F2.relative()
+    # As in _which_factor: factor 1 where r1 <= r2, else factor 2.
+    first = r1 <= r2
+    not_zero = np.where(first, r1, r2) > ZERO_GATE
+    Ft, Fx = _pick(first, F1t, F2t), _pick(first, F1x, F2x)
+    skip = not_zero | (Fx.relative() < FX_GATE)
+    _, qi, fault = Ft.ratio(Fx, active=~skip)
+    stop = len(zs) if fault is None else fault[0]
+    out: list[Optional[VerticalSign]] = []
+    rows = zip(skip.tolist(), np.where(first, 1, 2).tolist(), (-qi).tolist(), xs, ts)
+    for i, (skipped, which, measured, x, t) in enumerate(rows):
+        if skipped:
+            out.append(None)
+            continue
+        if i == stop:
+            raise fault[1]
+        predicted, expression = _sign_prediction(cfg, v, which, complex(x), t)
+        out.append(VerticalSign(predicted, measured, expression, which))
+    return out
 
 
 # ---------------------------------------------------------------------------

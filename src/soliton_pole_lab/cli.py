@@ -7,7 +7,8 @@ poles        exact pole snapshot in the fundamental strip (exact mode)
 track        track pole curves over a time window (--stats: each curve's
              work counters on stderr)
 asympt       asymptotic family match report at both horizons
-verify       full verification battery (exit 1 when any check fails)
+verify       full verification battery (exit 1 when any check fails;
+             --stats: each check's wall time and the battery's on stderr)
 blowup       construct a blowup scenario and fit the sup-norm rate
 interaction  closed forms, measurements, and maxima over a ratio sweep
 
@@ -34,6 +35,7 @@ import io
 import json
 import math
 import sys
+import time
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -269,7 +271,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("asympt", parents=[common], help="family match report")
     p.add_argument("--t1", type=float, help="horizon T > 0 (default 10)")
 
-    sub.add_parser("verify", parents=[common], help="run the verification battery")
+    p = sub.add_parser("verify", parents=[common], help="run the verification battery")
+    p.add_argument(
+        "--stats",
+        action="store_true",
+        help="print each check's wall time and the battery's to stderr",
+    )
 
     p = sub.add_parser("blowup", parents=[common], help="blowup scenario and rate fit")
     p.add_argument("--alpha", type=float, help="line offset (default: auto-chosen)")
@@ -392,7 +399,19 @@ def _cmd_asympt(args):
 def _cmd_verify(args):
     cfg = _config_from_args(args, exact=False)
     seed = args.seed if args.seed is not None else 0
+    start = time.perf_counter()
     report = run_battery(cfg, seed=seed)
+    if args.stats:
+        for c in report.checks:
+            print(f"check {c.name}: elapsed_s={c.elapsed_s:.6f}", file=sys.stderr)
+        # The battery's time also covers what its checks share (the oracle
+        # snapshot and ensemble tracking of exact configs).
+        rows = sum(c.elapsed_s for c in report.checks)
+        print(
+            f"battery: elapsed_s={time.perf_counter() - start:.6f} "
+            f"checks_s={rows:.6f}",
+            file=sys.stderr,
+        )
     payload = dict(report.to_dict())
     rows = [
         (

@@ -31,7 +31,10 @@ represented.
 Dense grids of x use the grid engine (``F_grid``, ``G_grid``,
 ``eval_u_grid``, ``eval_u_x_grid``): one numpy pass over the term table per
 term instead of one Python sum per point, with results equal to the scalar
-evaluators bit for bit (see ``_balanced.ScaledGrid``).
+evaluators bit for bit (see ``_balanced.ScaledGrid``).  The engine's core,
+``_eval_terms_grid``, also takes one time per point, so samples scattered
+in (x, t) -- the points of tracked pole curves -- are evaluated in one call
+per table as well.
 
 Pointwise callers (tracking, Newton correctors, finite-difference stencils)
 keep the scalar path.  The one-value functions (F_scaled, G_scaled, ...)
@@ -516,8 +519,9 @@ def _F_point(cfg: SolitonConfig, variant: "Variant | str | None" = None) -> _Poi
     return _PointEval(cfg, _terms_F(cfg.gamma**2, v))
 
 
-def _w_grid(k: float, shift: float, xr, xi, t: float):
-    """-k (x - shift) + k^3 t over an array of x, as (re, im)."""
+def _w_grid(k: float, shift: float, xr, xi, t):
+    """-k (x - shift) + k^3 t over an array of x, as (re, im); t is a float
+    or an array of times with the shape of x."""
     mr, mi = cmul(-k, 0.0, xr - shift, xi - 0.0)
     return mr + k**3 * t, mi + 0.0
 
@@ -526,11 +530,15 @@ def _eval_terms_grid(
     cfg: SolitonConfig,
     terms: Sequence[Term],
     xs: np.ndarray,
-    t: float,
+    t: "float | np.ndarray",
     dx: int = 0,
     dt: int = 0,
 ) -> ScaledGrid:
-    """``_eval_terms`` at every point of a complex array, bit for bit."""
+    """``_eval_terms`` at every point of a complex array, bit for bit.
+
+    t is one time for every x, or an array of times with the shape of xs
+    (one time per point, as for the samples of pole curves): each point
+    then equals ``_eval_terms`` at its own (x, t)."""
     w1r, w1i = _w_grid(cfg.k1, cfg.x1, xs.real, xs.imag, t)
     w2r, w2i = _w_grid(cfg.k2, cfg.x2, xs.real, xs.imag, t)
     out = []
@@ -579,7 +587,8 @@ def F_grid(
     dx: int = 0,
     dt: int = 0,
 ) -> ScaledGrid:
-    """``F_scaled`` at every point of xs, bit for bit."""
+    """``F_scaled`` at every point of xs, bit for bit; t may also hold one
+    time per point (see ``_eval_terms_grid``)."""
     v = cfg.variant if variant is None else Variant.coerce(variant)
     return _eval_terms_grid(cfg, _terms_F(cfg.gamma**2, v), _as_grid(xs), t, dx, dt)
 
@@ -592,7 +601,8 @@ def G_grid(
     dx: int = 0,
     dt: int = 0,
 ) -> ScaledGrid:
-    """``G_scaled`` at every point of xs, bit for bit."""
+    """``G_scaled`` at every point of xs, bit for bit; t may also hold one
+    time per point (see ``_eval_terms_grid``)."""
     v = cfg.variant if variant is None else Variant.coerce(variant)
     return _eval_terms_grid(cfg, _terms_G(cfg.k1, cfg.k2, v), _as_grid(xs), t, dx, dt)
 
@@ -609,6 +619,21 @@ def factor_scaled(
     """Log-balanced complex factor F1 or F2 of F (or a derivative)."""
     v = cfg.variant if variant is None else Variant.coerce(variant)
     return _eval_terms(cfg, _terms_factor(cfg, v, which), x, t, dx, dt)
+
+
+def _factor_grid(
+    cfg: SolitonConfig,
+    xs: np.ndarray,
+    t: "float | np.ndarray",
+    which: int,
+    variant: Optional[Variant] = None,
+    dx: int = 0,
+    dt: int = 0,
+) -> ScaledGrid:
+    """``factor_scaled`` at every point of xs, bit for bit; t is one time
+    or one per point (see ``_eval_terms_grid``)."""
+    v = cfg.variant if variant is None else Variant.coerce(variant)
+    return _eval_terms_grid(cfg, _terms_factor(cfg, v, which), xs, t, dx, dt)
 
 
 def kdv_F_scaled(

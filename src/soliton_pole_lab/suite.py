@@ -21,7 +21,13 @@ reason, never silently dropped.  Any other exception fails only its own
 row, with worst = inf and the exception's type and message as the
 detail.  The battery is deterministic for a fixed seed; each row also
 records its wall time (``CheckResult.elapsed_s``), which the report's
-JSON leaves out."""
+JSON leaves out and ``verify --stats`` prints to stderr.
+
+The rows that test a law at many sampled points -- the sign law on
+tracked curves, the factorization at random probes -- evaluate all their
+samples on the kernel's grid engine, one call per term table with one
+time per sample.  Each value equals the one-point evaluation bit for bit,
+so the report is that of a per-point loop."""
 
 from __future__ import annotations
 
@@ -32,18 +38,20 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import analysis, interaction
 from .asymptotics import FamilyLabel, Speed, match_horizons, seed_state, seed_time
 from .blowup import _DELTA_LADDER, blowup_profile, build_scenario, fit_blowup_rate
 from .exppoly import oracle_poles
 from .kernel import (
     ConvergenceError,
-    F_scaled,
+    F_grid,
     PoleError,
     SolitonConfig,
     Variant,
     _eqg_exact,
-    factor_scaled,
+    _factor_grid,
     pde_residual,
 )
 from .tracker import PoleCurve, track_curve, track_ensemble
@@ -206,15 +214,24 @@ def _check_pde_richardson(cfg: SolitonConfig, rng: random.Random):
 
 @_check("factorization-product")
 def _check_factorization(cfg: SolitonConfig, rng: random.Random, n: int = 100):
+    """|F1 F2 / F - 1| at n random probes per variant, each variant's probes
+    evaluated in one grid call per table, bit for bit the per-point values.
+    ``worst`` is the first largest deviation in probe order; NaN never
+    wins."""
     worst, witness = 0.0, ""
     for variant in (Variant.PLUS, Variant.MINUS):
-        for x, t in analysis._random_probes(cfg, rng, n):
-            f1 = factor_scaled(cfg, x, t, 1, variant)
-            f2 = factor_scaled(cfg, x, t, 2, variant)
-            F = F_scaled(cfg, x, t, variant)
-            rel = abs((f1 * f2).ratio(F) - 1.0)
-            if rel > worst:
-                worst, witness = rel, f"x={x}, t={t}, variant={variant.value}"
+        probes = analysis._random_probes(cfg, rng, n)
+        xs = np.array([x for x, _ in probes], dtype=complex)
+        ts = np.array([t for _, t in probes])
+        f1 = _factor_grid(cfg, xs, ts, 1, variant)
+        f2 = _factor_grid(cfg, xs, ts, 2, variant)
+        qr, qi, fault = (f1 * f2).ratio(F_grid(cfg, xs, ts, variant))
+        if fault is not None:
+            raise fault[1]
+        rel = np.hypot(qr - 1.0, qi - 0.0)  # abs(q - 1.0)
+        for (x, t), r in zip(probes, rel.tolist()):
+            if r > worst:
+                worst, witness = r, f"x={x}, t={t}, variant={variant.value}"
     return worst < 1e-12, worst, witness, f"{2 * n} probe points"
 
 
@@ -259,6 +276,11 @@ def _check_cosine_relations(cfg: SolitonConfig):
 
 @_check("vertical-sign-law")
 def _check_sign_law(cfg: SolitonConfig, curves: Optional[Sequence[PoleCurve]]):
+    """The sign law at every fifth sample of each tracked curve (the
+    battery's ensemble, or four seeded family curves without the oracle),
+    all samples in one ``analysis._vertical_signs`` call.  Samples that are
+    not simple zeros are left out; ``worst`` counts violations and the
+    witness is the first violation of largest measured |Im x'|."""
     if curves is None:
         # Seed four asymptotic families directly (no exact oracle).
         curves = []
@@ -269,21 +291,22 @@ def _check_sign_law(cfg: SolitonConfig, curves: Optional[Sequence[PoleCurve]]):
                 label = FamilyLabel(speed, index, -1)
                 x0, t0 = seed_state(cfg, label, eps)
                 curves.append(track_curve(cfg, None, x0, t0, t_seed))
+    samples = [s for curve in curves for s in curve.samples[::5]]
+    verdicts = analysis._vertical_signs(
+        cfg, [x for _, x in samples], [t for t, _ in samples]
+    )
     total = decisive = violations = 0
     worst, witness = 0.0, ""
-    for curve in curves:
-        for t, x in curve.samples[::5]:
-            try:
-                vs = analysis.vertical_sign(cfg, x, t)
-            except (PoleError, ConvergenceError):
-                continue  # collision point or stale sample
-            total += 1
-            if vs.predicted_sign != 0 and vs.measured_sign != 0:
-                decisive += 1
-            if not vs.consistent:
-                violations += 1
-                if abs(vs.measured) > worst:
-                    worst, witness = abs(vs.measured), f"x={x}, t={t}"
+    for (t, x), vs in zip(samples, verdicts):
+        if vs is None:
+            continue  # collision point or stale sample
+        total += 1
+        if vs.predicted_sign != 0 and vs.measured_sign != 0:
+            decisive += 1
+        if not vs.consistent:
+            violations += 1
+            if abs(vs.measured) > worst:
+                worst, witness = abs(vs.measured), f"x={x}, t={t}"
     return (
         violations == 0 and decisive > 0,
         float(violations),

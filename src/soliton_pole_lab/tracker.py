@@ -23,7 +23,10 @@ Each step evaluates F through one kernel point evaluator per curve
 returns the F_x of the point it converged to, and the predictor of the next
 step reuses that accepted sample's F_x instead of evaluating it again; its
 F_t at the same point shares the exponentials the corrector formed there.
-The F_x of a corrector whose result is rejected is never reused.
+The F_x of a corrector whose result is rejected is never reused.  The
+predictor's F_t and slope are formed once per accepted sample: a retry
+with a halved step after a rejected run reuses them, so the evaluator never
+sets up the accepted point a second time.
 
 Values stay the (mant, log, norm) triples the evaluator returns: the
 corrector's |F| test and Newton step and the predictor's slope are formed
@@ -283,6 +286,7 @@ def track_zero_curve(
     t = t_start
     prev_fx = fx_rel
     steps = 0
+    slope = None  # the predictor's slope at the last accepted sample
 
     while sign * (t_end - t) > 0:
         steps += 1
@@ -297,12 +301,13 @@ def track_zero_curve(
         else:
             step, t_next = dt, t + sign * dt
         # Predictor: x' = -F_t / F_x, with the F_x the corrector left at
-        # this sample.
-        Ft = F(x, t, 0, 1)
-        try:
-            slope = -_quotient(Ft, Fx)
-        except (ZeroDivisionError, OverflowError):
-            slope = 0j
+        # this sample, formed once per sample and kept for retries.
+        if slope is None:
+            Ft = F(x, t, 0, 1)
+            try:
+                slope = -_quotient(Ft, Fx)
+            except (ZeroDivisionError, OverflowError):
+                slope = 0j
         x_pred = x + slope * sign * step
         try:
             x_new, F_new, Fx_new, iters = _newton_correct(F, x_pred, t_next, opts)
@@ -333,6 +338,7 @@ def track_zero_curve(
             break
         # Accept the sample.
         t, x, Fx, prev_fx_old = t_next, x_new, Fx_new, prev_fx
+        slope = None
         prev_fx = fx_rel
         samples.append((t, x))
         residuals.append(_relative_of(F_new))

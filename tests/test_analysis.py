@@ -15,8 +15,13 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from soliton_pole_lab import analysis
+from soliton_pole_lab._balanced import Scaled, ScaledGrid
 from soliton_pole_lab.kernel import (
     ConvergenceError,
     F_scaled,
@@ -29,7 +34,7 @@ from soliton_pole_lab.kernel import (
 )
 from soliton_pole_lab import exppoly
 from soliton_pole_lab.exppoly import oracle_poles
-from soliton_pole_lab.tracker import track_curve
+from soliton_pole_lab.tracker import TrackerOptions, track_curve
 from soliton_pole_lab.analysis import (
     check_no_real_poles,
     cos_identities_residual,
@@ -42,6 +47,7 @@ from soliton_pole_lab.analysis import (
     translation_residual,
     vertical_sign,
 )
+from soliton_pole_lab.analysis import _vertical_signs
 
 
 def _line(imag: float, n: int = 4001, span: float = 20.0) -> list[complex]:
@@ -270,6 +276,132 @@ def test_sign_law_errors():
         vertical_sign(SolitonConfig.make(1, 2, "plus"), 50 + 0.3j, 0.0)
     with pytest.raises(ConvergenceError, match="multiple zero|below threshold"):
         vertical_sign(SolitonConfig.make(1, 5, "minus"), 1j * math.pi / 2, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# The batch form of the sign law against the scalar form.
+# ---------------------------------------------------------------------------
+
+
+def _scalar_signs(cfg, samples):
+    """``vertical_sign`` per (t, x) sample, None where it raises PoleError or
+    ConvergenceError."""
+    out = []
+    for t, x in samples:
+        try:
+            out.append(vertical_sign(cfg, x, t))
+        except (PoleError, ConvergenceError):
+            out.append(None)
+    return out
+
+
+def _assert_batch_equals_scalar(cfg, samples):
+    """repr is exact for floats and tells -0.0 from 0.0."""
+    got = _vertical_signs(cfg, [x for _, x in samples], [t for t, _ in samples])
+    assert repr(got) == repr(_scalar_signs(cfg, samples))
+    return got
+
+
+_COPRIME_9 = [(a, b) for b in range(2, 10) for a in range(1, b) if math.gcd(a, b) == 1]
+
+
+@given(
+    pair=st.sampled_from(_COPRIME_9),
+    variant=st.sampled_from(["plus", "minus"]),
+    t0=st.floats(-6.0, 6.0),
+    span=st.floats(0.2, 1.5),
+    pick=st.integers(0, 10**6),
+)
+@settings(max_examples=30, deadline=None)
+def test_batch_sign_law_equals_scalar_property(pair, variant, t0, span, pick):
+    """Every sample of one tracked curve, every oracle pole at its start
+    (multiple roots give the ConvergenceError skip) and each pole moved off
+    the zero set (the PoleError skip): the batch equals ``vertical_sign``
+    bit for bit, skips included."""
+    cfg = SolitonConfig.make(*pair, variant)
+    poles = oracle_poles(cfg, t=t0)
+    samples = [(t0, x) for x, _ in poles] + [(t0, x + 0.1) for x, _ in poles]
+    x0, _ = poles[pick % len(poles)]
+    t1 = t0 + (span if t0 < 0 else -span)
+    try:
+        samples += track_curve(cfg, None, x0, t0, t1).samples
+    except ConvergenceError:
+        pass  # a seed on a multiple root: the oracle poles still count
+    got = _assert_batch_equals_scalar(cfg, samples)
+    assert got.count(None) >= len(poles)
+
+
+@pytest.mark.parametrize("variant", ["plus", "minus"])
+def test_batch_sign_law_where_a1_leaves_double_range(variant):
+    """The far (2, 7) zeros at t = -+10, where A1 overflows or underflows,
+    mixed with the near ones in one batch."""
+    cfg = SolitonConfig.make(2, 7, variant)
+    samples = [(t, x) for t in (-10.0, 10.0) for x, _ in oracle_poles(cfg, t=t)]
+    got = _assert_batch_equals_scalar(cfg, samples)
+    assert sum(1 for vs in got if vs is not None and math.isinf(vs.expression)) == 28
+
+
+def test_batch_sign_law_on_the_collision_approach():
+    """(1, 5, minus) curves tracked into the t = 0 collision, and the
+    4-fold zeros at the collision itself."""
+    cfg = SolitonConfig.make(1, 5, "minus")
+    opts = TrackerOptions(dt_init=1e-4, collision_radius=1e-7)
+    samples = [(0.0, x) for x, _ in oracle_poles(cfg, t=0.0)]
+    for x0, _ in oracle_poles(cfg, t=-0.01):
+        if abs(x0 - 1j * math.pi / 2) < 0.6:
+            samples += track_curve(cfg, None, x0, -0.01, 0.0, opts).samples
+    got = _assert_batch_equals_scalar(cfg, samples)
+    assert None in got and any(vs is not None for vs in got)
+
+
+def test_batch_sign_law_on_empty_input():
+    assert _vertical_signs(SolitonConfig.make(1, 2, "plus"), [], []) == []
+
+
+def test_batch_sign_law_raises_the_first_ratio_fault(monkeypatch):
+    """F_t scaled by e^800 and more at chosen samples makes Ft / Fx overflow
+    there, with a message of its own per sample.  The batch raises the
+    scalar form's OverflowError, with its message, for the first such
+    sample that is a simple zero: a sample that is not a zero is skipped
+    before its ratio is formed, as in the scalar form."""
+    cfg = SolitonConfig.make(1, 2, "plus")
+    zeros = [(0.4, x) for x, _ in oracle_poles(cfg, t=0.4)]
+    samples = [zeros[0], (0.4, zeros[1][1] + 0.1), zeros[1], zeros[2], zeros[3]]
+    forced = {samples[1][1]: 900.0, samples[3][1]: 800.0, samples[4][1]: 850.0}
+    factor_scaled_, factor_grid_ = analysis.factor_scaled, analysis._factor_grid
+
+    def scalar(cfg, x, t, which, variant=None, dx=0, dt=0):
+        v = factor_scaled_(cfg, x, t, which, variant, dx, dt)
+        return v * Scaled(1.0, forced[x], 1.0) if dt and x in forced else v
+
+    def grid(cfg, xs, t, which, variant=None, dx=0, dt=0):
+        v = factor_grid_(cfg, xs, t, which, variant, dx, dt)
+        if dt:
+            shift = np.array([forced.get(complex(x), 0.0) for x in xs])
+            v = ScaledGrid(v.re, v.im, v.log + shift, v.norm)
+        return v
+
+    monkeypatch.setattr(analysis, "factor_scaled", scalar)
+    monkeypatch.setattr(analysis, "_factor_grid", grid)
+
+    def first_error():
+        with pytest.raises(OverflowError) as got:
+            _vertical_signs(cfg, [x for _, x in samples], [t for t, _ in samples])
+        return str(got.value)
+
+    with pytest.raises(PoleError):
+        vertical_sign(cfg, samples[1][1], 0.4)
+    assert vertical_sign(cfg, samples[2][1], 0.4) is not None
+    messages = []
+    for _, x in samples[3:]:
+        with pytest.raises(OverflowError, match="representable range in ratio") as want:
+            vertical_sign(cfg, x, 0.4)
+        messages.append(str(want.value))
+    assert messages[0] != messages[1]
+    assert first_error() == messages[0]
+    # Without the fault at samples[3] the first one left is samples[4]'s.
+    del forced[samples[3][1]]
+    assert first_error() == messages[1]
 
 
 # ---------------------------------------------------------------------------

@@ -83,3 +83,26 @@ def test_track_stats_go_to_stderr_only(capsys, name):
         assert index == i
         assert accepted == n - 1
         assert points == newton + 1 + accepted + rejected
+
+
+_ROW_STATS = re.compile(r"check (\S+): elapsed_s=(\d+\.\d{6})")
+_BATTERY_STATS = re.compile(r"battery: elapsed_s=(\d+\.\d{6}) checks_s=(\d+\.\d{6})")
+
+
+@pytest.mark.parametrize("name", ["verify_12p", "verify_15m", "verify_1r2p"])
+def test_verify_stats_go_to_stderr_only(capsys, name):
+    code = run(CASES[name] + ["--stats"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == (GOLDEN / f"{name}.out").read_bytes().decode("utf-8")
+    names = [c["name"] for c in json.loads(captured.out)["checks"]]
+    *rows, total = captured.err.splitlines()
+    assert len(rows) == len(names) == 12
+    times = []
+    for line, want in zip(rows, names):
+        got, elapsed = _ROW_STATS.fullmatch(line).groups()
+        assert got == want
+        times.append(float(elapsed))
+    battery, checks = map(float, _BATTERY_STATS.fullmatch(total).groups())
+    assert checks == pytest.approx(sum(times), abs=1e-5)
+    assert battery >= checks

@@ -39,12 +39,15 @@ from soliton_pole_lab.kernel import (
     PoleError,
     PoleMarker,
     SolitonConfig,
+    Variant,
+    _factor_grid,
     _u_or_raise,
     _u_or_raise_grid,
     eval_u,
     eval_u_grid,
     eval_u_x,
     eval_u_x_grid,
+    factor_scaled,
 )
 
 
@@ -329,6 +332,57 @@ def test_grid_evaluators_match_scalar_bitwise(spec, t, im, ridge, offset) -> Non
             eval_u_x_grid(cfg, xs, t)
     else:
         assert_complex_bits(eval_u_x_grid(cfg, xs, t), want_x, "eval_u_x")
+
+
+# name -> (grid evaluator, scalar evaluator, arguments before the variant)
+_TABLES = {
+    "F": (F_grid, F_scaled, ()),
+    "G": (G_grid, G_scaled, ()),
+    "F1": (_factor_grid, factor_scaled, (1,)),
+    "F2": (_factor_grid, factor_scaled, (2,)),
+}
+
+
+def _assert_per_point_t(cfg, xs, ts, dx, dt) -> None:
+    """Every table at (xs[i], ts[i]) with one grid call, against the scalar
+    sum at each point."""
+    for variant in (Variant.PLUS, Variant.MINUS):
+        for name, (grid, scalar, args) in _TABLES.items():
+            zs, times = np.array(xs, dtype=complex), np.array(ts)
+            got = grid(cfg, zs, times, *args, variant, dx, dt)
+            want = [scalar(cfg, x, t, *args, variant, dx, dt) for x, t in zip(xs, ts)]
+            assert len(got) == len(xs)
+            assert_scaled(got, want, f"{name} {variant.value} dx={dx} dt={dt}")
+
+
+@given(
+    spec=st.one_of(st.sampled_from(EXACT_CONFIGS), st.just("approx")),
+    t=st.floats(min_value=-20.0, max_value=20.0),
+    im=st.floats(min_value=-3.0, max_value=3.0),
+    ridge=st.sampled_from([0, 1, 2]),
+    dx=st.integers(0, 2),
+    dt=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_per_point_times_match_scalar_bitwise(spec, t, im, ridge, dx, dt, seed):
+    """t as an array with the shape of x: each point equals the scalar sum
+    at its own (x, t).  With ridge > 0 each point sits on its own time's
+    ridge x = k^2 t of one soliton, where the terms cancel hardest."""
+    cfg = _config(spec)
+    rng = random.Random(seed)
+    ts = [t + rng.uniform(-2.0, 2.0) for _ in range(41)]
+    k2 = (0.0, cfg.k1**2, cfg.k2**2)[ridge]
+    xs = [complex(k2 * ti + rng.uniform(-3.0, 3.0), im) for ti in ts]
+    _assert_per_point_t(cfg, xs, ts, dx, dt)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_per_point_times_on_one_point_and_empty_arrays(n) -> None:
+    cfg = SolitonConfig.make(1, 5, "minus")
+    xs, ts = [0.3 - 1.2j, 2.0 + 0.4j][:n], [0.7, -4.0][:n]
+    for dx, dt in ((0, 0), (1, 0), (0, 1), (2, 1), (1, 2)):
+        _assert_per_point_t(cfg, xs, ts, dx, dt)
 
 
 def _grid_with_poles(cfg: SolitonConfig, t: float) -> list[complex]:

@@ -362,3 +362,51 @@ def test_battery_solves_each_snapshot_once(monkeypatch, report12):
     report = run_battery(SolitonConfig.make(1, 2, "plus"), seed=0)
     assert repr(report.to_dict()) == repr(report12.to_dict())
     assert len(solves) == len(set(solves)) == 12
+
+
+_BATTERY_CONFIGS = {
+    "report12": (1, 2, "plus"),
+    "report15": (1, 5, "minus"),
+    "report_irr": (1.0, 2**0.5, "plus"),
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(_BATTERY_CONFIGS))
+def test_sign_law_and_factorization_make_no_scalar_calls(
+    monkeypatch, request, fixture
+):
+    """The two rows evaluate all their samples on the grid engine: run
+    alone, they call neither ``vertical_sign`` nor the one-value
+    ``factor_scaled`` and ``F_scaled``, and give the battery's rows."""
+    report = request.getfixturevalue(fixture)
+    cfg = SolitonConfig.make(*_BATTERY_CONFIGS[fixture])
+    rng = random.Random(report.seed)
+    # The rows before factorization draw its probes' predecessors.
+    suite._check_field_equation(cfg, rng)
+    suite._check_pde_richardson(cfg, rng)
+    curves = None
+    if cfg.comm is not None:
+        horizon = max(10.0, suite.seed_time(cfg, 1e-6) + 2.0)
+        seeds = exppoly.oracle_poles(cfg, t=-horizon)
+        curves = suite.track_ensemble(cfg, -horizon, horizon, poles=seeds)
+    calls = []
+
+    def spied(module, name):
+        original = getattr(module, name)
+
+        def spy(*args, **kwargs):
+            calls.append(f"{module.__name__}.{name}")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+
+    for module in (kernel, analysis, suite):
+        for name in ("vertical_sign", "factor_scaled", "F_scaled"):
+            if hasattr(module, name):
+                spied(module, name)
+    rows = {c.name: c.to_dict() for c in report.checks}
+    factorization = suite._check_factorization(cfg, rng)
+    sign_law = suite._check_sign_law(cfg, curves)
+    assert calls == []
+    assert factorization.to_dict() == rows["factorization-product"]
+    assert sign_law.to_dict() == rows["vertical-sign-law"]

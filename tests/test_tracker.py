@@ -8,6 +8,7 @@ x(t) = x0 + k^2 t + m pi i / (2k) is exact; collision scaling limits for
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from soliton_pole_lab import kernel
 from soliton_pole_lab._balanced import balanced_sum
 from soliton_pole_lab.exppoly import oracle_poles
 from soliton_pole_lab.kernel import (
@@ -440,14 +442,16 @@ def test_track_curve_equals_plain_F_scaled_property(pair, variant, t0, t1, pick)
 
 def _spied(cfg):
     """The kernel's point evaluator of F behind a spy that records the
-    distinct points (x, t) it is called at and counts the predictor's F_t
-    calls, one per corrector run after the seed's."""
+    distinct points (x, t) it is called at, counts the calls for F's value
+    and records the points of the predictor's F_t calls."""
     ev = _F_point(cfg)
-    seen = {"points": set(), "F_t": 0}
+    seen = {"points": set(), "F": 0, "F_t": []}
 
     def spy(x, t, dx=0, dt=0):
         seen["points"].add((x, t))
-        seen["F_t"] += (dx, dt) == (0, 1)
+        seen["F"] += (dx, dt) == (0, 0)
+        if (dx, dt) == (0, 1):
+            seen["F_t"].append((t, x))
         return ev(x, t, dx, dt)
 
     return spy, seen
@@ -464,10 +468,17 @@ def test_work_counters_match_a_spy(case):
         spy, seen = _spied(cfg)
         curve = track_zero_curve(spy, x0, t0, t1, opts, points, cfg.variant)
         assert curve.accepted == len(curve.samples) - 1
-        assert curve.accepted + curve.rejected == seen["F_t"]
-        assert curve.points == len(seen["points"])
-        # One point per Newton iterate plus one per corrector run.
-        assert curve.newton_iterations == curve.points - 1 - seen["F_t"]
+        # The predictor's F_t is formed at accepted samples only, once each,
+        # however many corrector runs start from the sample.
+        assert len(set(seen["F_t"])) == len(seen["F_t"]) <= curve.accepted + 1
+        assert set(seen["F_t"]) <= set(curve.samples)
+        # Each corrector iterate asks for F once, at a point of its own.
+        assert curve.points == len(seen["points"]) == seen["F"]
+        # One point per Newton iterate plus one per corrector run: the
+        # seed's, and one per accepted or rejected step.
+        assert curve.newton_iterations == (
+            curve.points - 1 - curve.accepted - curve.rejected
+        )
         rejected += curve.rejected
         # The counters are no part of the curve's value.
         bare = PoleCurve(
@@ -480,4 +491,38 @@ def test_work_counters_match_a_spy(case):
         assert bare == curve
     if case == "collision":
         assert rejected > 0  # the approach halves its step
+
+
+def test_retries_set_up_no_point_twice(monkeypatch):
+    """A retry after a rejected corrector run reuses the accepted sample's
+    predictor: the point evaluator sets up each distinct point once (one
+    exponent pair per new (x, t)), and the samples are those recorded
+    before the reuse, bit for bit."""
+    spec, t0, t1, opts, keep = TRACK_CASES["collision"]
+    cfg = SolitonConfig.make(*spec)
+    seeds = [x for x, _ in oracle_poles(cfg, t=t0) if keep(x)]
+    setups = []
+    w_pair = kernel._w_pair
+
+    def counted(*args):
+        setups.append(args[1:])
+        return w_pair(*args)
+
+    monkeypatch.setattr(kernel, "_w_pair", counted)
+    digest = hashlib.sha256()
+    rejected = 0
+    for x0 in seeds:
+        del setups[:]
+        curve = track_curve(cfg, None, x0, t0, t1, opts)
+        assert len(setups) == len(set(setups)) == curve.points
+        rejected += curve.rejected
+        digest.update(
+            repr((curve.samples, curve.residuals, curve.collision_point)).encode()
+        )
+    assert rejected == 62
+    # repr of the four curves as tracked before retries reused the
+    # predictor (58 of the 1,105 set-ups then repeated an accepted point).
+    assert digest.hexdigest() == (
+        "362a94111cd2cae15141f4e65509a3be7fe192bcad23793482601931a360f529"
+    )
 
