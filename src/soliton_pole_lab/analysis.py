@@ -58,6 +58,10 @@ Residues.  At a simple zero x0 of F the solution u = 2 g G/F has the
 simple-pole residue 2 g G(x0)/F_x(x0); a trapezoid contour integral on a
 small circle provides an independent cross-check.  Laurent balance of the
 equation forces every residue to be +i or -i.
+
+Variants.  The config carries the sign variant, and every helper here
+reads it from there.  The public functions' ``variant=`` override is
+resolved once at entry (``kernel._in_variant``).
 """
 
 from __future__ import annotations
@@ -82,6 +86,7 @@ from .kernel import (
     Variant,
     _F_point,
     _factor_grid,
+    _in_variant,
     _u_or_raise_grid,
     factor_scaled,
     kdv_F_scaled,
@@ -108,11 +113,9 @@ __all__ = [
 # A zero handed to the verification ops must satisfy |F| below this
 # (relative to the term scale); used as the "is actually a zero" gate.
 ZERO_GATE = 1e-6
-# A factor derivative below this relative size marks a multiple zero
-# (same calibration as the tracker: Newton parks at distance tol^(1/m)
-# from an order-m zero, where the derivative has relative size about
-# m * tol^((m-1)/m), i.e. 2e-6 for a double zero at tol 1e-12).
-FX_GATE = 3e-6
+# A factor derivative below this relative size marks a multiple zero: the
+# tracker's near-multiple-root threshold (see ``TrackerOptions``).
+FX_GATE = TrackerOptions.fx_min
 # Residues are read off at the pole itself, so polish tighter than the
 # tracker's default corrector target.
 _POLISH_OPTS = TrackerOptions(newton_tol=1e-13)
@@ -123,10 +126,6 @@ _FACTOR_SIGN = {
     (Variant.MINUS, 1): -1,
     (Variant.MINUS, 2): +1,
 }
-
-
-def _variant(cfg: SolitonConfig, variant: Optional[Variant]) -> Variant:
-    return cfg.variant if variant is None else Variant.coerce(variant)
 
 
 # ---------------------------------------------------------------------------
@@ -192,22 +191,20 @@ def factor_F(
     Plain complex values; may overflow for extreme arguments, in which
     case use ``factor_scaled`` directly.
     """
-    v = _variant(cfg, variant)
+    cfg = _in_variant(cfg, variant)
     return (
-        factor_scaled(cfg, x, t, 1, v).value(),
-        factor_scaled(cfg, x, t, 2, v).value(),
+        factor_scaled(cfg, x, t, 1).value(),
+        factor_scaled(cfg, x, t, 2).value(),
     )
 
 
-def _which_factor(
-    cfg: SolitonConfig, x: complex, t: float, v: Variant
-) -> tuple[int, float]:
+def _which_factor(cfg: SolitonConfig, x: complex, t: float) -> tuple[int, float]:
     """Index (1 or 2) of the factor vanishing at (x, t), with its residual.
 
     Raises PoleError when neither factor is zero to within ZERO_GATE.
     """
-    r1 = factor_scaled(cfg, x, t, 1, v).relative()
-    r2 = factor_scaled(cfg, x, t, 2, v).relative()
+    r1 = factor_scaled(cfg, x, t, 1).relative()
+    r2 = factor_scaled(cfg, x, t, 2).relative()
     which, rel = (1, r1) if r1 <= r2 else (2, r2)
     if rel > ZERO_GATE:
         raise PoleError(
@@ -255,14 +252,13 @@ def check_no_real_poles(
     in the commensurable case, so the scan minimum there is bounded away
     from zero; on a pole line it dips to zero at the pole.
     """
-    v = _variant(cfg, variant)
     if grid is None:
         n = 4001
         grid = -20.0 + 40.0 * np.arange(n) / (n - 1)
     xs = np.asarray(grid, dtype=complex).reshape(-1)
     if not len(xs):
         raise ValueError("grid must contain at least one point")
-    r = F_grid(cfg, xs, t, v).relative()
+    r = F_grid(_in_variant(cfg, variant), xs, t).relative()
     # The first strict minimum; NaN never wins, and an all-inf scan keeps
     # the first point.
     i = int(np.argmin(np.where(np.isnan(r), math.inf, r)))
@@ -320,8 +316,7 @@ def cos_identities_residual(
     """
     if cfg.variant is not Variant.PLUS:
         raise ValueError("the cosine relations hold at plus-variant zeros")
-    v = Variant.PLUS
-    rel = factor_scaled(cfg, x, t, 1, v).relative()
+    rel = factor_scaled(cfg, x, t, 1).relative()
     if rel > ZERO_GATE:
         raise PoleError(
             f"({x}, {t}) is not a zero of the first plus factor: "
@@ -396,14 +391,15 @@ def _a1_law(log_a1: float) -> float:
 
 
 def _sign_prediction(
-    cfg: SolitonConfig, v: Variant, which: int, x: complex, t: float
+    cfg: SolitonConfig, which: int, x: complex, t: float
 ) -> tuple[int, float]:
     """The law's (predicted sign, expression) at a zero of factor ``which``:
     the expression s * (A1 - 1/A1) * cos(k2 alpha), and its sign with
     predictions smaller than 1e-12 counted as 0.  The one prediction of
     ``vertical_sign`` and ``_vertical_signs``."""
     log_a1, _ = _log_moduli(cfg, x, t)
-    expression = _FACTOR_SIGN[(v, which)] * _a1_law(log_a1) * math.cos(cfg.k2 * -x.imag)
+    sign = _FACTOR_SIGN[(cfg.variant, which)]
+    expression = sign * _a1_law(log_a1) * math.cos(cfg.k2 * -x.imag)
     if abs(expression) < 1e-12:
         return 0, expression
     return (1 if expression > 0 else -1), expression
@@ -430,17 +426,17 @@ def vertical_sign(
     ``_vertical_signs``, which gives the same verdicts bit for bit from
     one grid evaluation per factor table.
     """
-    v = _variant(cfg, variant)
-    which, _ = _which_factor(cfg, x, t, v)
-    Ft = factor_scaled(cfg, x, t, which, v, dt=1)
-    Fx = factor_scaled(cfg, x, t, which, v, dx=1)
+    cfg = _in_variant(cfg, variant)
+    which, _ = _which_factor(cfg, x, t)
+    Ft = factor_scaled(cfg, x, t, which, dt=1)
+    Fx = factor_scaled(cfg, x, t, which, dx=1)
     if Fx.relative() < FX_GATE:
         raise ConvergenceError(
             f"factor derivative below threshold at ({x}, {t}): "
             f"relative |F_x|={Fx.relative():.3e} (multiple zero?)"
         )
     measured = (-Ft.ratio(Fx)).imag
-    predicted, expression = _sign_prediction(cfg, v, which, complex(x), t)
+    predicted, expression = _sign_prediction(cfg, which, complex(x), t)
     return VerticalSign(predicted, measured, expression, which)
 
 
@@ -458,7 +454,6 @@ def _vertical_signs(
     cfg: SolitonConfig,
     xs: Sequence[complex],
     ts: Sequence[float],
-    variant: Optional[Variant] = None,
 ) -> list[Optional[VerticalSign]]:
     """``vertical_sign`` at every sample (xs[i], ts[i]), bit for bit: one
     ``VerticalSign`` per sample, or None where the scalar form raises
@@ -470,12 +465,11 @@ def _vertical_signs(
     samples on the grid engine, with one time per point; the vanishing
     factor's values are then picked per sample.
     """
-    v = _variant(cfg, variant)
     zs = np.asarray(xs, dtype=complex).reshape(-1)
     times = np.asarray(ts, dtype=float).reshape(-1)
     (F1, F1t, F1x), (F2, F2t, F2x) = (
         [
-            _factor_grid(cfg, zs, times, which, v, dx, dt)
+            _factor_grid(cfg, zs, times, which, dx, dt)
             for dx, dt in ((0, 0), (0, 1), (1, 0))  # F, F_t, F_x
         ]
         for which in (1, 2)
@@ -496,7 +490,7 @@ def _vertical_signs(
             continue
         if i == stop:
             raise fault[1]
-        predicted, expression = _sign_prediction(cfg, v, which, complex(x), t)
+        predicted, expression = _sign_prediction(cfg, which, complex(x), t)
         out.append(VerticalSign(predicted, measured, expression, which))
     return out
 
@@ -534,8 +528,8 @@ def translation_residual(
     cfg: SolitonConfig, x: complex, t: float, theta: float
 ) -> float:
     """Relative deviation |F_plus(x - i theta, t) / F_minus(x, t) - 1|."""
-    num = F_scaled(cfg, complex(x) - 1j * theta, t, Variant.PLUS)
-    den = F_scaled(cfg, complex(x), t, Variant.MINUS)
+    num = F_scaled(cfg.with_variant(Variant.PLUS), complex(x) - 1j * theta, t)
+    den = F_scaled(cfg.with_variant(Variant.MINUS), complex(x), t)
     return abs(num.ratio(den) - 1.0)
 
 
@@ -578,11 +572,11 @@ def odd_translation_residuals(
 ) -> tuple[float, float]:
     """Relative deviations |F_i(x - i theta_i, t) / K(x, t) - 1| for the two
     factors, where K = 1 + gamma f1 + gamma f2 + f1 f2."""
-    v = _variant(cfg, variant)
+    cfg = _in_variant(cfg, variant)
     den = kdv_F_scaled(cfg, complex(x), t)
     out = []
     for which, theta in ((1, theta1), (2, theta2)):
-        num = factor_scaled(cfg, complex(x) - 1j * theta, t, which, v)
+        num = factor_scaled(cfg, complex(x) - 1j * theta, t, which)
         out.append(abs(num.ratio(den) - 1.0))
     return out[0], out[1]
 
@@ -606,12 +600,12 @@ def odd_parity_translation(
     Q_1 = 3 p1 (= p2), Q_2 = p1 (mod 4) in the minus case.  Both
     identities are spot-checked at random points before returning.
     """
-    v = _variant(cfg, variant)
+    cfg = _in_variant(cfg, variant)
     comm = _require_comm(cfg)
     p1, p2 = comm.p1, comm.p2
     if p1 % 2 == 0 or p2 % 2 == 0:
         raise ValueError(f"p1={p1} and p2={p2} must both be odd")
-    if v is Variant.PLUS:
+    if cfg.variant is Variant.PLUS:
         if (p2 - p1) % 4 != 0:
             raise ValueError(
                 f"p2 - p1 = {p2 - p1} must be divisible by 4 for the "
@@ -629,7 +623,7 @@ def odd_parity_translation(
     theta2 = q2 * math.pi * comm.lam / 2.0
     rng = random.Random(seed)
     for x, t in _random_probes(cfg, rng, probes):
-        r1, r2 = odd_translation_residuals(cfg, theta1, theta2, x, t, v)
+        r1, r2 = odd_translation_residuals(cfg, theta1, theta2, x, t)
         if not max(r1, r2) < tol:
             raise ConvergenceError(
                 f"factor translation residuals ({r1:.3e}, {r2:.3e}) "
@@ -647,7 +641,6 @@ def _isolation_radius(
     cfg: SolitonConfig,
     x: complex,
     t: float,
-    v: Variant,
     poles: Optional[Sequence[tuple[complex, int]]] = None,
 ) -> float:
     """Distance budget around a pole: min(nearest other pole, lattice/4).
@@ -662,7 +655,7 @@ def _isolation_radius(
         period = cfg.comm.period
         nearest = math.inf
         if poles is None:
-            poles = oracle_poles(cfg, v, t)
+            poles = oracle_poles(cfg, t=t)
         for root, _ in poles:
             for shift in (-period, 0.0, period):
                 d = abs(root + 1j * shift - x)
@@ -692,10 +685,10 @@ def residue_at_pole(
     exact config solves one.  Raises ConvergenceError at a multiple zero.
     Every residue of u is +i or -i.
     """
-    v = _variant(cfg, variant)
+    cfg = _in_variant(cfg, variant)
     try:
         x0, _, Fx, _ = _newton_correct(
-            _F_point(cfg, v), complex(x_pole), t, _POLISH_OPTS
+            _F_point(cfg), complex(x_pole), t, _POLISH_OPTS
         )
     except ConvergenceError as exc:
         raise PoleError(
@@ -706,14 +699,13 @@ def residue_at_pole(
             f"multiple zero at ({x0}, {t}): relative |F_x|="
             f"{Fx.relative():.3e}"
         )
-    res = 2.0 * cfg.gamma * G_scaled(cfg, x0, t, v).ratio(Fx)
+    res = 2.0 * cfg.gamma * G_scaled(cfg, x0, t).ratio(Fx)
     if cross_check:
-        radius = 1e-3 * _isolation_radius(cfg, x0, t, v, poles)
+        radius = 1e-3 * _isolation_radius(cfg, x0, t, poles)
         total = 0j
-        work = cfg if v is cfg.variant else cfg.with_variant(v)
         phases = [cmath.exp(2j * math.pi * j / nodes) for j in range(nodes)]
         try:
-            us = _u_or_raise_grid(work, [x0 + radius * p for p in phases], t)
+            us = _u_or_raise_grid(cfg, [x0 + radius * p for p in phases], t)
         except PoleError:
             raise ConvergenceError(
                 f"contour of radius {radius:.3e} around {x0} touches "

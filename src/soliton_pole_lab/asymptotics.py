@@ -51,6 +51,7 @@ from .kernel import (
     SolitonConfig,
     Variant,
     _F_point,
+    _in_variant,
     _terms_F,
 )
 from .tracker import PoleCurve, TrackerOptions, _newton_correct, position_at
@@ -77,36 +78,26 @@ class Speed(Enum):
     FAST = "fast"
 
 
+@dataclass(frozen=True, slots=True)
 class FamilyLabel:
     """One asymptotic family: speed class, odd index, and time direction.
 
     ``direction`` is -1 for the t -> -inf family, +1 for t -> +inf.
     """
 
-    __slots__ = ("speed", "index", "direction")
+    speed: Speed
+    index: int
+    direction: int
 
-    def __init__(self, speed: Speed, index: int, direction: int):
-        if index % 2 == 0:
-            raise ValueError(f"family index must be odd, got {index}")
-        if direction not in (-1, 1):
-            raise ValueError(f"time direction must be -1 or +1, got {direction}")
-        self.speed = speed
-        self.index = index
-        self.direction = direction
+    def __post_init__(self) -> None:
+        if self.index % 2 == 0:
+            raise ValueError(f"family index must be odd, got {self.index}")
+        if self.direction not in (-1, 1):
+            raise ValueError(f"time direction must be -1 or +1, got {self.direction}")
 
     def __repr__(self) -> str:
         arrow = "-inf" if self.direction < 0 else "+inf"
         return f"{self.speed.value}[{self.index}]@{arrow}"
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FamilyLabel)
-            and (self.speed, self.index, self.direction)
-            == (other.speed, other.index, other.direction)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.speed, self.index, self.direction))
 
 
 def predicted_pole(cfg: SolitonConfig, label: FamilyLabel, t: float) -> complex:
@@ -195,7 +186,7 @@ class MovingFrame:
         if scale < 0:
             raise ValueError("frame scale must be non-negative")
         cfg = self.cfg
-        v = cfg.variant if variant is None else Variant.coerce(variant)
+        v = _in_variant(cfg, variant).variant
         log_scale = math.log(scale) if scale > 0 else None
         w1 = -cfg.k1 * (coord - cfg.x1)
         w2 = -cfg.k2 * (coord - cfg.x2)
@@ -396,7 +387,7 @@ def match_families(
     t_h = direction * T
     report = _label_positions(
         cfg,
-        (position_at(cfg.with_variant(c.variant), c, t_h) for c in curves),
+        (position_at(cfg, c, t_h) for c in curves),
         T,
         direction,
     )
@@ -427,7 +418,7 @@ def match_horizons(
     has one (the battery seeds its ensemble from it); without it one is
     solved.
     """
-    F = _F_point(cfg, cfg.variant)
+    F = _F_point(cfg)
     opts = TrackerOptions()
     reports = []
     for direction in (-1, 1):

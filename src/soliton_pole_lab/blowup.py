@@ -27,6 +27,10 @@ u_t + 6 u^2 u_x + u_xxx = 0 into the real coupled system
 finite differences along the shifted line, and can evaluate the variant
 with cross coefficient 2 side by side to document that only the
 coefficient-12 system is solved by the field.
+
+The config carries the sign variant, so a scenario profiles the config's
+field: ``find_crossing`` refuses a curve of the other variant, since its
+crossing speed would be measured on a field the curve does not belong to.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from .kernel import (
     F_scaled,
     SolitonConfig,
     Variant,
+    _in_variant,
     _u_or_raise,
     _u_or_raise_grid,
     strip_scale,
@@ -126,9 +131,16 @@ def find_crossing(
     bisection with secant acceleration, re-polishing the pole position
     at every probe time, until the bracket width falls below tol.
     Raises ValueError when Im x + alpha never changes sign along the
-    samples.  A root with |Im x'(t_star)| < 1e-8 is flagged as
-    tangential (transversal=False), not silently accepted.
+    samples, and when the curve's variant is not the config's: the
+    crossing speed is measured on the config's field.  A root with
+    |Im x'(t_star)| < 1e-8 is flagged as tangential (transversal=False),
+    not silently accepted.
     """
+    if curve.variant is not cfg.variant:
+        raise ValueError(
+            f"the curve is a {curve.variant.value}-variant pole curve but "
+            f"the config is the {cfg.variant.value} variant"
+        )
     samples = curve.samples
     if len(samples) < 2:
         raise ValueError("curve must carry at least two samples")
@@ -551,7 +563,7 @@ def coupled_system_residual(
     side, that the halved cross term is not satisfied.  Raises
     PoleError when the stencil touches a pole.
     """
-    work = cfg if variant is None else cfg.with_variant(variant)
+    work = _in_variant(cfg, variant)
 
     def u_at(xx: float, tt: float) -> complex:
         return _u_or_raise(work, complex(xx, -alpha), tt)

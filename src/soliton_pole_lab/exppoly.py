@@ -43,7 +43,15 @@ import mpmath as mp
 import numpy as np
 
 from ._balanced import Scaled, balanced_sum, complex_array
-from .kernel import ConvergenceError, SolitonConfig, Variant, _terms_F, _terms_G
+from .kernel import (
+    ConvergenceError,
+    SolitonConfig,
+    Variant,
+    _in_variant,
+    _QPoly,
+    _terms_F,
+    _terms_G,
+)
 
 __all__ = [
     "ExpTerm",
@@ -220,36 +228,29 @@ def _build_terms(
     cfg: SolitonConfig, raw: Sequence[tuple[Fraction, int, int]]
 ) -> tuple[ExpTerm, ...]:
     """Assemble ExpTerms from (exact coefficient, a1, a2) monomials in
-    (f1, f2), merging equal (degree, sigma) pairs and pruning zeros."""
+    (f1, f2), merged by monomial with zeros pruned (``_QPoly``), sorted by
+    (degree, sigma).  Distinct monomials have distinct (degree, sigma):
+    the two are a1 p1 + a2 p2 and (a1 p1^3 + a2 p2^3) / lambda^3, and
+    p1 < p2 makes that map one-to-one."""
     assert cfg.comm is not None
     p1, p2 = cfg.comm.p1, cfg.comm.p2
     k1x, k2x = cfg.k1_exact, cfg.k2_exact
-    merged: dict[tuple[int, Fraction], Fraction] = {}
-    shift_log: dict[tuple[int, Fraction], float] = {}
-    for c, a1, a2 in raw:
-        degree = a1 * p1 + a2 * p2
-        sigma = a1 * k1x**3 + a2 * k2x**3
-        key = (degree, sigma)
-        merged[key] = merged.get(key, Fraction(0)) + c
-        # Distinct (a1, a2) never merge at one degree (p1, p2 coprime), so
-        # the shift factor is well-defined per key.
-        shift_log[key] = a1 * cfg.k1 * cfg.x1 + a2 * cfg.k2 * cfg.x2
     unshifted = cfg.x1 == 0.0 and cfg.x2 == 0.0
     terms = []
-    for (degree, sigma), c in sorted(merged.items()):
-        if c == 0:
-            continue
+    for (a1, a2), c in _QPoly.from_terms(raw).coeffs.items():
+        sigma = a1 * k1x**3 + a2 * k2x**3
         terms.append(
             ExpTerm(
-                degree=degree,
+                degree=a1 * p1 + a2 * p2,
                 coeff=float(c),
                 sigma=float(sigma),
-                log_factor=shift_log[(degree, sigma)],
-                coeff_exact=c if unshifted else None,
+                log_factor=a1 * cfg.k1 * cfg.x1 + a2 * cfg.k2 * cfg.x2,
+                # _QPoly keeps integer coefficients as int.
+                coeff_exact=Fraction(c) if unshifted else None,
                 sigma_exact=sigma,
             )
         )
-    return tuple(terms)
+    return tuple(sorted(terms, key=lambda term: (term.degree, term.sigma_exact)))
 
 
 def build_F_poly(cfg: SolitonConfig, variant: "Variant | str | None" = None) -> ExpPoly:
@@ -261,12 +262,12 @@ def build_F_poly(cfg: SolitonConfig, variant: "Variant | str | None" = None) -> 
         y^{2(p1+p2)} e^{2(k1^3+k2^3) t}.
     """
     _require_comm(cfg)
-    v = cfg.variant if variant is None else Variant.coerce(variant)
+    cfg = _in_variant(cfg, variant)
     assert cfg.comm is not None
     return ExpPoly(
-        terms=_build_terms(cfg, _terms_F(cfg.gamma_exact**2, v)),
+        terms=_build_terms(cfg, _terms_F(cfg.gamma_exact**2, cfg.variant)),
         lam=cfg.comm.lam,
-        variant=v,
+        variant=cfg.variant,
         kind="F",
         lam_exact=cfg.comm.lam_exact,
         p1=cfg.comm.p1,
@@ -283,12 +284,12 @@ def build_G_poly(cfg: SolitonConfig, variant: "Variant | str | None" = None) -> 
     with s = +1 for Plus, -1 for Minus.
     """
     _require_comm(cfg)
-    v = cfg.variant if variant is None else Variant.coerce(variant)
+    cfg = _in_variant(cfg, variant)
     assert cfg.comm is not None
     return ExpPoly(
-        terms=_build_terms(cfg, _terms_G(cfg.k1_exact, cfg.k2_exact, v)),
+        terms=_build_terms(cfg, _terms_G(cfg.k1_exact, cfg.k2_exact, cfg.variant)),
         lam=cfg.comm.lam,
-        variant=v,
+        variant=cfg.variant,
         kind="G",
         lam_exact=cfg.comm.lam_exact,
         p1=cfg.comm.p1,

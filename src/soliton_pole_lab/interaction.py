@@ -27,13 +27,14 @@ Newton iteration on the closed-form u_x.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .kernel import (
     SolitonConfig,
     Variant,
+    _in_variant,
     _u_or_raise,
     _u_or_raise_grid,
     eval_u_x,
@@ -63,14 +64,13 @@ SINGULAR_RTOL = 1e-12
 CRITICAL_RATIO = (3.0 + math.sqrt(5.0)) / 2.0
 
 
-def _resolve(cfg: SolitonConfig, variant: Optional[Variant]) -> SolitonConfig:
-    work = cfg if variant is None else cfg.with_variant(variant)
-    if work.x1 != 0.0 or work.x2 != 0.0:
+def _resolve(cfg: SolitonConfig) -> SolitonConfig:
+    if cfg.x1 != 0.0 or cfg.x2 != 0.0:
         raise ValueError(
             "interaction diagnostics require zero shifts "
-            f"(got x1={work.x1}, x2={work.x2})"
+            f"(got x1={cfg.x1}, x2={cfg.x2})"
         )
-    return work
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +85,7 @@ def uxx_at_center(cfg: SolitonConfig, variant: Optional[Variant] = None) -> floa
     for 1 < k2/k1 < (3 + sqrt 5)/2 and negative above.  Minus:
     -(k2 + k1)(k1^2 + 3 k1 k2 + k2^2), negative for all k1 < k2.
     """
-    work = _resolve(cfg, variant)
+    work = _resolve(_in_variant(cfg, variant))
     k1, k2 = work.k1, work.k2
     if work.variant is Variant.PLUS:
         return -(k2 - k1) * (k1 * k1 - 3.0 * k1 * k2 + k2 * k2)
@@ -101,7 +101,7 @@ def extremum_speed(cfg: SolitonConfig, variant: Optional[Variant] = None) -> flo
     the singular ratio.  Minus: the same with all plus signs, always
     positive.
     """
-    work = _resolve(cfg, variant)
+    work = _resolve(_in_variant(cfg, variant))
     k1, k2 = work.k1, work.k2
     if work.variant is Variant.PLUS:
         num = (
@@ -163,7 +163,7 @@ def measure_uxx_at_center(
     combined to O(h^4).  Independent of the closed form (it samples
     eval_u only).
     """
-    work = _resolve(cfg, variant)
+    work = _resolve(_in_variant(cfg, variant))
     d_h = _fd_uxx(work, h)
     if not richardson:
         return d_h
@@ -183,7 +183,7 @@ def measure_extremum_speed(
     Raises ValueError when the measured second derivative vanishes
     (the degenerate plus configuration).
     """
-    work = _resolve(cfg, variant)
+    work = _resolve(_in_variant(cfg, variant))
 
     def estimate(step: float) -> float:
         uxx = _fd_uxx(work, step)
@@ -249,7 +249,7 @@ def find_maxima(
     the two side maxima approach the center like the square root of
     the parameter distance.
     """
-    work = _resolve(cfg, variant)
+    work = _resolve(_in_variant(cfg, variant))
     h = strip_scale(work) / 200.0
     half = span if span is not None else 12.0 / work.k1
     n = int(2.0 * half / h) + 2
@@ -295,6 +295,20 @@ def count_maxima_at_interaction(
     return len(find_maxima(cfg, variant, span))
 
 
+def _bisect(
+    below: Callable[[float], bool], lo: float, hi: float, tol: float
+) -> tuple[float, float]:
+    """Halve [lo, hi] until it is at most tol wide, keeping the upper half
+    where ``below(mid)`` holds and the lower half elsewhere."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def maxima_transition_ratio(
     k1: float = 1.0,
     lo: float = 2.55,
@@ -316,13 +330,7 @@ def maxima_transition_ratio(
         raise ValueError(
             f"bracket [{lo}, {hi}] does not straddle the maxima merge"
         )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if count(mid) == 2:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+    return _bisect(lambda ratio: count(ratio) == 2, lo, hi, tol)
 
 
 def negative_speed_onset(
@@ -347,12 +355,7 @@ def negative_speed_onset(
             f"bracket [{lo}, {hi}] does not straddle the sign change "
             f"(speeds {s_lo:.6f}, {s_hi:.6f})"
         )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if speed(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(lambda ratio: speed(ratio) > 0.0, lo, hi, tol)
     return 0.5 * (lo + hi)
 
 

@@ -22,6 +22,13 @@ u in the complex x-plane are exactly the zeros of F; everything downstream
 (tracking, structure checks, blowup construction) is built on the evaluators
 in this module.
 
+The config carries the variant, and the evaluators read it from there; a
+caller that needs the other one passes ``cfg.with_variant(v)``.  Two kinds
+of function take a variant: the package's public functions, as a
+``variant=`` override resolved at entry by ``_in_variant``, and the term
+builders that take bare numbers and no config (``_terms_F``, ``_terms_G``,
+``_terms_g``, ``_eqg_terms``).
+
 All evaluation is log-balanced (see ``_balanced``): the largest exponential is
 factored out before any floating-point sum, so accuracy is limited by pole
 geometry rather than by exp() overflow.  The unscaled entry points (eval_f,
@@ -304,6 +311,12 @@ class SolitonConfig:
         }
 
 
+def _in_variant(cfg: SolitonConfig, variant: "Variant | str | None") -> SolitonConfig:
+    """The config in ``variant`` (None keeps the config's own): where a
+    public function resolves its ``variant=`` override, once at entry."""
+    return cfg if variant is None else cfg.with_variant(variant)
+
+
 @dataclass(frozen=True)
 class PoleMarker:
     """Marks that an evaluation point sits on (numerically: within tolerance
@@ -366,7 +379,7 @@ def _terms_G(k1, k2, variant: Variant) -> list[Term]:
     ]
 
 
-def _terms_factor(cfg: SolitonConfig, variant: Variant, which: int) -> list[Term]:
+def _terms_factor(cfg: SolitonConfig, which: int) -> list[Term]:
     """F splits over C as F = F1 * F2 with
 
         F_plus_i  = 1 ± i gamma f1 ± i gamma f2 - f1 f2,
@@ -376,7 +389,7 @@ def _terms_factor(cfg: SolitonConfig, variant: Variant, which: int) -> list[Term
     if which not in (1, 2):
         raise ValueError("factor index must be 1 or 2")
     ig = 1j * cfg.gamma if which == 1 else -1j * cfg.gamma
-    if variant is Variant.PLUS:
+    if cfg.variant is Variant.PLUS:
         return [(1.0, 0, 0), (ig, 1, 0), (ig, 0, 1), (-1.0, 1, 1)]
     return [(1.0, 0, 0), (ig, 1, 0), (-ig, 0, 1), (1.0, 1, 1)]
 
@@ -513,10 +526,9 @@ def _eval_terms(
     return balanced_sum([(c, a1 * w1 + a2 * w2) for c, a1, a2 in terms])
 
 
-def _F_point(cfg: SolitonConfig, variant: "Variant | str | None" = None) -> _PointEval:
-    """The point evaluator of F (of ``variant``, by default the config's)."""
-    v = cfg.variant if variant is None else Variant.coerce(variant)
-    return _PointEval(cfg, _terms_F(cfg.gamma**2, v))
+def _F_point(cfg: SolitonConfig) -> _PointEval:
+    """The point evaluator of F."""
+    return _PointEval(cfg, _terms_F(cfg.gamma**2, cfg.variant))
 
 
 def _w_grid(k: float, shift: float, xr, xi, t):
@@ -557,54 +569,50 @@ def F_scaled(
     cfg: SolitonConfig,
     x: complex,
     t: float,
-    variant: Optional[Variant] = None,
     dx: int = 0,
     dt: int = 0,
 ) -> Scaled:
     """Log-balanced F (or a mixed x/t derivative of it)."""
-    v = cfg.variant if variant is None else Variant.coerce(variant)
-    return _eval_terms(cfg, _terms_F(cfg.gamma**2, v), x, t, dx, dt)
+    return _eval_terms(cfg, _terms_F(cfg.gamma**2, cfg.variant), x, t, dx, dt)
 
 
 def G_scaled(
     cfg: SolitonConfig,
     x: complex,
     t: float,
-    variant: Optional[Variant] = None,
     dx: int = 0,
     dt: int = 0,
 ) -> Scaled:
     """Log-balanced G (or a mixed x/t derivative of it)."""
-    v = cfg.variant if variant is None else Variant.coerce(variant)
-    return _eval_terms(cfg, _terms_G(cfg.k1, cfg.k2, v), x, t, dx, dt)
+    return _eval_terms(cfg, _terms_G(cfg.k1, cfg.k2, cfg.variant), x, t, dx, dt)
 
 
 def F_grid(
     cfg: SolitonConfig,
     xs: "Sequence[complex] | np.ndarray",
     t: float,
-    variant: Optional[Variant] = None,
     dx: int = 0,
     dt: int = 0,
 ) -> ScaledGrid:
     """``F_scaled`` at every point of xs, bit for bit; t may also hold one
     time per point (see ``_eval_terms_grid``)."""
-    v = cfg.variant if variant is None else Variant.coerce(variant)
-    return _eval_terms_grid(cfg, _terms_F(cfg.gamma**2, v), _as_grid(xs), t, dx, dt)
+    return _eval_terms_grid(
+        cfg, _terms_F(cfg.gamma**2, cfg.variant), _as_grid(xs), t, dx, dt
+    )
 
 
 def G_grid(
     cfg: SolitonConfig,
     xs: "Sequence[complex] | np.ndarray",
     t: float,
-    variant: Optional[Variant] = None,
     dx: int = 0,
     dt: int = 0,
 ) -> ScaledGrid:
     """``G_scaled`` at every point of xs, bit for bit; t may also hold one
     time per point (see ``_eval_terms_grid``)."""
-    v = cfg.variant if variant is None else Variant.coerce(variant)
-    return _eval_terms_grid(cfg, _terms_G(cfg.k1, cfg.k2, v), _as_grid(xs), t, dx, dt)
+    return _eval_terms_grid(
+        cfg, _terms_G(cfg.k1, cfg.k2, cfg.variant), _as_grid(xs), t, dx, dt
+    )
 
 
 def factor_scaled(
@@ -612,13 +620,11 @@ def factor_scaled(
     x: complex,
     t: float,
     which: int,
-    variant: Optional[Variant] = None,
     dx: int = 0,
     dt: int = 0,
 ) -> Scaled:
     """Log-balanced complex factor F1 or F2 of F (or a derivative)."""
-    v = cfg.variant if variant is None else Variant.coerce(variant)
-    return _eval_terms(cfg, _terms_factor(cfg, v, which), x, t, dx, dt)
+    return _eval_terms(cfg, _terms_factor(cfg, which), x, t, dx, dt)
 
 
 def _factor_grid(
@@ -626,14 +632,12 @@ def _factor_grid(
     xs: np.ndarray,
     t: "float | np.ndarray",
     which: int,
-    variant: Optional[Variant] = None,
     dx: int = 0,
     dt: int = 0,
 ) -> ScaledGrid:
     """``factor_scaled`` at every point of xs, bit for bit; t is one time
     or one per point (see ``_eval_terms_grid``)."""
-    v = cfg.variant if variant is None else Variant.coerce(variant)
-    return _eval_terms_grid(cfg, _terms_factor(cfg, v, which), xs, t, dx, dt)
+    return _eval_terms_grid(cfg, _terms_factor(cfg, which), xs, t, dx, dt)
 
 
 def kdv_F_scaled(
@@ -1004,12 +1008,12 @@ class _QPoly:
     __rmul__ = __mul__
 
 
-def _eqg_exact(cfg: SolitonConfig, variant: Variant) -> tuple[_QPoly, _QPoly]:
+def _eqg_exact(cfg: SolitonConfig) -> tuple[_QPoly, _QPoly]:
     """The two composite terms of ``_eqg_terms`` as exact polynomials in
     (f1, f2) over Q, for the exact binary values of the config's float
     wavenumbers.  The field equation holds identically, for every x, t and
     shift, exactly when they sum to the zero polynomial."""
-    return _eqg_terms(Fraction(cfg.k1), Fraction(cfg.k2), variant, _QPoly.from_terms)
+    return _eqg_terms(Fraction(cfg.k1), Fraction(cfg.k2), cfg.variant, _QPoly.from_terms)
 
 
 def eqg_residual(cfg: SolitonConfig, x: complex, t: float) -> complex:

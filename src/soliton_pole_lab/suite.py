@@ -164,7 +164,7 @@ def _check_field_equation(cfg: SolitonConfig, rng: random.Random, n: int = 40):
         analysis._random_probes(cfg, rng, 4 * n)
     worst, witness, survivors = 0.0, "", 0
     for variant in (Variant.PLUS, Variant.MINUS):
-        term1, term2 = _eqg_exact(cfg, variant)
+        term1, term2 = _eqg_exact(cfg.with_variant(variant))
         rest = (term1 + term2).coeffs
         survivors += len(rest)
         if not rest:
@@ -223,9 +223,10 @@ def _check_factorization(cfg: SolitonConfig, rng: random.Random, n: int = 100):
         probes = analysis._random_probes(cfg, rng, n)
         xs = np.array([x for x, _ in probes], dtype=complex)
         ts = np.array([t for _, t in probes])
-        f1 = _factor_grid(cfg, xs, ts, 1, variant)
-        f2 = _factor_grid(cfg, xs, ts, 2, variant)
-        qr, qi, fault = (f1 * f2).ratio(F_grid(cfg, xs, ts, variant))
+        work = cfg.with_variant(variant)
+        f1 = _factor_grid(work, xs, ts, 1)
+        f2 = _factor_grid(work, xs, ts, 2)
+        qr, qi, fault = (f1 * f2).ratio(F_grid(work, xs, ts))
         if fault is not None:
             raise fault[1]
         rel = np.hypot(qr - 1.0, qi - 0.0)  # abs(q - 1.0)

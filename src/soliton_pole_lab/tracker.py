@@ -54,6 +54,7 @@ from .kernel import (
     SolitonConfig,
     Variant,
     _F_point,
+    _in_variant,
 )
 
 __all__ = [
@@ -377,16 +378,15 @@ def track_curve(
     the step control may shrink aggressively; elsewhere a vanishing F_x
     raises a near-multiple-root error.
     """
-    v = cfg.variant if variant is None else Variant.coerce(variant)
-    exc = detect_exceptional(cfg.with_variant(v))
+    cfg = _in_variant(cfg, variant)
     return track_zero_curve(
-        _F_point(cfg, v),
+        _F_point(cfg),
         x_start,
         t_start,
         t_end,
         opts=opts,
-        collision_points=exc["points"],
-        variant=v,
+        collision_points=detect_exceptional(cfg)["points"],
+        variant=cfg.variant,
     )
 
 
@@ -496,15 +496,15 @@ def position_at(
     opts: Optional[TrackerOptions] = None,
 ) -> complex:
     """Pole position at an interior time t, obtained by Newton-polishing the
-    sample nearest in time.  t must lie within (or very close to) the
-    curve's sampled span."""
+    sample nearest in time on F of the curve's variant.  t must lie within
+    (or very close to) the curve's sampled span."""
     opts = opts or TrackerOptions()
     lo = min(curve.t_first, curve.t_last)
     hi = max(curve.t_first, curve.t_last)
     slack = 2 * opts.dt_max
     if not (lo - slack <= t <= hi + slack):
         raise ValueError(f"t={t} outside the curve's span [{lo}, {hi}]")
-    F = _F_point(cfg, curve.variant)
+    F = _F_point(cfg.with_variant(curve.variant))
     x, _, _, _ = _newton_correct(F, curve.x_at_nearest(t), t, opts)
     return x
 

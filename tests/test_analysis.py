@@ -370,12 +370,12 @@ def test_batch_sign_law_raises_the_first_ratio_fault(monkeypatch):
     forced = {samples[1][1]: 900.0, samples[3][1]: 800.0, samples[4][1]: 850.0}
     factor_scaled_, factor_grid_ = analysis.factor_scaled, analysis._factor_grid
 
-    def scalar(cfg, x, t, which, variant=None, dx=0, dt=0):
-        v = factor_scaled_(cfg, x, t, which, variant, dx, dt)
+    def scalar(cfg, x, t, which, dx=0, dt=0):
+        v = factor_scaled_(cfg, x, t, which, dx, dt)
         return v * Scaled(1.0, forced[x], 1.0) if dt and x in forced else v
 
-    def grid(cfg, xs, t, which, variant=None, dx=0, dt=0):
-        v = factor_grid_(cfg, xs, t, which, variant, dx, dt)
+    def grid(cfg, xs, t, which, dx=0, dt=0):
+        v = factor_grid_(cfg, xs, t, which, dx, dt)
         if dt:
             shift = np.array([forced.get(complex(x), 0.0) for x in xs])
             v = ScaledGrid(v.re, v.im, v.log + shift, v.norm)

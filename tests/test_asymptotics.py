@@ -10,6 +10,7 @@ here against tracked curves).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -54,6 +55,15 @@ def test_label_validation():
     assert lab == FamilyLabel(Speed.FAST, -3, 1)
     assert lab != FamilyLabel(Speed.FAST, -3, -1)
     assert "fast" in repr(lab) and "+inf" in repr(lab)
+
+
+def test_labels_are_immutable():
+    # Labels are dict keys (a match report's claimed labels); a key that
+    # could change would change its hash.
+    lab = FamilyLabel(Speed.SLOW, 1, -1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        lab.index = 3
+    assert lab == FamilyLabel(Speed.SLOW, 1, -1)
 
 
 def test_predicted_pole_hand_values():

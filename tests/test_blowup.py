@@ -97,6 +97,16 @@ class TestCrossing:
         with pytest.raises(ValueError, match="no sign change"):
             find_crossing(scenario12.cfg, scenario12.crossing_pole, 10.0)
 
+    def test_curve_of_the_other_variant_is_refused(self, scenario12) -> None:
+        # The scenario profiles the config's field, so the crossing speed
+        # must come from the field the curve belongs to.
+        minus = scenario12.cfg.with_variant(Variant.MINUS)
+        curve, alpha = scenario12.crossing_pole, scenario12.alpha
+        with pytest.raises(ValueError, match="plus-variant.*minus variant"):
+            find_crossing(minus, curve, alpha)
+        with pytest.raises(ValueError, match="plus-variant.*minus variant"):
+            build_scenario(minus, curves=[curve], alpha=alpha)
+
     def test_tangential_crossing_flagged(self) -> None:
         # (1,5) minus carries horizontally moving poles pinned to
         # Im x = -pi/2; the line alpha = pi/2 is grazed, never swept.

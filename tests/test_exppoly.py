@@ -102,6 +102,37 @@ def test_F_poly_12_plus_exact_table() -> None:
     assert poly.degree == 6
 
 
+def test_terms_keep_fraction_coefficients_in_degree_sigma_order() -> None:
+    """Over every coprime pair p1 < p2 <= 13, scaled by 1 and 1/3, in both
+    variants: each exact coefficient is a nonzero Fraction (an int would
+    change the term's repr), the terms run strictly increasing in
+    (degree, sigma), and shifted configs keep the same terms without exact
+    coefficients."""
+    pairs = [
+        (p1, p2)
+        for p2 in range(2, 14)
+        for p1 in range(1, p2)
+        if math.gcd(p1, p2) == 1
+    ]
+    for p1, p2 in pairs:
+        for scale in (Fraction(1), Fraction(1, 3)):
+            for variant in Variant:
+                cfg = SolitonConfig.make(p1 * scale, p2 * scale, variant)
+                for build in (build_F_poly, build_G_poly):
+                    terms = build(cfg).terms
+                    assert all(
+                        type(t.coeff_exact) is Fraction and t.coeff_exact != 0
+                        for t in terms
+                    )
+                    keys = [(t.degree, t.sigma_exact) for t in terms]
+                    assert keys == sorted(set(keys))
+                    shifted = build(cfg.with_shifts(0.3, -0.2)).terms
+                    assert [t.coeff_exact for t in shifted] == [None] * len(terms)
+                    assert [(t.degree, t.coeff, t.sigma_exact) for t in shifted] == [
+                        (t.degree, t.coeff, t.sigma_exact) for t in terms
+                    ]
+
+
 def test_F_constant_term_is_one_always() -> None:
     for cfg in (C12M, C12P, C15M, SolitonConfig.make(2, 3, "plus")):
         poly = build_F_poly(cfg)

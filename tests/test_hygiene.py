@@ -160,3 +160,32 @@ def test_scanner_flags_an_unreferenced_definition(tmp_path: Path) -> None:
 
 def test_every_module_definition_is_referenced() -> None:
     assert unreferenced_definitions(sorted(PACKAGE.glob("*.py"))) == []
+
+
+def functions_taking(paths: list[Path], params: set[str]) -> list[tuple[str, str]]:
+    """(module, name) of each function, at any depth, whose parameters
+    include every name in params."""
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                names = {arg.arg for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs)}
+                if params <= names:
+                    found.append((path.stem, node.name))
+    return found
+
+
+def test_only_public_functions_take_a_variant_beside_the_config() -> None:
+    # The config carries the sign variant.  A public function may take a
+    # variant= override and resolves it at entry (kernel._in_variant);
+    # below the public API the variant comes from the config alone.
+    import soliton_pole_lab
+
+    found = functions_taking(sorted(PACKAGE.glob("*.py")), {"cfg", "variant"})
+    private = [
+        (module, name)
+        for module, name in found
+        if name not in soliton_pole_lab.__all__
+    ]
+    assert private == [("kernel", "_in_variant")]

@@ -480,7 +480,7 @@ def test_exact_eqg_terms_match_the_sampled_ones(spec, variant) -> None:
     import mpmath as mp
 
     cfg = SolitonConfig.make(*spec, variant, x1=0.2, x2=-0.1)
-    exact = kernel._eqg_exact(cfg, cfg.variant)
+    exact = kernel._eqg_exact(cfg)
     rng = random.Random(11)
     k1, k2 = mp.mpf(cfg.k1), mp.mpf(cfg.k2)
     for _ in range(20):
@@ -590,14 +590,14 @@ def test_point_evaluator_matches_one_shot_bitwise(spec, variant, res, ims, ts, c
     points = [(x, t) for x in xs for t in ts]
     one_shot = {
         "F": (kernel._terms_F(cfg.gamma**2, cfg.variant),
-              lambda x, t, dx, dt: kernel.F_scaled(cfg, x, t, None, dx, dt)),
+              lambda x, t, dx, dt: kernel.F_scaled(cfg, x, t, dx, dt)),
         "G": (kernel._terms_G(cfg.k1, cfg.k2, cfg.variant),
-              lambda x, t, dx, dt: kernel.G_scaled(cfg, x, t, None, dx, dt)),
+              lambda x, t, dx, dt: kernel.G_scaled(cfg, x, t, dx, dt)),
     }
     for which in (1, 2):
         one_shot[f"F{which}"] = (
-            kernel._terms_factor(cfg, cfg.variant, which),
-            lambda x, t, dx, dt, which=which: kernel.factor_scaled(cfg, x, t, which, None, dx, dt),
+            kernel._terms_factor(cfg, which),
+            lambda x, t, dx, dt, which=which: kernel.factor_scaled(cfg, x, t, which, dx, dt),
         )
     evaluators = {name: kernel._PointEval(cfg, terms) for name, (terms, _) in one_shot.items()}
     for i, name, dx, dt, copy in calls:
@@ -618,7 +618,7 @@ def test_point_evaluator_shares_exponentials_per_base(x) -> None:
     t = 0.25
     values = [ev(x, t, dx, dt) for dx, dt in DERIVS]
     for v, (dx, dt) in zip(values, DERIVS):
-        assert _bits(v) == _bits(kernel.F_scaled(C12P, x, t, None, dx, dt))
+        assert _bits(v) == _bits(kernel.F_scaled(C12P, x, t, dx, dt))
     # One point, and one set of exponentials per distinct balance base.
     assert ev.x is x and ev.t is t
     assert sorted(ev.exps) == sorted({v.log for v in values})

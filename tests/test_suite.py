@@ -292,7 +292,7 @@ class TestFieldEquationProof:
         monkeypatch.setattr(kernel, "_term_table", mutated)
         cfg = SolitonConfig.make(1, 2)
         for variant in kernel.Variant:
-            term1, term2 = kernel._eqg_exact(cfg, variant)
+            term1, term2 = kernel._eqg_exact(cfg.with_variant(variant))
             assert (term1 + term2).coeffs
         result = suite._check_field_equation(cfg, random.Random(0))
         assert not result.passed and result.worst > 0

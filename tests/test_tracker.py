@@ -51,12 +51,12 @@ def _exp_sum(terms):
     return fun
 
 
-def _polish(cfg, variant, x, t, tol=1e-13):
+def _polish(cfg, x, t, tol=1e-13):
     for _ in range(50):
-        Fv = F_scaled(cfg, x, t, variant)
+        Fv = F_scaled(cfg, x, t)
         if Fv.relative() < tol:
             break
-        Fx = F_scaled(cfg, x, t, variant, dx=1)
+        Fx = F_scaled(cfg, x, t, dx=1)
         x = x - (Fv / Fx).value()
     return x
 
@@ -117,7 +117,9 @@ def test_tracked_curves_match_oracle_12(variant):
         oracle = [x for x, _ in oracle_poles(cfg, t=t_star)]
         matched = set()
         for curve in curves:
-            x_est = _polish(cfg, curve.variant, curve.x_at_nearest(t_star), t_star)
+            x_est = _polish(
+                cfg.with_variant(curve.variant), curve.x_at_nearest(t_star), t_star
+            )
             dists = [abs(x_est - xo) for xo in oracle]
             idx = int(np.argmin(dists))
             assert dists[idx] < 1e-8
@@ -379,7 +381,7 @@ def _assert_same_as_plain_F_scaled(cfg, x0, t0, t1, opts=None):
     points = detect_exceptional(cfg)["points"]
 
     def plain(x, t, dx=0, dt=0):
-        return F_scaled(cfg, x, t, None, dx, dt)
+        return F_scaled(cfg, x, t, dx, dt)
 
     try:
         want = track_zero_curve(plain, x0, t0, t1, opts, points, cfg.variant)
