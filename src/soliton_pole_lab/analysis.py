@@ -87,6 +87,7 @@ from .kernel import (
     _F_point,
     _factor_grid,
     _in_variant,
+    _record_dict,
     _u_or_raise_grid,
     factor_scaled,
     kdv_F_scaled,
@@ -148,13 +149,7 @@ class RealDecomp:
     f2: complex
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "a1": self.a1,
-            "a2": self.a2,
-            "f1": [self.f1.real, self.f1.imag],
-            "f2": [self.f2.real, self.f2.imag],
-        }
+        return _record_dict(self)
 
 
 def _log_moduli(cfg: SolitonConfig, x: complex, t: float) -> tuple[float, float]:
@@ -229,12 +224,7 @@ class LineScan:
     samples: int
 
     def to_dict(self) -> dict:
-        return {
-            "min_residual": self.min_residual,
-            "argmin": [self.argmin.real, self.argmin.imag],
-            "t": self.t,
-            "samples": self.samples,
-        }
+        return _record_dict(self)
 
 
 def check_no_real_poles(
@@ -371,13 +361,7 @@ class VerticalSign:
         return self.predicted_sign == self.measured_sign
 
     def to_dict(self) -> dict:
-        return {
-            "predicted_sign": self.predicted_sign,
-            "measured": self.measured,
-            "expression": self.expression,
-            "factor": self.factor,
-            "consistent": self.consistent,
-        }
+        return _record_dict(self, consistent=self.consistent)
 
 
 def _a1_law(log_a1: float) -> float:

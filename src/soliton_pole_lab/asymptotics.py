@@ -52,6 +52,7 @@ from .kernel import (
     Variant,
     _F_point,
     _in_variant,
+    _record_dict,
     _terms_F,
 )
 from .tracker import PoleCurve, TrackerOptions, _newton_correct, position_at
@@ -276,13 +277,7 @@ class MatchReport:
     max_residual: float
 
     def to_dict(self) -> dict:
-        return {
-            "T": self.T,
-            "direction": self.direction,
-            "matches": [m.to_dict() for m in self.matches],
-            "unmatched": list(self.unmatched),
-            "max_residual": self.max_residual,
-        }
+        return _record_dict(self)
 
 
 def _nearest_odd(v: float) -> int:

@@ -49,6 +49,7 @@ from .kernel import (
     SolitonConfig,
     Variant,
     _in_variant,
+    _record_dict,
     _u_or_raise,
     _u_or_raise_grid,
     strip_scale,
@@ -104,12 +105,7 @@ class Crossing:
     transversal: bool
 
     def to_dict(self) -> dict:
-        return {
-            "t_star": self.t_star,
-            "x_star": [self.x_star.real, self.x_star.imag],
-            "vertical_speed": self.vertical_speed,
-            "transversal": self.transversal,
-        }
+        return _record_dict(self)
 
 
 def _im_velocity(cfg: SolitonConfig, x: complex, t: float) -> float:
@@ -127,9 +123,10 @@ def find_crossing(
 ) -> Crossing:
     """Solve Im x(t) = -alpha on a tracked curve.
 
-    The sampled polyline provides the bracket; the root is refined by
-    bisection with secant acceleration, re-polishing the pole position
-    at every probe time, until the bracket width falls below tol.
+    The sampled polyline, read in increasing t whichever way the curve
+    was tracked, provides the bracket; the root is refined by bisection
+    with secant acceleration, re-polishing the pole position at every
+    probe time, until the bracket width falls below tol.
     Raises ValueError when Im x + alpha never changes sign along the
     samples, and when the curve's variant is not the config's: the
     crossing speed is measured on the config's field.  A root with
@@ -141,7 +138,7 @@ def find_crossing(
             f"the curve is a {curve.variant.value}-variant pole curve but "
             f"the config is the {cfg.variant.value} variant"
         )
-    samples = curve.samples
+    samples = sorted(curve.samples, key=lambda s: s[0])
     if len(samples) < 2:
         raise ValueError("curve must carry at least two samples")
 
@@ -264,14 +261,7 @@ class GridSpec:
     auto_deepen: bool = True
 
     def to_dict(self) -> dict:
-        return {
-            "spacing": self.spacing,
-            "levels": self.levels,
-            "factor": self.factor,
-            "span": self.span,
-            "boundary_tol": self.boundary_tol,
-            "auto_deepen": self.auto_deepen,
-        }
+        return _record_dict(self)
 
 
 @dataclass(frozen=True)
@@ -285,13 +275,7 @@ class ProfileSample:
     tail_rate_right: float
 
     def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "sup_abs": self.sup_abs,
-            "argmax": self.argmax,
-            "tail_rate_left": self.tail_rate_left,
-            "tail_rate_right": self.tail_rate_right,
-        }
+        return _record_dict(self)
 
 
 @dataclass
@@ -491,13 +475,7 @@ class RateFit:
         return self.amplitude / self.predicted_amplitude
 
     def to_dict(self) -> dict:
-        return {
-            "exponent": self.exponent,
-            "amplitude": self.amplitude,
-            "r_squared": self.r_squared,
-            "predicted_amplitude": self.predicted_amplitude,
-            "amplitude_ratio": self.amplitude_ratio,
-        }
+        return _record_dict(self, amplitude_ratio=self.amplitude_ratio)
 
 
 def fit_blowup_rate(

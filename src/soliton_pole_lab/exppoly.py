@@ -495,12 +495,15 @@ def _polish_and_certify(
     zero_mult: int,
     cluster_tol: float,
     cert_tol: float,
-) -> tuple[list[tuple[complex, int]], list[complex], list[float], float]:
+) -> tuple[list[tuple[complex, int, complex, float]], float]:
     """Arbitrary-precision Newton polish, cluster merging, multiplicity
     certification via the derivative ladder.  ``estimates`` holds log y of
     each root estimate, ``pairs`` maps an estimate to the estimate whose
-    conjugate it is (``_conjugate_pairs``).  Returns (roots, log of each
-    root, condition, worst relative residual).
+    conjugate it is (``_conjugate_pairs``).  Returns one record
+    (y, multiplicity, log y, condition) per distinct root, in discovery
+    order (the root at y = 0 first, then cluster by cluster), and the
+    worst relative residual.  y and log y are doubles taken from the
+    45-digit root.
 
     The polynomial is built from the exact rationals of each term when it
     has them: rounding gamma^2 to a double already splits the 4-fold roots
@@ -619,14 +622,11 @@ def _polish_and_certify(
         for i in range(n_est):
             clusters.setdefault(find(i), []).append(i)
 
-        # (y, multiplicity, log y) as doubles, from the 45-digit root.
-        roots: list[tuple[complex, int, complex]] = []
-        condition: list[float] = []
+        roots: list[tuple[complex, int, complex, float]] = []
         worst = 0.0
 
         def record(y: "mp.mpc", m: int, kappa: float) -> None:
-            roots.append((complex(y), m, complex(mp.log(y))))
-            condition.append(kappa)
+            roots.append((complex(y), m, complex(mp.log(y)), kappa))
 
         if zero_mult:
             record(mp.mpc(0), zero_mult, 1.0)
@@ -658,8 +658,7 @@ def _polish_and_certify(
                 )
             if k != src:
                 y_d, log_d = y_d.conjugate(), log_d.conjugate()
-            roots.append((y_d, 1, log_d))
-            condition.append(kappa)
+            roots.append((y_d, 1, log_d, kappa))
 
         for members in clusters.values():
             m = len(members)
@@ -687,17 +686,12 @@ def _polish_and_certify(
             kappa = float(base) ** (1.0 / m) / max(float(abs(center)), 1.0)
             record(center, m, kappa)
 
-        got = sum(m for _, m, _ in roots)
+        got = sum(m for _, m, _, _ in roots)
         if got != degree:
             raise ConvergenceError(
                 f"root multiplicities sum to {got}, expected degree {degree}"
             )
-        return (
-            [(y, m) for y, m, _ in roots],
-            [log_y for _, _, log_y in roots],
-            condition,
-            worst,
-        )
+        return roots, worst
 
 
 def _sort_key(y: complex) -> tuple[float, float]:
@@ -725,6 +719,9 @@ def roots_at_time(
     when the sweeps hit ``max_iter``).  Clusters within ``cluster_tol`` are
     merged and certified for multiplicity by the derivative ladder, and
     each root must pass a relative-residual certificate below ``cert_tol``.
+    The polish's per-root records are sorted once by ``_sort_key`` (a
+    stable sort), and the RootSet's roots, conditions and logarithms are
+    read from that one list, so they stay aligned.
     """
     coeffs = poly.coefficients_at(t)
     while coeffs and coeffs[-1].mant == 0:
@@ -751,18 +748,18 @@ def roots_at_time(
     inits = _newton_polygon_inits(reduced)
     estimates, iters, cap_hit = _aberth_sweep(reduced, inits, max_iter)
     pairs = {} if cap_hit else _conjugate_pairs(estimates)
-    roots_m, logs, condition, worst = _polish_and_certify(
+    roots, worst = _polish_and_certify(
         poly, t, estimates, pairs, zero_mult, cluster_tol, cert_tol
     )
-    ordered = sorted(zip(roots_m, logs, condition), key=lambda r: _sort_key(r[0][0]))
+    roots.sort(key=lambda r: _sort_key(r[0]))
     return RootSet(
         t=t,
-        roots=tuple(r for r, _, _ in ordered),
-        condition=tuple(c for _, _, c in ordered),
+        roots=tuple((y, m) for y, m, _, _ in roots),
+        condition=tuple(c for _, _, _, c in roots),
         worst_residual=worst,
         iterations=iters,
         cap_hit=cap_hit,
-        log_roots=tuple(g for _, g, _ in ordered),
+        log_roots=tuple(g for _, _, g, _ in roots),
     )
 
 

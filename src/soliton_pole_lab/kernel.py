@@ -70,7 +70,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -133,6 +133,25 @@ class PoleError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """Raised when an iterative refinement fails to converge."""
+
+
+def _record_dict(record, **extra) -> dict:
+    """A result record's JSON form: its compared fields in declaration
+    order, then ``extra``.  Complex values become [re, im], tuples become
+    lists and nested records their own ``to_dict``.  A ``compare=False``
+    field (a timing or a work counter) takes no part in equality and stays
+    out of the export as well."""
+
+    def export(value):
+        if isinstance(value, complex):
+            return [value.real, value.imag]
+        if isinstance(value, tuple):
+            return [export(v) for v in value]
+        return value.to_dict() if hasattr(value, "to_dict") else value
+
+    out = {f.name: export(getattr(record, f.name)) for f in fields(record) if f.compare}
+    out.update(extra)
+    return out
 
 
 class Variant(Enum):
@@ -200,7 +219,10 @@ def _as_exact(value: NumberLike) -> Optional[Fraction]:
     if isinstance(value, str):
         s = value.strip()
         if "/" in s:
-            return Fraction(s)
+            try:
+                return Fraction(s)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {value!r}") from None
         try:
             return Fraction(int(s))
         except ValueError:
@@ -209,12 +231,13 @@ def _as_exact(value: NumberLike) -> Optional[Fraction]:
 
 
 def _as_float(value: NumberLike) -> float:
-    if isinstance(value, str):
-        s = value.strip()
-        if "/" in s:
-            return float(Fraction(s))
-        return float(s)
-    return float(value)
+    try:
+        if isinstance(value, str):
+            s = value.strip()
+            return float(Fraction(s)) if "/" in s else float(s)
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{value!r} overflows a double") from None
 
 
 @dataclass(frozen=True)
@@ -275,6 +298,11 @@ class SolitonConfig:
         )
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.k1, self.k2, self.x1, self.x2))):
+            raise ValueError(
+                "wavenumbers and shifts must be finite, got "
+                f"k1={self.k1}, k2={self.k2}, x1={self.x1}, x2={self.x2}"
+            )
         if not (0.0 < self.k1 < self.k2):
             raise ValueError("wavenumbers must satisfy 0 < k1 < k2")
 

@@ -52,6 +52,7 @@ from .kernel import (
     Variant,
     _eqg_exact,
     _factor_grid,
+    _record_dict,
     pde_residual,
 )
 from .tracker import PoleCurve, track_curve, track_ensemble
@@ -69,18 +70,12 @@ class CheckResult:
     witness: str
     detail: str
     skipped: Optional[str] = None
-    # Wall seconds the check took; not part of the report's JSON.
+    # Wall seconds the check took; compare=False keeps it out of equality
+    # and of the report's JSON.
     elapsed_s: float = field(default=0.0, compare=False)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "worst": self.worst,
-            "witness": self.witness,
-            "detail": self.detail,
-            "skipped": self.skipped,
-        }
+        return _record_dict(self)
 
 
 @dataclass(frozen=True)
@@ -186,10 +181,13 @@ def _check_field_equation(cfg: SolitonConfig, rng: random.Random, n: int = 40):
 
 @_check("pde-richardson-ratio")
 def _check_pde_richardson(cfg: SolitonConfig, rng: random.Random):
-    h = 1e-2
+    """The PDE residual must fall like h^2: its ratio between steps h and
+    h/2 must be 4 at each of the first 3 usable probes of 40.  Fewer usable
+    probes fail the row; a ratio or two near 4 shows no convergence."""
+    h, need = 1e-2, 3
     ratios, witness, worst_dev = [], "", 0.0
     for x, t in analysis._random_probes(cfg, rng, 40):
-        if len(ratios) >= 3:
+        if len(ratios) >= need:
             break
         try:
             r1 = abs(pde_residual(cfg, x, t, h))
@@ -202,8 +200,10 @@ def _check_pde_richardson(cfg: SolitonConfig, rng: random.Random):
         if abs(ratios[-1] - 4.0) > worst_dev:
             worst_dev = abs(ratios[-1] - 4.0)
             witness = f"x={x}, t={t}"
-    if not ratios:
-        raise ConvergenceError("no usable probe point")
+    if len(ratios) < need:
+        raise ConvergenceError(
+            f"{len(ratios)} usable probe points of 40, need {need}"
+        )
     return (
         all(abs(r - 4.0) <= 0.2 for r in ratios),
         worst_dev,

@@ -41,7 +41,7 @@ iterations and distinct evaluation points (see ``PoleCurve``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
@@ -513,26 +513,17 @@ def mirror_curve(curve: PoleCurve) -> PoleCurve:
     """The time-reflected curve t -> -conj(x(-t)), also a zero curve of F.
 
     Sample order is reversed so the result stays monotone in t; applying
-    the mirror twice returns the original samples.  The work counters are
-    the original's: the same samples, found by the same work.
+    the mirror twice returns the original samples.  The family label is
+    dropped; every other field, the work counters included, is the
+    original's: the same samples, found by the same work.
     """
-    samples = [(-t, -x.conjugate()) for t, x in reversed(curve.samples)]
-    residuals = list(reversed(curve.residuals))
-    cp = None
-    if curve.collision_point is not None:
-        cp = -curve.collision_point.conjugate()
-    return PoleCurve(
-        variant=curve.variant,
-        samples=samples,
-        residuals=residuals,
+    cp = curve.collision_point
+    return replace(
+        curve,
+        samples=[(-t, -x.conjugate()) for t, x in reversed(curve.samples)],
+        residuals=list(reversed(curve.residuals)),
         family=None,
-        exceptional_collision=curve.exceptional_collision,
-        branch_class=curve.branch_class,
-        collision_point=cp,
-        accepted=curve.accepted,
-        rejected=curve.rejected,
-        newton_iterations=curve.newton_iterations,
-        points=curve.points,
+        collision_point=None if cp is None else -cp.conjugate(),
     )
 
 

@@ -97,6 +97,18 @@ class TestCrossing:
         with pytest.raises(ValueError, match="no sign change"):
             find_crossing(scenario12.cfg, scenario12.crossing_pole, 10.0)
 
+    def test_curve_tracked_backward_in_time(self, scenario12) -> None:
+        # The crossing pole tracked from t = 6 back to t = -6 lists its
+        # samples in decreasing t; the bracket must still be refined to the
+        # forward curve's crossing, not left at an unrefined midpoint.
+        cfg, alpha = scenario12.cfg, scenario12.alpha
+        forward = scenario12.crossing_pole
+        backward = track_curve(cfg, None, forward.x_last, forward.t_last, forward.t_first)
+        assert backward.t_first > backward.t_last
+        crossing = find_crossing(cfg, backward, alpha)
+        assert abs(crossing.x_star.imag + alpha) < 1e-9
+        assert abs(crossing.t_star - scenario12.crossing.t_star) < 1e-9
+
     def test_curve_of_the_other_variant_is_refused(self, scenario12) -> None:
         # The scenario profiles the config's field, so the crossing speed
         # must come from the field the curve belongs to.

@@ -82,6 +82,16 @@ class TestEval:
         assert code == 2
         assert "0 < k1 < k2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "k1, k2, message",
+        [("1", "inf", "must be finite"), ("1/0", "2", "zero denominator")],
+    )
+    def test_non_finite_wavenumber_is_usage_error(self, capsys, k1, k2, message):
+        code = run(["eval", "--k1", k1, "--k2", k2, "--x", "0"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("usage error:") and message in err
+
 
 class TestPoles:
     def test_exceptional_snapshot(self, capsys):

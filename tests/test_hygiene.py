@@ -189,3 +189,68 @@ def test_only_public_functions_take_a_variant_beside_the_config() -> None:
         if name not in soliton_pole_lab.__all__
     ]
     assert private == [("kernel", "_in_variant")]
+
+
+# Records whose JSON form renames, computes or reorders keys, so they keep
+# a hand-written to_dict.
+OWN_TO_DICT = {"SolitonConfig", "CurveMatch", "BatteryReport", "ExpTerm", "ExpPoly", "RootSet"}
+
+
+def _returns_record_dict(method: ast.FunctionDef) -> bool:
+    """Whether the method's body, docstring aside, is
+    ``return _record_dict(self, ...)``."""
+    body = method.body
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    if len(body) != 1 or not isinstance(body[0], ast.Return):
+        return False
+    call = body[0].value
+    return (
+        isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Name)
+        and call.func.id == "_record_dict"
+        and bool(call.args)
+        and isinstance(call.args[0], ast.Name)
+        and call.args[0].id == "self"
+    )
+
+
+def hand_written_to_dicts(paths: list[Path]) -> list[str]:
+    """Names of the classes whose to_dict does not return
+    ``_record_dict(self, ...)``."""
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (
+                        isinstance(item, ast.FunctionDef)
+                        and item.name == "to_dict"
+                        and not _returns_record_dict(item)
+                    ):
+                        found.append(node.name)
+    return sorted(found)
+
+
+def test_scanner_flags_a_hand_written_to_dict(tmp_path: Path) -> None:
+    (tmp_path / "a.py").write_text(
+        "class Plain:\n"
+        "    def to_dict(self):\n"
+        "        '''Export.'''\n"
+        "        return _record_dict(self, extra=1)\n"
+        "class Hand:\n"
+        "    def to_dict(self):\n"
+        "        return {'a': self.a}\n"
+        "class Wrapped:\n"
+        "    def to_dict(self):\n"
+        "        return dict(_record_dict(self))\n"
+    )
+    assert hand_written_to_dicts([tmp_path / "a.py"]) == ["Hand", "Wrapped"]
+
+
+def test_records_export_through_one_rule() -> None:
+    # The export rule (compared fields in order, complex as [re, im],
+    # compare=False fields left out) lives in kernel._record_dict; only
+    # records that rename, compute or reorder keys write their own.
+    found = hand_written_to_dicts(sorted(PACKAGE.glob("*.py")))
+    assert found == sorted(OWN_TO_DICT)

@@ -8,6 +8,8 @@ so these tests are an independent check of the implementation.
 import cmath
 import math
 import random
+from dataclasses import dataclass, field
+from typing import Optional
 
 import pytest
 from hypothesis import assume, given, settings
@@ -79,6 +81,65 @@ def test_make_rejects_bad_wavenumbers() -> None:
         SolitonConfig.make(0, 1)
     with pytest.raises(ValueError):
         SolitonConfig.make(-1, 2)
+
+
+@pytest.mark.parametrize(
+    "k1, k2, shifts, match",
+    [
+        (1, math.inf, {}, "finite"),
+        (1, "inf", {}, "finite"),
+        (1, 2, {"x1": math.nan}, "finite"),
+        (1, 2, {"x2": -math.inf}, "finite"),
+        ("1/0", 2, {}, "zero denominator"),
+        (1, "2/0", {}, "zero denominator"),
+        (1, 10**400, {}, "overflows"),
+    ],
+    ids=["inf", "inf-str", "nan-x1", "inf-x2", "p/0", "q/0", "huge-int"],
+)
+def test_make_rejects_non_finite_inputs(k1, k2, shifts, match) -> None:
+    # An infinite k2 used to build a config with gamma = nan, and 'p/0'
+    # used to escape as ZeroDivisionError.
+    with pytest.raises(ValueError, match=match):
+        SolitonConfig.make(k1, k2, **shifts)
+
+
+def test_direct_construction_rejects_non_finite_fields() -> None:
+    with pytest.raises(ValueError, match="finite"):
+        SolitonConfig(k1=1.0, k2=math.inf)
+    with pytest.raises(ValueError, match="finite"):
+        SolitonConfig.make(1, 2).with_shifts(0.0, math.inf)
+
+
+@dataclass(frozen=True)
+class _Leaf:
+    z: complex
+
+    def to_dict(self) -> dict:
+        return {"leaf": self.z.real}
+
+
+@dataclass(frozen=True)
+class _Record:
+    z: complex
+    leaves: tuple
+    label: Optional[str]
+    n: int
+    elapsed_s: float = field(default=0.0, compare=False)
+
+
+def test_record_dict_states_the_export_rule() -> None:
+    rec = _Record(1.5 - 2j, (_Leaf(3j), _Leaf(4.0 + 0j)), None, 7, elapsed_s=0.25)
+    got = kernel._record_dict(rec, extra=(1, 2j))
+    assert got == {
+        "z": [1.5, -2.0],
+        "leaves": [{"leaf": 0.0}, {"leaf": 4.0}],
+        "label": None,
+        "n": 7,
+        "extra": (1, 2j),
+    }
+    # Compared fields in declaration order, then the extras; the
+    # compare=False timing stays out.
+    assert list(got) == ["z", "leaves", "label", "n", "extra"]
 
 
 def test_variant_coercion() -> None:

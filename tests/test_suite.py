@@ -410,3 +410,25 @@ def test_sign_law_and_factorization_make_no_scalar_calls(
     assert calls == []
     assert factorization.to_dict() == rows["factorization-product"]
     assert sign_law.to_dict() == rows["vertical-sign-law"]
+
+
+def test_pde_richardson_fails_on_fewer_than_three_ratios(monkeypatch):
+    # Two usable probes give two ratios near 4, which show no h^2
+    # convergence: the row must fail instead of passing on them.
+    residual = suite.pde_residual
+    usable = []
+
+    def two_probes_only(cfg, x, t, h):
+        if (x, t) not in usable:
+            if len(usable) == 2:
+                raise kernel.PoleError("patched pole")
+            usable.append((x, t))
+        return residual(cfg, x, t, h)
+
+    monkeypatch.setattr(suite, "pde_residual", two_probes_only)
+    row = suite._check_pde_richardson(
+        SolitonConfig.make(1, 2, "plus"), random.Random(0)
+    )
+    assert len(usable) == 2
+    assert (row.passed, row.worst) == (False, math.inf)
+    assert row.detail == "ConvergenceError: 2 usable probe points of 40, need 3"
