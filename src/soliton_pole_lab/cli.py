@@ -22,9 +22,9 @@ usage error rather than guess commensurability from floating noise.
 Output is deterministic for a fixed argv + seed: JSON floats are pinned
 to 17 significant digits with a fixed key order (non-finite floats
 serialize as null), CSV is RFC-4180 with a mandatory header row.  An
-optional flat key=value file supplies defaults via --config; explicit
-flags override it.  Exit codes: 0 success, 1 verification or
-computation failure, 2 usage error.
+optional flat key=value file supplies defaults via --config, checked like
+the flags; explicit flags override it.  Exit codes: 0 success, 1
+verification or computation failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import math
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import exppoly
 from .asymptotics import match_horizons
@@ -107,54 +107,59 @@ def _render_csv(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
 # Argument parsing and the config file.
 # ---------------------------------------------------------------------------
 
-_CONFIG_COERCE: dict[str, Callable[[str], object]] = {
-    "k1": str,
-    "k2": str,
-    "variant": str,
-    "x1": float,
-    "x2": float,
-    "x": str,
-    "t": float,
-    "t0": float,
-    "t1": float,
-    "alpha": float,
-    "ratios": str,
-    "seed": int,
-    "precision": int,
-    "format": str,
-    "out": str,
-}
 
-
-def _read_config(path: str) -> dict[str, object]:
+def _finite(text: str) -> float:
+    """argparse type of the float flags: malformed or non-finite text is a
+    usage error."""
     try:
-        text = Path(path).read_text()
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    """Fill argument slots still at None from the --config file.  A key is
+    any option of some subcommand that takes a value (--config aside), and
+    its value passes the chosen subcommand's own type and choices, as the
+    flag's would.  Keys that do not apply to the chosen subcommand are
+    ignored; a key of no subcommand is a usage error."""
+    if args.config is None:
+        return
+    try:
+        lines = Path(args.config).read_text().splitlines()
     except OSError as exc:
         raise _UsageError(f"cannot read config file: {exc}")
-    entries: dict[str, object] = {}
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    keys = {
+        name: {
+            a.dest: a
+            for a in p._actions
+            if a.option_strings and a.nargs != 0 and a.dest != "config"
+        }
+        for name, p in sub.choices.items()
+    }
+    for ln, raw in enumerate(lines, 1):
+        line, where = raw.strip(), f"{args.config}:{ln}"
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise _UsageError(f"{path}:{ln}: expected key=value, got {line!r}")
-        key, value = (s.strip() for s in line.split("=", 1))
-        if key not in _CONFIG_COERCE:
-            raise _UsageError(f"{path}:{ln}: unknown key {key!r}")
+            raise _UsageError(f"{where}: expected key=value, got {line!r}")
+        key, text = (s.strip() for s in line.split("=", 1))
+        if not any(key in own for own in keys.values()):
+            raise _UsageError(f"{where}: unknown key {key!r}")
+        action = keys[args.command].get(key)
+        if action is None:
+            continue
         try:
-            entries[key] = _CONFIG_COERCE[key](value)
-        except ValueError as exc:
-            raise _UsageError(f"{path}:{ln}: bad value for {key}: {exc}")
-    return entries
-
-
-def _merge_config(args: argparse.Namespace) -> None:
-    """Fill argument slots still at None from the --config file.  Keys
-    that do not apply to the chosen subcommand are ignored."""
-    if args.config is None:
-        return
-    for key, value in _read_config(args.config).items():
-        if hasattr(args, key) and getattr(args, key) is None:
+            value = (action.type or str)(text)
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(f"{value!r} is not one of {', '.join(action.choices)}")
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise _UsageError(f"{where}: bad value for {key}: {exc}")
+        if getattr(args, key) is None:
             setattr(args, key, value)
 
 
@@ -175,25 +180,19 @@ def _parse_k(text: str, flag: str):
         raise _UsageError(f"{flag}: expected a number or 'p/q', got {text!r}")
 
 
-def _parse_complex(text: str, flag: str) -> complex:
+def _complex(text: str) -> complex:
+    """argparse type of --x: 're' or 're,im', each part finite."""
     parts = text.split(",")
-    try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
-    except ValueError:
-        pass
-    raise _UsageError(f"{flag}: expected 're' or 're,im', got {text!r}")
+    if len(parts) > 2:
+        raise argparse.ArgumentTypeError(f"expected 're' or 're,im', got {text!r}")
+    return complex(*map(_finite, parts))
 
 
-def _parse_ratios(text: str) -> list[float]:
-    try:
-        out = [float(s) for s in text.split(",") if s.strip()]
-    except ValueError:
-        raise _UsageError(f"--ratios: expected comma-separated floats, got {text!r}")
+def _ratios(text: str) -> list[float]:
+    """argparse type of --ratios: comma-separated finite floats."""
+    out = [_finite(s) for s in text.split(",") if s.strip()]
     if not out:
-        raise _UsageError("--ratios: empty list")
+        raise argparse.ArgumentTypeError("empty list")
     return out
 
 
@@ -235,8 +234,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--k1", help="first wavenumber: integer, 'p/q', or decimal")
     common.add_argument("--k2", help="second wavenumber: integer, 'p/q', or decimal")
     common.add_argument("--variant", choices=("plus", "minus"), help="sign variant")
-    common.add_argument("--x1", type=float, help="first soliton shift (default 0)")
-    common.add_argument("--x2", type=float, help="second soliton shift (default 0)")
+    common.add_argument("--x1", type=_finite, help="first soliton shift (default 0)")
+    common.add_argument("--x2", type=_finite, help="second soliton shift (default 0)")
     common.add_argument("--config", help="flat key=value defaults file")
     common.add_argument("--out", help="write output to this path instead of stdout")
     common.add_argument("--format", choices=("json", "csv"), help="output format")
@@ -247,18 +246,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", parents=[common], help="evaluate u at one point")
     p.add_argument(
-        "--x", help="evaluation point: 're' or 're,im' (--x=-1.5,0.2 when negative)"
+        "--x",
+        type=_complex,
+        help="evaluation point: 're' or 're,im' (--x=-1.5,0.2 when negative)",
     )
-    p.add_argument("--t", type=float, help="time (default 0)")
+    p.add_argument("--t", type=_finite, help="time (default 0)")
 
     p = sub.add_parser("poles", parents=[common], help="exact pole snapshot")
-    p.add_argument("--t", type=float, help="time (default 0)")
+    p.add_argument("--t", type=_finite, help="time (default 0)")
 
     p = sub.add_parser("track", parents=[common], help="track pole curves")
-    p.add_argument("--t0", type=float, help="start time")
-    p.add_argument("--t1", type=float, help="end time")
+    p.add_argument("--t0", type=_finite, help="start time")
+    p.add_argument("--t1", type=_finite, help="end time")
     p.add_argument(
         "--x",
+        type=_complex,
         help="optional seed 're,im' (default: all oracle poles; "
         "--x=-1.5,0.2 when negative)",
     )
@@ -269,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("asympt", parents=[common], help="family match report")
-    p.add_argument("--t1", type=float, help="horizon T > 0 (default 10)")
+    p.add_argument("--t1", type=_finite, help="horizon T > 0 (default 10)")
 
     p = sub.add_parser("verify", parents=[common], help="run the verification battery")
     p.add_argument(
@@ -279,13 +281,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("blowup", parents=[common], help="blowup scenario and rate fit")
-    p.add_argument("--alpha", type=float, help="line offset (default: auto-chosen)")
-    p.add_argument("--t1", type=float, help="tracking half-window (default 6)")
+    p.add_argument("--alpha", type=_finite, help="line offset (default: auto-chosen)")
+    p.add_argument("--t1", type=_finite, help="tracking half-window (default 6)")
 
     p = sub.add_parser(
         "interaction", parents=[common], help="interaction-point ratio sweep"
     )
-    p.add_argument("--ratios", help="comma-separated k2/k1 ratios to sweep")
+    p.add_argument("--ratios", type=_ratios, help="comma-separated k2/k1 ratios to sweep")
     return parser
 
 
@@ -297,7 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_eval(args):
     cfg = _config_from_args(args, exact=False)
     _need(args, "x")
-    x = _parse_complex(args.x, "--x")
+    x = args.x
     t = args.t if args.t is not None else 0.0
     u = eval_u(cfg, x, t)
     at_pole = isinstance(u, PoleMarker)
@@ -331,8 +333,7 @@ def _cmd_poles(args):
 
 def _track_ensemble(cfg: SolitonConfig, args) -> list[PoleCurve]:
     if args.x is not None:
-        x = _parse_complex(args.x, "--x")
-        return [track_curve(cfg, None, x, args.t0, args.t1)]
+        return [track_curve(cfg, None, args.x, args.t0, args.t1)]
     if not cfg.exact:
         raise _UsageError(
             "track without --x seeds from the exact pole oracle: give "
@@ -447,7 +448,7 @@ def _cmd_blowup(args):
 
 def _cmd_interaction(args):
     if args.ratios is not None:
-        ratios = _parse_ratios(args.ratios)
+        ratios = args.ratios
     elif args.k1 is not None and args.k2 is not None:
         cfg = _config_from_args(args, exact=False)
         ratios = [cfg.k2 / cfg.k1]
@@ -500,7 +501,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     saved_dps = exppoly._POLISH_DPS
     try:
-        _merge_config(args)
+        _merge_config(args, parser)
         if args.precision is not None:
             exppoly._POLISH_DPS = max(_MIN_DPS, args.precision)
         payload, header, rows, code = _HANDLERS[args.command](args)

@@ -37,7 +37,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import mpmath as mp
 import numpy as np
@@ -216,32 +216,31 @@ class RootSet:
 # ---------------------------------------------------------------------------
 
 
-def _require_comm(cfg: SolitonConfig) -> None:
-    if cfg.comm is None:
+def _exp_poly(cfg: SolitonConfig, kind: str) -> ExpPoly:
+    """F or G (``kind``) of the config's variant as an ExpPoly.  The
+    kernel's (exact coefficient, a1, a2) monomials in (f1, f2), merged by
+    monomial with zeros pruned (``_QPoly``), become ExpTerms sorted by
+    (degree, sigma).  Distinct monomials have distinct (degree, sigma): the
+    two are a1 p1 + a2 p2 and (a1 p1^3 + a2 p2^3) / lambda^3, and p1 < p2
+    makes that map one-to-one."""
+    comm = cfg.comm
+    if comm is None:
         raise ValueError(
             "polynomial form requires commensurable wavenumbers; construct "
             "the config from exact inputs (ints, Fractions or 'p/q' strings)"
         )
-
-
-def _build_terms(
-    cfg: SolitonConfig, raw: Sequence[tuple[Fraction, int, int]]
-) -> tuple[ExpTerm, ...]:
-    """Assemble ExpTerms from (exact coefficient, a1, a2) monomials in
-    (f1, f2), merged by monomial with zeros pruned (``_QPoly``), sorted by
-    (degree, sigma).  Distinct monomials have distinct (degree, sigma):
-    the two are a1 p1 + a2 p2 and (a1 p1^3 + a2 p2^3) / lambda^3, and
-    p1 < p2 makes that map one-to-one."""
-    assert cfg.comm is not None
-    p1, p2 = cfg.comm.p1, cfg.comm.p2
     k1x, k2x = cfg.k1_exact, cfg.k2_exact
+    if kind == "F":
+        raw = _terms_F(cfg.gamma_exact**2, cfg.variant)
+    else:
+        raw = _terms_G(k1x, k2x, cfg.variant)
     unshifted = cfg.x1 == 0.0 and cfg.x2 == 0.0
     terms = []
     for (a1, a2), c in _QPoly.from_terms(raw).coeffs.items():
         sigma = a1 * k1x**3 + a2 * k2x**3
         terms.append(
             ExpTerm(
-                degree=a1 * p1 + a2 * p2,
+                degree=a1 * comm.p1 + a2 * comm.p2,
                 coeff=float(c),
                 sigma=float(sigma),
                 log_factor=a1 * cfg.k1 * cfg.x1 + a2 * cfg.k2 * cfg.x2,
@@ -250,7 +249,15 @@ def _build_terms(
                 sigma_exact=sigma,
             )
         )
-    return tuple(sorted(terms, key=lambda term: (term.degree, term.sigma_exact)))
+    return ExpPoly(
+        terms=tuple(sorted(terms, key=lambda term: (term.degree, term.sigma_exact))),
+        lam=comm.lam,
+        variant=cfg.variant,
+        kind=kind,
+        lam_exact=comm.lam_exact,
+        p1=comm.p1,
+        p2=comm.p2,
+    )
 
 
 def build_F_poly(cfg: SolitonConfig, variant: "Variant | str | None" = None) -> ExpPoly:
@@ -261,18 +268,7 @@ def build_F_poly(cfg: SolitonConfig, variant: "Variant | str | None" = None) -> 
         (2s - 2s gamma^2) y^{p1+p2} e^{(k1^3+k2^3) t},
         y^{2(p1+p2)} e^{2(k1^3+k2^3) t}.
     """
-    _require_comm(cfg)
-    cfg = _in_variant(cfg, variant)
-    assert cfg.comm is not None
-    return ExpPoly(
-        terms=_build_terms(cfg, _terms_F(cfg.gamma_exact**2, cfg.variant)),
-        lam=cfg.comm.lam,
-        variant=cfg.variant,
-        kind="F",
-        lam_exact=cfg.comm.lam_exact,
-        p1=cfg.comm.p1,
-        p2=cfg.comm.p2,
-    )
+    return _exp_poly(_in_variant(cfg, variant), "F")
 
 
 def build_G_poly(cfg: SolitonConfig, variant: "Variant | str | None" = None) -> ExpPoly:
@@ -283,18 +279,7 @@ def build_G_poly(cfg: SolitonConfig, variant: "Variant | str | None" = None) -> 
 
     with s = +1 for Plus, -1 for Minus.
     """
-    _require_comm(cfg)
-    cfg = _in_variant(cfg, variant)
-    assert cfg.comm is not None
-    return ExpPoly(
-        terms=_build_terms(cfg, _terms_G(cfg.k1_exact, cfg.k2_exact, cfg.variant)),
-        lam=cfg.comm.lam,
-        variant=cfg.variant,
-        kind="G",
-        lam_exact=cfg.comm.lam_exact,
-        p1=cfg.comm.p1,
-        p2=cfg.comm.p2,
-    )
+    return _exp_poly(_in_variant(cfg, variant), "G")
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +627,8 @@ def _polish_and_certify(
             if src not in certified:
                 y = polished[src]
                 (pv, dv), (norm,) = derivs(y, 0, 1, 1)
-                rel = float(abs(pv) / norm) if norm > 0 else 0.0
+                # norm != 0, not norm > 0: a NaN norm must give a NaN rel.
+                rel = float(abs(pv) / norm) if norm != 0 else 0.0
                 kappa = (
                     float(norm / (abs(dv) * max(abs(y), mp.mpf(1e-300))))
                     if dv != 0
@@ -650,8 +636,9 @@ def _polish_and_certify(
                 )
                 certified[src] = (rel, kappa, complex(y), complex(mp.log(y)))
             rel, kappa, y_d, log_d = certified[src]
-            worst = max(worst, rel)
-            if rel > cert_tol:
+            if not rel <= worst:  # a NaN too, which max() would drop
+                worst = rel
+            if not rel <= cert_tol:
                 raise ConvergenceError(
                     f"root {complex(polished[k])} failed certification: "
                     f"relative residual {rel:.3e} > {cert_tol:.1e}"
@@ -721,8 +708,11 @@ def roots_at_time(
     each root must pass a relative-residual certificate below ``cert_tol``.
     The polish's per-root records are sorted once by ``_sort_key`` (a
     stable sort), and the RootSet's roots, conditions and logarithms are
-    read from that one list, so they stay aligned.
+    read from that one list, so they stay aligned.  A non-finite t raises
+    ValueError.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t}")
     coeffs = poly.coefficients_at(t)
     while coeffs and coeffs[-1].mant == 0:
         coeffs.pop()

@@ -238,11 +238,12 @@ def track_zero_curve(
 
     Core engine behind ``track_curve``; usable directly for other
     meromorphic families (e.g. the one-soliton denominator).  The returned
-    curve carries its work counters (see ``PoleCurve``).
+    curve carries its work counters (see ``PoleCurve``).  A non-finite
+    t_start or t_end raises ValueError.
     """
     opts = opts or TrackerOptions()
-    if t_end == t_start:
-        raise ValueError("t_end must differ from t_start")
+    if t_end == t_start or not (math.isfinite(t_start) and math.isfinite(t_end)):
+        raise ValueError(f"need finite t_start != t_end, got {t_start} -> {t_end}")
     sign = 1.0 if t_end > t_start else -1.0
 
     def nearest_declared(z: complex, radius: float) -> Optional[complex]:

@@ -327,6 +327,22 @@ class TestPlumbing:
         assert code == 2
         assert "wavelength" in err
 
+    def test_config_value_passes_the_flags_choices(self, capsys, tmp_path):
+        # --format yaml is a usage error, so format = yaml in a file must
+        # be one too, not a silent CSV.
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("k1=1\nk2=2\nformat=yaml\n")
+        code = run(["poles", "--config", str(cfgfile)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "format" in captured.err and "yaml" in captured.err
+
+    def test_config_key_of_another_subcommand_ignored(self, capsys, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("k1=1\nk2=2\nalpha=oops\nratios=1.5\n")
+        code, doc = run_json(capsys, ["poles", "--config", str(cfgfile)])
+        assert code == 0 and doc["count_with_multiplicity"] == 6
+
     def test_config_malformed_line(self, capsys, tmp_path):
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_text("k1 1\n")
@@ -375,6 +391,47 @@ class TestPlumbing:
     def test_bad_x_syntax(self, capsys):
         code = run(["eval", "--k1", "1", "--k2", "2", "--x", "1;2"])
         assert code == 2
+
+
+_NON_FINITE_ARGV = {
+    "t": ["poles", "--k1", "1", "--k2", "2"],
+    "t0": ["track", "--k1", "1", "--k2", "2", "--t1", "1"],
+    "t1": ["asympt", "--k1", "1", "--k2", "2"],
+    "alpha": ["blowup", "--k1", "1", "--k2", "2"],
+    "x": ["eval", "--k1", "1", "--k2", "2"],
+    "ratios": ["interaction"],
+}
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("t", "nan"),
+        ("t", "-inf"),
+        ("t0", "inf"),
+        ("t1", "inf"),
+        ("alpha", "nan"),
+        ("x", "nan"),
+        ("x", "1,inf"),
+        ("x", "nan,0.5"),
+        ("ratios", "1.5,nan"),
+    ],
+)
+def test_non_finite_number_is_usage_error(capsys, tmp_path, via, key, value):
+    # Unchecked, eval --x nan prints u as null, and blowup --alpha nan and
+    # asympt --t1 inf fail later with unrelated errors.
+    argv = list(_NON_FINITE_ARGV[key])
+    if via == "flag":
+        argv.append(f"--{key}={value}")
+    else:
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"{key}={value}\n")
+        argv += ["--config", str(cfgfile)]
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "finite" in captured.err
 
 
 class TestSerialization:

@@ -31,6 +31,7 @@ from soliton_pole_lab.exppoly import (
     y_to_x,
 )
 from soliton_pole_lab.kernel import (
+    ConvergenceError,
     F_scaled,
     G_scaled,
     SolitonConfig,
@@ -308,6 +309,24 @@ def test_degree_one_polynomial_exact_root() -> None:
     )
     rs = roots_at_time(poly, 0.0)
     assert rs.roots == ((2.5 + 0j, 1),)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_non_finite_time_rejected(t: float) -> None:
+    # Unchecked, it runs every Aberth sweep and returns NaN roots.
+    with pytest.raises(ValueError, match="finite"):
+        roots_at_time(build_F_poly(C15M), t)
+
+
+def test_nan_estimates_fail_certification() -> None:
+    # A NaN root has a NaN residual, which must fail the certificate
+    # rather than read as a worst residual of 0.
+    poly = build_F_poly(SolitonConfig.make(1, 2, "plus"))
+    estimates = np.full(6, complex(math.nan, math.nan))
+    with pytest.raises(ConvergenceError, match="nan"):
+        exppoly._polish_and_certify(
+            poly, 0.0, estimates, {}, 0, exppoly.CLUSTER_TOL, exppoly.CERT_TOL
+        )
 
 
 def test_roots_against_mpmath_polyroots() -> None:

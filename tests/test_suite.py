@@ -361,7 +361,65 @@ def test_battery_solves_each_snapshot_once(monkeypatch, report12):
     )
     report = run_battery(SolitonConfig.make(1, 2, "plus"), seed=0)
     assert repr(report.to_dict()) == repr(report12.to_dict())
-    assert len(solves) == len(set(solves)) == 12
+    assert len(solves) == len(set(solves)) == 6
+
+
+class TestPoleCountProof:
+    """The pole-count row proves the count from F's exact table."""
+
+    def test_solves_no_snapshot(self, monkeypatch):
+        solves = []
+        solve = exppoly.roots_at_time
+        monkeypatch.setattr(
+            exppoly, "roots_at_time", lambda *a, **k: solves.append(a) or solve(*a, **k)
+        )
+        result = suite._check_pole_count(SolitonConfig.make(1, 2, "plus"))
+        assert result.passed and solves == []
+
+    @pytest.mark.parametrize("variant", ["plus", "minus"])
+    @pytest.mark.parametrize(
+        "mutation, end",
+        [
+            ("drop the top monomial", "top"),
+            ("add a second top-degree monomial", "top"),
+            ("drop the constant monomial", "constant"),
+        ],
+    )
+    def test_table_mutation_fails_in_its_variant(
+        self, monkeypatch, variant, mutation, end
+    ):
+        terms_F = exppoly._terms_F
+        target = kernel.Variant.coerce(variant)
+
+        def mutated(g2, v):
+            terms = terms_F(g2, v)
+            if v is target:
+                if mutation == "drop the top monomial":
+                    terms.remove((1, 2, 2))
+                elif mutation == "add a second top-degree monomial":
+                    terms.append((1, 6, 0))  # degree 6 = 2(p1+p2) for (1, 2)
+                else:
+                    terms.remove((1, 0, 0))
+            return terms
+
+        monkeypatch.setattr(exppoly, "_terms_F", mutated)
+        result = suite._check_pole_count(SolitonConfig.make(1, 2, "plus"))
+        assert not result.passed and result.worst > 0
+        assert result.witness.startswith(f"variant={variant}, {end} end")
+        assert result.detail == "2(p1+p2) = 6 with multiplicity, not proved"
+
+    @pytest.mark.parametrize("variant", ["plus", "minus"])
+    @pytest.mark.parametrize(
+        "p1, p2",
+        [(p1, p2) for p2 in range(2, 14) for p1 in range(1, p2) if math.gcd(p1, p2) == 1],
+    )
+    def test_proved_for_every_coprime_pair(self, p1, p2, variant):
+        result = suite._check_pole_count(SolitonConfig.make(p1, p2, variant))
+        assert (result.passed, result.worst, result.witness) == (True, 0.0, "")
+        assert result.detail == (
+            f"2(p1+p2) = {2 * (p1 + p2)} with multiplicity, "
+            "proved for every t in both variants"
+        )
 
 
 _BATTERY_CONFIGS = {

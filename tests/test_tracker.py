@@ -299,6 +299,18 @@ def test_equal_endpoints_rejected():
         track_curve(cfg, None, 0j, 1.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "t_start, t_end", [(0.0, math.nan), (0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)]
+)
+def test_non_finite_times_rejected(t_start, t_end):
+    # Unchecked, a NaN end returns the seed alone and an infinite one runs
+    # the whole step budget before it raises.
+    cfg = SolitonConfig.make(1, 2, "plus")
+    x = oracle_poles(cfg, t=0.0)[0][0]
+    with pytest.raises(ValueError, match="finite"):
+        track_curve(cfg, None, x, t_start, t_end)
+
+
 def test_classify_requires_flagged_curve():
     cfg = SolitonConfig.make(1, 2, "minus")
     x = oracle_poles(cfg, t=-0.5)[0][0]
