@@ -18,7 +18,8 @@ bit: each operation repeats CPython's own float steps (``cmul``, ``cdiv``,
 real ``exp`` round differently.  The one exception is ``np.log``, which can
 differ from ``math.log`` in the last place; a log only ever feeds a threshold
 test, and every point within reach of its threshold is settled by the scalar
-``Scaled`` method instead.
+``Scaled`` method instead.  ``ScaledGrid.ratio``, the one grid operation that
+can fail, raises the scalar error of its first failing point in grid order.
 """
 
 from __future__ import annotations
@@ -180,8 +181,6 @@ def balanced_sum(terms: Iterable[tuple[complex, complex]]) -> Scaled:
 # helper spells out the float operations CPython performs, in its order.
 # ---------------------------------------------------------------------------
 
-Fault = Optional[tuple[int, ArithmeticError]]
-
 
 def complex_array(re, im) -> np.ndarray:
     """re + i*im as a complex array, with no arithmetic on the parts."""
@@ -288,15 +287,15 @@ class ScaledGrid:
 
     def ratio(
         self, other: "ScaledGrid", active: Optional[np.ndarray] = None
-    ) -> tuple[np.ndarray, np.ndarray, Fault]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """``Scaled.ratio`` elementwise over the ``active`` points (default:
-        all): (re, im, fault).  ``fault`` is (index, error) for the first
-        point in order where the scalar form raises, else None; entries from
-        that index on, and off ``active``, are unspecified.
+        all) as (re, im); entries off ``active`` are unspecified.  Raises the
+        scalar form's error, type and message, for the first active point in
+        order where it has one.
 
         Zero divisors, non-finite quotients and points whose total exponent
         lies near the overflow or underflow limit go through ``Scaled.ratio``
-        itself, which also gives each error its exact message."""
+        itself, in order, which also gives each error its exact message."""
         act = np.ones(len(self), dtype=bool) if active is None else active
         with np.errstate(all="ignore"):
             qr, qi = cdiv(self.re, self.im, other.re, other.im)
@@ -314,15 +313,10 @@ class ScaledGrid:
             re, im = cmul(qr, qi, exp_real(np.where(live, dlog, 0.0)), 0.0)
             re = np.where(live, re, 0.0)
             im = np.where(live, im, 0.0)
-        fault: Fault = None
         for i in np.flatnonzero(scalar).tolist():
-            try:
-                q = self.at(i).ratio(other.at(i))
-            except ArithmeticError as exc:
-                fault = (i, exc)
-                break
+            q = self.at(i).ratio(other.at(i))
             re[i], im[i] = q.real, q.imag
-        return re, im, fault
+        return re, im
 
 
 def balanced_sum_grid(

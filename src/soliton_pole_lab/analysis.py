@@ -441,9 +441,9 @@ def _vertical_signs(
 ) -> list[Optional[VerticalSign]]:
     """``vertical_sign`` at every sample (xs[i], ts[i]), bit for bit: one
     ``VerticalSign`` per sample, or None where the scalar form raises
-    PoleError (not a zero) or ConvergenceError (a multiple zero).  Any
-    other error is raised for the first sample in order that has one,
-    with the scalar form's type and message.
+    PoleError (not a zero) or ConvergenceError (a multiple zero).  The
+    ratio F_t / F_x at the other samples raises the scalar form's error
+    for the first sample where it fails, before any prediction is made.
 
     Both factors and their F_t and F_x are evaluated once each over all
     samples on the grid engine, with one time per point; the vanishing
@@ -464,16 +464,13 @@ def _vertical_signs(
     not_zero = np.where(first, r1, r2) > ZERO_GATE
     Ft, Fx = _pick(first, F1t, F2t), _pick(first, F1x, F2x)
     skip = not_zero | (Fx.relative() < FX_GATE)
-    _, qi, fault = Ft.ratio(Fx, active=~skip)
-    stop = len(zs) if fault is None else fault[0]
+    _, qi = Ft.ratio(Fx, active=~skip)
     out: list[Optional[VerticalSign]] = []
     rows = zip(skip.tolist(), np.where(first, 1, 2).tolist(), (-qi).tolist(), xs, ts)
-    for i, (skipped, which, measured, x, t) in enumerate(rows):
+    for skipped, which, measured, x, t in rows:
         if skipped:
             out.append(None)
             continue
-        if i == stop:
-            raise fault[1]
         predicted, expression = _sign_prediction(cfg, which, complex(x), t)
         out.append(VerticalSign(predicted, measured, expression, which))
     return out

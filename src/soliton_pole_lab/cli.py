@@ -447,6 +447,9 @@ def _cmd_blowup(args):
 
 
 def _cmd_interaction(args):
+    if args.x1 or args.x2:
+        shifts = f"x1={args.x1 or 0.0}, x2={args.x2 or 0.0}"
+        raise _UsageError(f"interaction diagnostics need zero shifts, got {shifts}")
     if args.ratios is not None:
         ratios = args.ratios
     elif args.k1 is not None and args.k2 is not None:

@@ -80,6 +80,7 @@ import numpy as np
 from ._balanced import (
     Scaled,
     ScaledGrid,
+    _LOG_HUGE,
     _near,
     balanced_sum,
     balanced_sum_grid,
@@ -695,7 +696,7 @@ def eval_f(cfg: SolitonConfig, j: int, x: complex, t: float) -> complex:
     k = cfg.k1 if j == 1 else cfg.k2
     xs = cfg.x1 if j == 1 else cfg.x2
     w = -k * (complex(x) - xs) + k**3 * t
-    if w.real > 709.0:
+    if w.real > _LOG_HUGE:
         raise OverflowError(
             f"exponent {w.real:.3f} of f_{j} exceeds the representable range"
         )
@@ -767,8 +768,11 @@ def _u_or_raise(cfg: SolitonConfig, x: complex, t: float) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _u_grid(cfg: SolitonConfig, xs: np.ndarray, t: float):
-    """(u, pole mask, first ratio fault) for ``eval_u`` over xs."""
+def _u_grid(cfg: SolitonConfig, xs: np.ndarray, t: float, raise_pole=False):
+    """``eval_u`` over xs: (u, pole mask), u NaN at the poles.  G / F raises
+    its error for the first non-pole point that has one.  With ``raise_pole``
+    (``_u_or_raise``) only the points before the first pole are divided,
+    and that pole then raises PoleError."""
     F = F_grid(cfg, xs, t)
     G = G_grid(cfg, xs, t)
     Fx = F_grid(cfg, xs, t, dx=1)
@@ -778,36 +782,29 @@ def _u_grid(cfg: SolitonConfig, xs: np.ndarray, t: float):
     pole = lhs < rhs
     for i in np.flatnonzero(_near(lhs, rhs)).tolist():
         pole[i] = _at_pole(cfg, F.at(i), Fx.at(i))
-    qr, qi, fault = G.ratio(F, active=~pole)
+    active = np.logical_and.accumulate(~pole) if raise_pole else ~pole
+    qr, qi = G.ratio(F, active=active)
+    if raise_pole and pole.any():
+        raise PoleError(_pole_message(complex(xs[np.argmax(pole)]), t))
     u = complex_array(*cmul(2.0 * cfg.gamma, 0.0, qr, qi))
     u[pole] = complex("nan")
-    return u, pole, fault
+    return u, pole
 
 
 def eval_u_grid(
     cfg: SolitonConfig, xs: "Sequence[complex] | np.ndarray", t: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """``eval_u`` over xs: (u, pole), where pole marks the points at which
-    ``eval_u`` returns a PoleMarker (u is NaN there)."""
-    u, pole, fault = _u_grid(cfg, _as_grid(xs), t)
-    if fault is not None:
-        raise fault[1]
-    return u, pole
+    ``eval_u`` returns a PoleMarker (u is NaN there); see ``_u_grid``."""
+    return _u_grid(cfg, _as_grid(xs), t)
 
 
 def _u_or_raise_grid(
     cfg: SolitonConfig, xs: "Sequence[complex] | np.ndarray", t: float
 ) -> np.ndarray:
-    """``_u_or_raise`` over xs: PoleError (or the ratio's error) for the
-    first offending point in grid order."""
-    xs = _as_grid(xs)
-    u, pole, fault = _u_grid(cfg, xs, t)
-    first = int(np.argmax(pole)) if pole.any() else len(xs)
-    if fault is not None and fault[0] < first:
-        raise fault[1]
-    if first < len(xs):
-        raise PoleError(_pole_message(complex(xs[first]), t))
-    return u
+    """``_u_or_raise`` over xs: the error of the first offending point,
+    PoleError or the ratio's (see ``_u_grid``)."""
+    return _u_grid(cfg, _as_grid(xs), t, raise_pole=True)[0]
 
 
 def _sech_scaled(w: complex) -> tuple[Scaled, Scaled]:
@@ -882,15 +879,13 @@ def eval_u_x(cfg: SolitonConfig, x: complex, t: float) -> complex:
 def eval_u_x_grid(
     cfg: SolitonConfig, xs: "Sequence[complex] | np.ndarray", t: float
 ) -> np.ndarray:
-    """``eval_u_x`` over xs, raising its error for the first point that has one."""
+    """``eval_u_x`` over xs; the ratio raises for the first point that fails."""
     xs = _as_grid(xs)
     F = F_grid(cfg, xs, t)
     Fx = F_grid(cfg, xs, t, dx=1)
     G = G_grid(cfg, xs, t)
     Gx = G_grid(cfg, xs, t, dx=1)
-    qr, qi, fault = (Gx * F - G * Fx).ratio(F * F)
-    if fault is not None:
-        raise fault[1]
+    qr, qi = (Gx * F - G * Fx).ratio(F * F)
     return complex_array(*cmul(2.0 * cfg.gamma, 0.0, qr, qi))
 
 

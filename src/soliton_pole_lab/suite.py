@@ -226,9 +226,7 @@ def _check_factorization(cfg: SolitonConfig, rng: random.Random, n: int = 100):
         work = cfg.with_variant(variant)
         f1 = _factor_grid(work, xs, ts, 1)
         f2 = _factor_grid(work, xs, ts, 2)
-        qr, qi, fault = (f1 * f2).ratio(F_grid(work, xs, ts))
-        if fault is not None:
-            raise fault[1]
+        qr, qi = (f1 * f2).ratio(F_grid(work, xs, ts))
         rel = np.hypot(qr - 1.0, qi - 0.0)  # abs(q - 1.0)
         for (x, t), r in zip(probes, rel.tolist()):
             if r > worst:

@@ -239,11 +239,16 @@ def track_zero_curve(
     Core engine behind ``track_curve``; usable directly for other
     meromorphic families (e.g. the one-soliton denominator).  The returned
     curve carries its work counters (see ``PoleCurve``).  A non-finite
-    t_start or t_end raises ValueError.
+    t_start or t_end raises ValueError, and so does a span that
+    ``opts.max_steps`` steps cannot cover when no collision point is
+    declared to end the curve early.
     """
     opts = opts or TrackerOptions()
     if t_end == t_start or not (math.isfinite(t_start) and math.isfinite(t_end)):
         raise ValueError(f"need finite t_start != t_end, got {t_start} -> {t_end}")
+    reach = opts.max_steps * max(opts.dt_init, opts.dt_max)
+    if not collision_points and abs(t_end - t_start) > reach:
+        raise ValueError(f"span {t_start} -> {t_end} exceeds the step budget's {reach}")
     sign = 1.0 if t_end > t_start else -1.0
 
     def nearest_declared(z: complex, radius: float) -> Optional[complex]:

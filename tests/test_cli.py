@@ -292,6 +292,33 @@ class TestInteraction:
         code = run(["interaction", "--ratios", "2.0,abc"])
         assert code == 2
 
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("key", ["x1", "x2"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["interaction", "--k1", "1", "--k2", "2"], ["interaction", "--ratios", "2.0"]],
+    )
+    def test_nonzero_shift_is_usage_error(self, capsys, tmp_path, via, key, argv):
+        # Unchecked, the sweep builds zero-shift configs and ignores the shift.
+        argv = list(argv)
+        if via == "flag":
+            argv.append(f"--{key}=3")
+        else:
+            cfgfile = tmp_path / "run.cfg"
+            cfgfile.write_text(f"{key}=3\n")
+            argv += ["--config", str(cfgfile)]
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "zero shifts" in captured.err
+
+    def test_zero_shift_output_unchanged(self, capsys):
+        argv = ["interaction", "--ratios", "2.0,3.0"]
+        assert run(argv) == 0
+        plain = capsys.readouterr().out
+        assert run(argv + ["--x1", "0", "--x2=-0.0"]) == 0
+        assert capsys.readouterr().out == plain
+
 
 class TestPlumbing:
     def test_byte_identical_runs(self, capsys):

@@ -29,6 +29,7 @@ from soliton_pole_lab._balanced import (
     complex_array,
     exp_real,
 )
+from soliton_pole_lab import kernel
 from soliton_pole_lab.analysis import check_no_real_poles
 from soliton_pole_lab.exppoly import oracle_poles
 from soliton_pole_lab.kernel import (
@@ -215,31 +216,45 @@ def test_ratio_overflow_underflow_and_zero_elementwise() -> None:
         Scaled(0j, 5.0, 0.0),  # zero numerator gives 0j
         Scaled(0.3 - 0.2j, 720.0, 1.0),  # exceeds the float range
         Scaled(0.3 - 0.2j, 1.0, 1.0),
+        Scaled(0.3 - 0.2j, 730.0, 1.0),  # exceeds it too, later
     ]
-    qr, qi, fault = as_grid(nums).ratio(as_grid([one] * len(nums)))
-    assert fault is not None and fault[0] == 3
+    ones = as_grid([one] * len(nums))
+    # The first active overflow raises the scalar OverflowError, message and all.
     with pytest.raises(OverflowError) as scalar:
         nums[3].ratio(one)
-    assert type(fault[1]) is OverflowError and str(fault[1]) == str(scalar.value)
+    with pytest.raises(OverflowError) as grid:
+        as_grid(nums).ratio(ones)
+    assert type(grid.value) is OverflowError and str(grid.value) == str(scalar.value)
+    # The points before it give the scalar values.
+    qr, qi = as_grid(nums[:3]).ratio(as_grid([one] * 3))
     want = [n.ratio(one) for n in nums[:3]]
-    assert_complex_bits(complex_array(qr[:3], qi[:3]), want, "ratio")
+    assert_complex_bits(complex_array(qr, qi), want, "ratio")
     assert qr[1] == 0.0 and qi[1] == 0.0 and qr[2] == 0.0 and qi[2] == 0.0
-    # Off the active set, the overflowing point is not evaluated.
-    active = np.array([True, True, True, False, True])
-    qr, qi, fault = as_grid(nums).ratio(as_grid([one] * len(nums)), active)
-    assert fault is None
+    # Off the active set, an overflowing point is not evaluated.
+    active = np.array([True, True, True, False, True, False])
+    qr, qi = as_grid(nums).ratio(ones, active)
     assert (qr[4], qi[4]) == (nums[4].ratio(one).real, nums[4].ratio(one).imag)
-    # A zero divisor faults with the scalar ZeroDivisionError.
+    # With the first overflow inactive, the next active one raises its own.
+    active[5] = True
+    with pytest.raises(OverflowError) as later:
+        nums[5].ratio(one)
+    with pytest.raises(OverflowError) as grid:
+        as_grid(nums).ratio(ones, active)
+    assert str(grid.value) == str(later.value) != str(scalar.value)
+    # A zero divisor raises the scalar ZeroDivisionError.
     dens = [one, Scaled(0j, 3.0, 0.0), one]
-    _, _, fault = as_grid(nums[:3]).ratio(as_grid(dens))
-    assert fault is not None and fault[0] == 1
-    assert isinstance(fault[1], ZeroDivisionError)
-    assert str(fault[1]) == "scaled division by zero mantissa"
+    with pytest.raises(ZeroDivisionError) as scalar:
+        nums[1].ratio(dens[1])
+    with pytest.raises(ZeroDivisionError) as grid:
+        as_grid(nums[:3]).ratio(as_grid(dens))
+    assert type(grid.value) is ZeroDivisionError
+    assert str(grid.value) == str(scalar.value) == "scaled division by zero mantissa"
 
 
 def test_ratio_near_thresholds_matches_scalar() -> None:
     # Totals straddling the overflow and underflow limits within np.log's
-    # reach: each point is settled exactly as Scaled.ratio settles it.
+    # reach: each point is settled exactly as Scaled.ratio settles it, and
+    # the grid raises exactly where the scalar loop first raises.
     one = Scaled(1.0, 0.0, 1.0)
     limit = math.log(1.7976931348623157e308)
     nums = []
@@ -250,14 +265,24 @@ def test_ratio_near_thresholds_matches_scalar() -> None:
     for n in nums:
         try:
             want.append(n.ratio(one))
-        except OverflowError:
+        except OverflowError as exc:
+            message = str(exc)
             break
-    qr, qi, fault = as_grid(nums).ratio(as_grid([one] * len(nums)))
-    assert (fault is None) == (len(want) == len(nums))
-    if fault is not None:
-        assert fault[0] == len(want)
-    got = complex_array(qr[: len(want)], qi[: len(want)])
-    assert_complex_bits(got, want, "ratio near limits")
+    else:
+        message = None
+    ones = as_grid([one] * len(nums))
+    if message is not None:
+        with pytest.raises(OverflowError) as grid:
+            as_grid(nums).ratio(ones)
+        assert str(grid.value) == message
+        # The prefix below does not raise, so ending the grid one point
+        # later pins the raise to the first point the scalar loop refuses.
+        end = len(want) + 1
+        with pytest.raises(OverflowError) as grid:
+            as_grid(nums[:end]).ratio(as_grid([one] * end))
+        assert str(grid.value) == message
+    qr, qi = as_grid(nums[: len(want)]).ratio(as_grid([one] * len(want)))
+    assert_complex_bits(complex_array(qr, qi), want, "ratio near limits")
 
 
 def test_balanced_sum_grid_matches_scalar() -> None:
@@ -415,6 +440,52 @@ def test_grid_touching_a_pole_names_the_first_pole() -> None:
         _u_or_raise_grid(cfg, xs, 0.4)
     assert str(grid.value) == str(scalar.value)
     assert repr(xs[7]) in str(grid.value)
+
+
+def _first_error(call):
+    """The error ``call`` raises, as (type, message)."""
+    with pytest.raises((OverflowError, PoleError)) as got:
+        call()
+    return type(got.value), str(got.value)
+
+
+@pytest.mark.parametrize(
+    "forced, raised, faulted",
+    [
+        ({3: 800.0, 10: 850.0}, 3, 3),  # a ratio fault before the first pole
+        ({10: 850.0, 30: 900.0}, 7, 10),  # the pole at xs[7] comes first
+    ],
+)
+def test_u_grids_raise_in_the_scalar_order(monkeypatch, forced, raised, faulted):
+    """G scaled by e^800 and more at chosen points makes G / F overflow
+    there, with a message of its own per point.  ``_u_or_raise_grid``
+    raises the error of the first point that has one, ratio fault or pole;
+    ``eval_u_grid``, which marks poles, raises the first ratio fault even
+    after a pole.  Each agrees with its scalar loop."""
+    cfg = SolitonConfig.make(1, 5, "minus")
+    xs = _grid_with_poles(cfg, 0.4)
+    shift = {xs[i]: v for i, v in forced.items()}
+    G_scaled_, G_grid_ = kernel.G_scaled, kernel.G_grid
+
+    def scalar(cfg, x, t, dx=0, dt=0):
+        v = G_scaled_(cfg, x, t, dx, dt)
+        return v * Scaled(1.0, shift[x], 1.0) if x in shift else v
+
+    def grid(cfg, xs, t, dx=0, dt=0):
+        v = G_grid_(cfg, xs, t, dx, dt)
+        extra = np.array([shift.get(complex(x), 0.0) for x in xs])
+        return ScaledGrid(v.re, v.im, v.log + extra, v.norm)
+
+    monkeypatch.setattr(kernel, "G_scaled", scalar)
+    monkeypatch.setattr(kernel, "G_grid", grid)
+    want = _first_error(lambda: _u_or_raise(cfg, xs[raised], 0.4))
+    assert want[0] is (PoleError if raised == 7 else OverflowError)
+    assert _first_error(lambda: [_u_or_raise(cfg, x, 0.4) for x in xs]) == want
+    assert _first_error(lambda: _u_or_raise_grid(cfg, xs, 0.4)) == want
+    want = _first_error(lambda: eval_u(cfg, xs[faulted], 0.4))
+    assert want[0] is OverflowError
+    assert _first_error(lambda: [eval_u(cfg, x, 0.4) for x in xs]) == want
+    assert _first_error(lambda: eval_u_grid(cfg, xs, 0.4)) == want
 
 
 def test_u_or_raise_grid_on_a_regular_grid() -> None:

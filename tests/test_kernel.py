@@ -176,6 +176,15 @@ def test_eval_f_overflow_names_exponent() -> None:
         eval_f(C12M, 2, -400.0, 0.0)
 
 
+def test_eval_f_raises_only_beyond_the_float_limit() -> None:
+    # e^709.5 = 1.35e308 is a normal double; e^710 is not.
+    cfg = SolitonConfig.make(1, 2, "plus")
+    assert eval_f(cfg, 1, -709.5, 0.0) == cmath.exp(709.5)
+    assert eval_f(cfg, 1, -709.5 + 2.0j, 0.0) == cmath.exp(709.5 - 2.0j)
+    with pytest.raises(OverflowError, match=r"exponent 710\.000 of f_1"):
+        eval_f(cfg, 1, -710.0, 0.0)
+
+
 def test_eval_f_bad_index() -> None:
     with pytest.raises(ValueError):
         eval_f(C12M, 3, 0.0, 0.0)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
@@ -309,6 +310,32 @@ def test_non_finite_times_rejected(t_start, t_end):
     x = oracle_poles(cfg, t=0.0)[0][0]
     with pytest.raises(ValueError, match="finite"):
         track_curve(cfg, None, x, t_start, t_end)
+
+
+def test_span_beyond_the_step_budget_rejected():
+    # Unchecked, this runs all 200,000 steps, for seconds, before the
+    # budget raises ConvergenceError.
+    cfg = SolitonConfig.make(1, 2, "plus")
+    x = oracle_poles(cfg, t=0.0)[0][0]
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="step budget"):
+        track_curve(cfg, None, x, 0.0, 1e9)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_step_budget_reach_is_refused_only_without_collision_points():
+    # 10 steps of at most 0.05 reach 0.5.  A declared collision point may
+    # end a curve early, so a longer span with one is still attempted.
+    k = 1.3
+    F = _exp_sum([(1.0, -k, k**3), (1.0, k, -k**3)])
+    seed = 1j * math.pi / (2 * k)
+    opts = TrackerOptions(max_steps=10, dt_max=0.05)
+    with pytest.raises(ValueError, match="step budget"):
+        track_zero_curve(F, seed, 0.0, -0.6, opts)
+    with pytest.raises(ConvergenceError, match="step budget 10 exhausted"):
+        track_zero_curve(F, seed, 0.0, 0.6, opts, collision_points=[50j])
+    with pytest.raises(ConvergenceError, match="step budget 10 exhausted"):
+        track_zero_curve(F, seed, 0.0, 0.5, opts)
 
 
 def test_classify_requires_flagged_curve():
