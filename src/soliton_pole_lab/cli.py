@@ -348,9 +348,11 @@ def _cmd_track(args):
     curves = _track_ensemble(cfg, args)
     if args.stats:
         for i, c in enumerate(curves):
+            # A conjugated curve repeats its partner's counters.
+            mark = "" if c.conjugate_of is None else f" conjugate_of={c.conjugate_of}"
             print(
                 f"curve {i}: accepted={c.accepted} rejected={c.rejected} "
-                f"newton_iterations={c.newton_iterations} points={c.points}",
+                f"newton_iterations={c.newton_iterations} points={c.points}{mark}",
                 file=sys.stderr,
             )
     payload = {

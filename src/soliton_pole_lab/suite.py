@@ -55,7 +55,7 @@ from .kernel import (
     _record_dict,
     pde_residual,
 )
-from .tracker import PoleCurve, track_curve, track_ensemble
+from .tracker import PoleCurve, _track_seeds, track_ensemble
 
 __all__ = ["CheckResult", "BatteryReport", "run_battery"]
 
@@ -281,15 +281,16 @@ def _check_sign_law(cfg: SolitonConfig, curves: Optional[Sequence[PoleCurve]]):
     not simple zeros are left out; ``worst`` counts violations and the
     witness is the first violation of largest measured |Im x'|."""
     if curves is None:
-        # Seed four asymptotic families directly (no exact oracle).
-        curves = []
+        # Seed four asymptotic families directly (no exact oracle): two
+        # conjugate pairs (index +-1), all at t = -t_seed.
         eps = 1e-2
         t_seed = seed_time(cfg, eps)
-        for speed in (Speed.SLOW, Speed.FAST):
-            for index in (1, -1):
-                label = FamilyLabel(speed, index, -1)
-                x0, t0 = seed_state(cfg, label, eps)
-                curves.append(track_curve(cfg, None, x0, t0, t_seed))
+        seeds = [
+            seed_state(cfg, FamilyLabel(speed, index, -1), eps)[0]
+            for speed in (Speed.SLOW, Speed.FAST)
+            for index in (1, -1)
+        ]
+        curves = _track_seeds(cfg, seeds, -t_seed, t_seed, None)
     samples = [s for curve in curves for s in curve.samples[::5]]
     verdicts = analysis._vertical_signs(
         cfg, [x for _, x in samples], [t for t, _ in samples]

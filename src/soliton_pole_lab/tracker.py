@@ -16,7 +16,11 @@ x' = -F_t / F_x as predictor, Newton in x as corrector, adaptive time step,
 and a hard stop inside a small radius of a declared collision point (the
 local model takes over there; continuation through a fourth-order zero is
 ill-posed).  Curves on the far side are produced by the mirror symmetry
-x(t) -> -conj(x(-t)), which maps zero curves to zero curves.
+x(t) -> -conj(x(-t)), which maps zero curves to zero curves.  F has real
+coefficients, so conjugation x(t) -> conj(x(t)) maps zero curves to zero
+curves as well, and it commutes with every operation of the follower bit
+for bit: an ensemble tracks one pole of each conjugate pair of seeds and
+conjugates the curve for its partner (``_track_seeds``).
 
 Each step evaluates F through one kernel point evaluator per curve
 (``kernel._F_point``), built once with its dx/dt tables.  The corrector
@@ -123,7 +127,10 @@ class PoleCurve:
     ``newton_iterations`` over every corrector run, the seed polish
     included, and the distinct ``points`` (x, t) at which F was evaluated,
     one per Newton iterate of each run.  They take no part in equality and
-    stay out of every export.
+    stay out of every export.  So does ``conjugate_of``: the index of the
+    curve in the same ensemble whose conjugate this curve is, set when the
+    curve was conjugated rather than tracked (its counters are then that
+    curve's).
     """
 
     variant: Variant
@@ -137,6 +144,7 @@ class PoleCurve:
     rejected: int = field(default=0, compare=False)
     newton_iterations: int = field(default=0, compare=False)
     points: int = field(default=0, compare=False)
+    conjugate_of: Optional[int] = field(default=None, compare=False)
 
     @property
     def t_first(self) -> float:
@@ -407,10 +415,57 @@ def track_ensemble(
     exact oracle finds in the fundamental strip at t_start (commensurable
     configs only), in the oracle's order.  ``poles`` is that
     ``oracle_poles(cfg, t=t_start)`` snapshot, if the caller has one;
-    without it one is solved."""
+    without it one is solved.
+
+    Poles come in exact conjugate pairs; the later pole of each pair gets
+    the earlier one's curve conjugated (``conjugate_of`` names it), the
+    same curve and counters that tracking it would give."""
     if poles is None:
         poles = oracle_poles(cfg, t=t_start)
-    return [track_curve(cfg, None, x, t_start, t_end, opts) for x, _ in poles]
+    return _track_seeds(cfg, [x for x, _ in poles], t_start, t_end, opts)
+
+
+def _track_seeds(
+    cfg: SolitonConfig,
+    seeds: Sequence[complex],
+    t_start: float,
+    t_end: float,
+    opts: Optional[TrackerOptions],
+) -> list[PoleCurve]:
+    """One curve per seed, in seed order.  A seed off the real axis whose
+    exact conjugate (==, with the same sign of its real part) is an earlier
+    seed gets that earlier curve conjugated instead of tracked: F has real
+    coefficients and tracking commutes with conjugation bit for bit.  Every
+    other seed is tracked, in order, so the first failing curve raises its
+    own error."""
+
+    def key(x: complex) -> tuple[float, float, float]:
+        return x.real, math.copysign(1.0, x.real), x.imag
+
+    curves: list[PoleCurve] = []
+    tracked: dict[tuple[float, float, float], int] = {}  # key -> curve index
+    for x in seeds:
+        j = tracked.get(key(x.conjugate())) if x.imag != 0 else None
+        if j is None:
+            tracked.setdefault(key(x), len(curves))
+            curves.append(track_curve(cfg, None, x, t_start, t_end, opts))
+        else:
+            curves.append(_conjugate_curve(curves[j], j))
+    return curves
+
+
+def _conjugate_curve(curve: PoleCurve, index: int) -> PoleCurve:
+    """The conjugate curve x(t) -> conj(x(t)) of the curve at ``index``:
+    what tracking from the conjugate seed gives.  Residuals, flags and work
+    counters are the original's, as in ``mirror_curve``."""
+    cp = curve.collision_point
+    return replace(
+        curve,
+        samples=[(t, x.conjugate()) for t, x in curve.samples],
+        residuals=list(curve.residuals),
+        collision_point=None if cp is None else cp.conjugate(),
+        conjugate_of=index,
+    )
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,8 @@ def test_stdout_matches_golden(capsys, name):
 
 
 _STATS = re.compile(
-    r"curve (\d+): accepted=(\d+) rejected=(\d+) newton_iterations=(\d+) points=(\d+)"
+    r"curve (\d+): accepted=(\d+) rejected=(\d+) newton_iterations=(\d+) "
+    r"points=(\d+)(?: conjugate_of=(\d+))?"
 )
 
 
@@ -76,13 +77,22 @@ def test_track_stats_go_to_stderr_only(capsys, name):
         n_samples = [c["n_samples"] for c in json.loads(captured.out)["curves"]]
     lines = captured.err.splitlines()
     assert len(lines) == len(n_samples) == 6
-    for i, (line, n) in enumerate(zip(lines, n_samples)):
-        index, accepted, rejected, newton, points = map(
-            int, _STATS.fullmatch(line).groups()
-        )
+    stats = [_STATS.fullmatch(line).groups() for line in lines]
+    for i, (groups, n) in enumerate(zip(stats, n_samples)):
+        *counts, partner = groups
+        index, accepted, rejected, newton, points = map(int, counts)
         assert index == i
         assert accepted == n - 1
         assert points == newton + 1 + accepted + rejected
+        if partner is not None:
+            # A conjugated curve names an earlier, tracked curve and
+            # repeats its counters.
+            j = int(partner)
+            assert j < i and stats[j][5] is None
+            assert tuple(counts[1:]) == stats[j][1:5]
+    # The oracle lists (1,2)+'s poles as three upper ones, then their
+    # conjugates in reverse: three curves are tracked, three conjugated.
+    assert [g[5] for g in stats] == [None, None, None, "2", "1", "0"]
 
 
 _ROW_STATS = re.compile(r"check (\S+): elapsed_s=(\d+\.\d{6})")

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from soliton_pole_lab import analysis, exppoly, kernel, suite
+from soliton_pole_lab import analysis, exppoly, kernel, suite, tracker
+from soliton_pole_lab.asymptotics import FamilyLabel, Speed, seed_state, seed_time
 from soliton_pole_lab.kernel import SolitonConfig
 from soliton_pole_lab.suite import run_battery
 
@@ -362,6 +363,36 @@ def test_battery_solves_each_snapshot_once(monkeypatch, report12):
     report = run_battery(SolitonConfig.make(1, 2, "plus"), seed=0)
     assert repr(report.to_dict()) == repr(report12.to_dict())
     assert len(solves) == len(set(solves)) == 6
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [(1.0, math.sqrt(2), "plus"), (1.0, math.sqrt(2), "minus"), (1.0, math.sqrt(5), "plus")],
+)
+def test_seeded_sign_law_tracks_one_curve_per_conjugate_pair(monkeypatch, spec):
+    # Without the oracle the row seeds four families, index +-1 of each
+    # speed: two exact conjugate pairs, so two curves are tracked, and the
+    # row reads as it does over four curves tracked one by one.
+    cfg = SolitonConfig.make(*spec)
+    eps = 1e-2
+    t_seed = seed_time(cfg, eps)
+    seeds = [
+        seed_state(cfg, FamilyLabel(speed, index, -1), eps)
+        for speed in (Speed.SLOW, Speed.FAST)
+        for index in (1, -1)
+    ]
+    loop = [tracker.track_curve(cfg, None, x, t, t_seed) for x, t in seeds]
+    want = suite._check_sign_law(cfg, loop)
+    calls = []
+    track = tracker.track_curve
+    monkeypatch.setattr(
+        tracker, "track_curve", lambda *a: calls.append(a[2]) or track(*a)
+    )
+    got = suite._check_sign_law(cfg, None)
+    assert calls == [seeds[0][0], seeds[2][0]]
+    assert seeds[1][0] == seeds[0][0].conjugate()
+    assert seeds[3][0] == seeds[2][0].conjugate()
+    assert want.passed and repr(got.to_dict()) == repr(want.to_dict())
 
 
 class TestPoleCountProof:

@@ -17,8 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soliton_pole_lab import kernel
+from soliton_pole_lab import kernel, tracker
 from soliton_pole_lab._balanced import balanced_sum
+from soliton_pole_lab.asymptotics import FamilyLabel, Speed, seed_state, seed_time
 from soliton_pole_lab.exppoly import oracle_poles
 from soliton_pole_lab.kernel import (
     ConvergenceError,
@@ -31,6 +32,7 @@ from soliton_pole_lab.tracker import (
     BranchClass,
     PoleCurve,
     TrackerOptions,
+    _track_seeds,
     classify_branch,
     curve_to_csv_rows,
     detect_exceptional,
@@ -567,3 +569,176 @@ def test_retries_set_up_no_point_twice(monkeypatch):
         "362a94111cd2cae15141f4e65509a3be7fe192bcad23793482601931a360f529"
     )
 
+
+
+# ---------------------------------------------------------------------------
+# Conjugation: F has real coefficients, so conj(x(t)) is a zero curve too,
+# and tracking from a conjugate seed gives the conjugate curve bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _same_curve(got, want):
+    """repr-identical samples, residuals and collision point (repr tells
+    -0.0 from 0.0), the same flag and the same work counters."""
+    assert repr(got.samples) == repr(want.samples)
+    assert repr(got.residuals) == repr(want.residuals)
+    assert got.exceptional_collision == want.exceptional_collision
+    assert repr(got.collision_point) == repr(want.collision_point)
+    assert _counters(got) == _counters(want)
+
+
+def _assert_conjugate_equivariant(cfg, x0, t0, t1):
+    """track_curve from conj(x0) is the conjugate of track_curve from x0,
+    or both raise ConvergenceError."""
+    try:
+        curve = track_curve(cfg, None, x0, t0, t1)
+    except ConvergenceError:
+        with pytest.raises(ConvergenceError):
+            track_curve(cfg, None, x0.conjugate(), t0, t1)
+        return
+    got = track_curve(cfg, None, x0.conjugate(), t0, t1)
+    _same_curve(got, tracker._conjugate_curve(curve, 0))
+
+
+@given(
+    pair=st.sampled_from(_COPRIME_9),
+    variant=st.sampled_from(["plus", "minus"]),
+    t0=st.floats(-10.0, 10.0),
+    t1=st.floats(-10.0, 10.0),
+    pick=st.integers(0, 10**6),
+)
+@settings(max_examples=60, deadline=None)
+def test_tracking_commutes_with_conjugation(pair, variant, t0, t1, pick):
+    """The guarantee ``track_ensemble`` rests on, over every coprime pair up
+    to 9, both variants and windows inside [-10, 10], from one oracle pole
+    off the real axis."""
+    if abs(t1 - t0) < 1e-3:
+        t1 = t0 + (1.0 if t0 < 0 else -1.0)
+    cfg = SolitonConfig.make(*pair, variant)
+    poles = [x for x, _ in oracle_poles(cfg, t=t0) if x.imag != 0]
+    _assert_conjugate_equivariant(cfg, poles[pick % len(poles)], t0, t1)
+
+
+@given(
+    spec=st.sampled_from(
+        [(1.0, math.sqrt(2), "plus"), (1.0, math.sqrt(2), "minus"),
+         (1.0, math.sqrt(5), "plus")]
+    ),
+    speed=st.sampled_from([Speed.SLOW, Speed.FAST]),
+    index=st.sampled_from([-3, -1, 1, 3]),
+    direction=st.sampled_from([-1, 1]),
+    t1=st.floats(-10.0, 10.0),
+)
+@settings(max_examples=30, deadline=None)
+def test_seeded_tracking_commutes_with_conjugation(spec, speed, index, direction, t1):
+    """The same without the oracle: seeds from ``seed_state``, as the
+    sign-law row tracks them."""
+    cfg = SolitonConfig.make(*spec)
+    x0, t0 = seed_state(cfg, FamilyLabel(speed, index, direction), 1e-2)
+    if abs(t1 - t0) < 1e-3:
+        t1 = -t0
+    _assert_conjugate_equivariant(cfg, x0, t0, t1)
+
+
+def _spy_track_curve(monkeypatch):
+    calls = []
+
+    def spy(cfg, variant, x, *args):
+        calls.append(x)
+        return track_curve(cfg, variant, x, *args)
+
+    monkeypatch.setattr(tracker, "track_curve", spy)
+    return calls
+
+
+# (config, t0, t1, options, seed filter); the last tracks the four
+# collision curves of TRACK_CASES["collision"] and their conjugates.
+ENSEMBLE_CASES = {
+    "12p": ((1, 2, "plus"), -10.0, 10.0, None, None),
+    "12m": ((1, 2, "minus"), -10.0, 10.0, None, None),
+    "15p": ((1, 5, "plus"), -10.0, 10.0, None, None),
+    "15m": ((1, 5, "minus"), -10.0, 10.0, None, None),
+    "27p": ((2, 7, "plus"), -10.0, 10.0, None, None),
+    "13p": ((1, 3, "plus"), -10.0, 10.0, None, None),
+    "collision": (
+        (1, 5, "minus"),
+        -0.01,
+        0.0,
+        TrackerOptions(dt_init=1e-4, collision_radius=1e-7),
+        lambda x: abs(abs(x.imag) - math.pi / 2) < 0.6 and abs(x.real) < 0.6,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENSEMBLE_CASES))
+def test_ensemble_tracks_half_and_equals_a_loop(monkeypatch, case):
+    """Each seed's conjugate comes later in the oracle's list, so half the
+    curves are tracked; the rest are their conjugates, and the ensemble is
+    what tracking every seed gives, counters included."""
+    spec, t0, t1, opts, keep = ENSEMBLE_CASES[case]
+    cfg = SolitonConfig.make(*spec)
+    poles = [(x, m) for x, m in oracle_poles(cfg, t=t0) if keep is None or keep(x)]
+    want = [track_curve(cfg, None, x, t0, t1, opts) for x, _ in poles]
+    calls = _spy_track_curve(monkeypatch)
+    got = track_ensemble(cfg, t0, t1, opts, poles=poles)
+    assert 2 * len(calls) == len(poles) == len(got)
+    for g, w in zip(got, want):
+        _same_curve(g, w)
+    assert calls == [x for (x, _), c in zip(poles, got) if c.conjugate_of is None]
+    for c in got:
+        if c.conjugate_of is not None:
+            assert got[c.conjugate_of].conjugate_of is None
+    if case == "collision":
+        assert all(c.exceptional_collision for c in got)
+        assert {c.collision_point for c in got} == {
+            1j * math.pi / 2, -1j * math.pi / 2
+        }
+
+
+def test_near_conjugate_and_signed_zero_seeds_are_tracked(monkeypatch):
+    """A partner off by one ulp, or equal to the conjugate only up to the
+    sign of a zero real part, is tracked itself: conjugating would not give
+    its curve bit for bit."""
+    cfg = SolitonConfig.make(1, 2, "plus")
+    x = oracle_poles(cfg, t=-1.0)[0][0]
+    nudged = complex(x.real, math.nextafter(-x.imag, 0.0))
+    # At t = 0 two poles sit on the imaginary axis, as 2.64...j and
+    # (-0-2.64...j): == as conjugates, but not bit for bit.
+    axis = [x for x, _ in oracle_poles(cfg, t=0.0) if x.real == 0]
+    assert len(axis) == 2 and axis[0] == axis[1].conjugate()
+    for seeds, t0 in (([x, nudged], -1.0), (axis, 0.0)):
+        want = [track_curve(cfg, None, s, t0, t0 + 1.0) for s in seeds]
+        calls = _spy_track_curve(monkeypatch)
+        got = _track_seeds(cfg, seeds, t0, t0 + 1.0, None)
+        assert calls == seeds
+        for g, w in zip(got, want):
+            _same_curve(g, w)
+            assert g.conjugate_of is None
+    assert repr(got[1].samples[0][1]) != repr(got[0].samples[0][1].conjugate())
+
+
+def test_ensemble_raises_the_first_failing_seed_error():
+    """A seed that is no pole raises before its conjugate is reached, with
+    the error a per-seed loop raises; so does a later unpaired seed."""
+    cfg = SolitonConfig.make(1, 2, "plus")
+    poles = [x for x, _ in oracle_poles(cfg, t=-1.0)]
+    bad = 5.0 + 0.3j
+    for seeds in ([bad, bad.conjugate()] + poles, poles + [bad]):
+        with pytest.raises(ConvergenceError) as want:
+            for s in seeds:
+                track_curve(cfg, None, s, -1.0, 1.0)
+        with pytest.raises(ConvergenceError) as got:
+            _track_seeds(cfg, seeds, -1.0, 1.0, None)
+        assert str(got.value) == str(want.value)
+
+
+def test_every_oracle_pole_has_its_exact_conjugate():
+    """The precondition of the halving, over the 54 census ensembles: each
+    pole of the t = -10 snapshot is off the real axis and its conjugate,
+    bit for bit, is in the same snapshot."""
+    for pair in _COPRIME_9:
+        for variant in ("plus", "minus"):
+            poles = [x for x, _ in oracle_poles(SolitonConfig.make(*pair, variant), t=-10.0)]
+            found = {repr(x) for x in poles}
+            assert all(x.imag != 0 for x in poles)
+            assert all(repr(x.conjugate()) in found for x in poles), (pair, variant)
