@@ -490,11 +490,8 @@ def _require_comm(cfg: SolitonConfig):
 def _random_probes(
     cfg: SolitonConfig, rng: random.Random, n: int
 ) -> list[tuple[complex, float]]:
-    """n random (x, t) probes around the interaction region.
-
-    A list, not a generator: callers that draw from rng after the probes
-    (the battery's translation check) rely on all n being drawn first.
-    """
+    """n random (x, t) probes around the interaction region, as a list: a
+    caller that stops early (the battery's Richardson row) still draws all n."""
     scale = strip_scale(cfg)
     return [
         (
@@ -543,6 +540,11 @@ def parity_translation_theta(
     return theta
 
 
+def _quarter_turns(p1: int) -> tuple[int, int]:
+    """(Q_1, Q_2) of ``odd_parity_translation``: (3 p1, p1) mod 4."""
+    return (3 * p1) % 4, p1 % 4
+
+
 def odd_translation_residuals(
     cfg: SolitonConfig,
     theta1: float,
@@ -578,28 +580,22 @@ def odd_parity_translation(
     residue Q_i mod 4 solves e^{i k_j theta} = -i (factor 1) or +i
     (factor 2) for both j simultaneously; since an odd p is its own
     inverse mod 4, Q_1 = 3 p1, Q_2 = p1 (mod 4) in the plus case, and
-    Q_1 = 3 p1 (= p2), Q_2 = p1 (mod 4) in the minus case.  Both
-    identities are spot-checked at random points before returning.
+    Q_1 = 3 p1 (= p2), Q_2 = p1 (mod 4) in the minus case
+    (``_quarter_turns``).  Both identities are spot-checked at random
+    points before returning.
     """
     cfg = _in_variant(cfg, variant)
     comm = _require_comm(cfg)
     p1, p2 = comm.p1, comm.p2
     if p1 % 2 == 0 or p2 % 2 == 0:
         raise ValueError(f"p1={p1} and p2={p2} must both be odd")
-    if cfg.variant is Variant.PLUS:
-        if (p2 - p1) % 4 != 0:
-            raise ValueError(
-                f"p2 - p1 = {p2 - p1} must be divisible by 4 for the "
-                "plus variant"
-            )
-    else:
-        if (p2 + p1) % 4 != 0:
-            raise ValueError(
-                f"p2 + p1 = {p2 + p1} must be divisible by 4 for the "
-                "minus variant"
-            )
-    q1 = (3 * p1) % 4
-    q2 = p1 % 4
+    op, n = ("-", p2 - p1) if cfg.variant is Variant.PLUS else ("+", p2 + p1)
+    if n % 4 != 0:
+        raise ValueError(
+            f"p2 {op} p1 = {n} must be divisible by 4 for the "
+            f"{cfg.variant.value} variant"
+        )
+    q1, q2 = _quarter_turns(p1)
     theta1 = q1 * math.pi * comm.lam / 2.0
     theta2 = q2 * math.pi * comm.lam / 2.0
     rng = random.Random(seed)

@@ -96,7 +96,7 @@ class ExpTerm:
     """One term  c * e^{sigma t + log_factor} * y^degree  of an ExpPoly.
 
     ``coeff``/``sigma`` are floats for evaluation; the ``*_exact`` fields
-    carry the rational values when the config is exact and unshifted.
+    carry the rational values when the config is exact.
     ``log_factor`` holds the real shift contribution a1 k1 x1 + a2 k2 x2
     in log form so shifted configs stay representable.
     """
@@ -234,7 +234,6 @@ def _exp_poly(cfg: SolitonConfig, kind: str) -> ExpPoly:
         raw = _terms_F(cfg.gamma_exact**2, cfg.variant)
     else:
         raw = _terms_G(k1x, k2x, cfg.variant)
-    unshifted = cfg.x1 == 0.0 and cfg.x2 == 0.0
     terms = []
     for (a1, a2), c in _QPoly.from_terms(raw).coeffs.items():
         sigma = a1 * k1x**3 + a2 * k2x**3
@@ -245,7 +244,7 @@ def _exp_poly(cfg: SolitonConfig, kind: str) -> ExpPoly:
                 sigma=float(sigma),
                 log_factor=a1 * cfg.k1 * cfg.x1 + a2 * cfg.k2 * cfg.x2,
                 # _QPoly keeps integer coefficients as int.
-                coeff_exact=Fraction(c) if unshifted else None,
+                coeff_exact=Fraction(c),
                 sigma_exact=sigma,
             )
         )
@@ -324,7 +323,8 @@ def _log_y_to_x(log_y: complex, lam: float) -> complex:
     theta = log_y.imag
     if theta == math.pi:
         theta = -math.pi  # boundary convention: Im x = +lambda pi
-    return -lam * complex(log_y.real, theta)
+    # 0.0 - ...: an imaginary-axis pole gets Re x = +0.0 above and below the real axis.
+    return complex(0.0 - lam * log_y.real, -lam * theta)
 
 
 def x_to_y(x: complex, lam: float) -> complex:

@@ -7,10 +7,12 @@ sign law, translation identities, residue quantization, pole-count
 conservation, asymptotic family matching, blowup rate, and
 interaction-point closed forms -- against a single configuration, and
 reports per-check pass/fail with the worst measured residual and a
-witness point.  Two laws are proved in both variants: the g-equation
-cleared of denominators expands to the zero polynomial in (f1, f2) over Q
-(``kernel.eqg_residual`` samples the same terms), and F's exact table
-fixes the pole count at every t.  The other laws are sampled.
+witness point.  Four laws are proved from the exact term tables in both
+variants: the g-equation cleared of denominators is zero in (f1, f2) over
+Q (``kernel.eqg_residual`` samples the same terms), F1 F2 - F and the
+translation identities are zero over Q(i), and F's table fixes the pole
+count at every t.  A proof evaluates nothing: only the sampled laws
+exercise the evaluators (``kernel.F_scaled``, the grids).
 
 One harness (``_check``) owns what the rows share.  A check body returns
 (passed, worst, witness, detail).  A check that needs the exact pole
@@ -23,11 +25,10 @@ detail.  The battery is deterministic for a fixed seed; each row also
 records its wall time (``CheckResult.elapsed_s``), which the report's
 JSON leaves out and ``verify --stats`` prints to stderr.
 
-The rows that test a law at many sampled points -- the sign law on
-tracked curves, the factorization at random probes -- evaluate all their
-samples on the kernel's grid engine, one call per term table with one
-time per sample.  Each value equals the one-point evaluation bit for bit,
-so the report is that of a per-point loop."""
+The sign law evaluates all its tracked samples on the kernel's grid
+engine, one call per term table with one time per sample.  Each value
+equals the one-point evaluation bit for bit, so the report is that of a
+per-point loop."""
 
 from __future__ import annotations
 
@@ -36,9 +37,8 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional, Sequence
-
-import numpy as np
 
 from . import analysis, interaction
 from .asymptotics import FamilyLabel, Speed, match_horizons, seed_state, seed_time
@@ -46,13 +46,15 @@ from .blowup import _DELTA_LADDER, blowup_profile, build_scenario, fit_blowup_ra
 from .exppoly import build_F_poly, oracle_poles
 from .kernel import (
     ConvergenceError,
-    F_grid,
     PoleError,
     SolitonConfig,
     Variant,
     _eqg_exact,
-    _factor_grid,
+    _QPoly,
     _record_dict,
+    _terms_F,
+    _terms_factor,
+    _terms_kdv,
     pde_residual,
 )
 from .tracker import PoleCurve, _track_seeds, track_ensemble
@@ -147,35 +149,44 @@ def _check(name: str, exact_only: Optional[str] = None):
 _NEEDS_ORACLE = "pole oracle requires exact commensurable wavenumbers"
 
 
+def _proof(claim: str, rests: Sequence[tuple[Variant, _QPoly]]):
+    """A proof row's report: it passes iff no coefficient of the ``rests``
+    survives; ``worst`` counts the survivors, the witness names the first."""
+    found = [
+        f"variant={variant.value}, monomial f1^{a1} f2^{a2}"
+        for variant, rest in rests
+        for a1, a2 in rest.coeffs
+    ]
+    detail = f"{claim}: {len(found)} nonzero coefficients"
+    return not found, float(len(found)), found[0] if found else "", detail
+
+
+def _qi_poly(terms, q: int = 0, p1: int = 0, p2: int = 0) -> tuple[_QPoly, _QPoly]:
+    """A term table over Q(i), as its real and imaginary parts at their
+    exact binary values.  With q, the table after x -> x - i q pi lam / 2,
+    which turns f1^a1 f2^a2 by i^(q (a1 p1 + a2 p2)) as k_j = p_j / lam."""
+    re, im = [], []
+    for c, a1, a2 in terms:
+        part = Fraction(c.real), Fraction(c.imag)
+        for _ in range(q * (a1 * p1 + a2 * p2) % 4):
+            part = -part[1], part[0]
+        re.append(((a1, a2), part[0]))
+        im.append(((a1, a2), part[1]))
+    return _QPoly.collect(re), _QPoly.collect(im)
+
+
 @_check("field-equation-residual")
-def _check_field_equation(cfg: SolitonConfig, rng: random.Random, n: int = 40):
+def _check_field_equation(cfg: SolitonConfig, rng: random.Random):
     """Prove the field equation: in each variant the g-equation times D^6
     (``kernel._eqg_terms``) must expand to the zero polynomial in (f1, f2)
-    over Q.  ``worst`` is the largest surviving coefficient relative to the
-    largest coefficient of the two composite terms."""
-    # The 2 x 4n probes a sampled version would draw: drawing them keeps
-    # the random stream of every later check unchanged.
-    for _ in range(2):
-        analysis._random_probes(cfg, rng, 4 * n)
-    worst, witness, survivors = 0.0, "", 0
-    for variant in (Variant.PLUS, Variant.MINUS):
-        term1, term2 = _eqg_exact(cfg.with_variant(variant))
-        rest = (term1 + term2).coeffs
-        survivors += len(rest)
-        if not rest:
-            continue
-        scale = max(map(abs, [*term1.coeffs.values(), *term2.coeffs.values()]))
-        (a1, a2), c = max(rest.items(), key=lambda mc: abs(mc[1]))
-        rel = float(abs(c) / scale)
-        if rel > worst:
-            worst = rel
-            witness = f"variant={variant.value}, monomial f1^{a1} f2^{a2}"
-    return (
-        survivors == 0,
-        worst,
-        witness,
-        f"D^6-cleared numerator over Q, both variants: "
-        f"{survivors} nonzero coefficients",
+    over Q."""
+    # The 320 probes a sampled version drew: drawing them keeps the
+    # Richardson row's probes unchanged.
+    analysis._random_probes(cfg, rng, 320)
+    terms = [(variant, _eqg_exact(cfg.with_variant(variant))) for variant in Variant]
+    return _proof(
+        "D^6-cleared numerator over Q, both variants",
+        [(variant, term1 + term2) for variant, (term1, term2) in terms],
     )
 
 
@@ -213,25 +224,17 @@ def _check_pde_richardson(cfg: SolitonConfig, rng: random.Random):
 
 
 @_check("factorization-product")
-def _check_factorization(cfg: SolitonConfig, rng: random.Random, n: int = 100):
-    """|F1 F2 / F - 1| at n random probes per variant, each variant's probes
-    evaluated in one grid call per table, bit for bit the per-point values.
-    ``worst`` is the first largest deviation in probe order; NaN never
-    wins."""
-    worst, witness = 0.0, ""
-    for variant in (Variant.PLUS, Variant.MINUS):
-        probes = analysis._random_probes(cfg, rng, n)
-        xs = np.array([x for x, _ in probes], dtype=complex)
-        ts = np.array([t for _, t in probes])
+def _check_factorization(cfg: SolitonConfig):
+    """Prove F = F1 F2: in each variant the product of the factor tables
+    minus F's table must be zero over Q(i), at the binary value of gamma."""
+    g2 = Fraction(cfg.gamma) ** 2
+    rests = []
+    for variant in Variant:
         work = cfg.with_variant(variant)
-        f1 = _factor_grid(work, xs, ts, 1)
-        f2 = _factor_grid(work, xs, ts, 2)
-        qr, qi = (f1 * f2).ratio(F_grid(work, xs, ts))
-        rel = np.hypot(qr - 1.0, qi - 0.0)  # abs(q - 1.0)
-        for (x, t), r in zip(probes, rel.tolist()):
-            if r > worst:
-                worst, witness = r, f"x={x}, t={t}, variant={variant.value}"
-    return worst < 1e-12, worst, witness, f"{2 * n} probe points"
+        (r1, i1), (r2, i2) = (_qi_poly(_terms_factor(work, which)) for which in (1, 2))
+        re, im = _qi_poly(_terms_F(g2, variant))
+        rests += [(variant, r1 * r2 - i1 * i2 - re), (variant, r1 * i2 + i1 * r2 - im)]
+    return _proof("F1 F2 - F over Q(i), both variants", rests)
 
 
 @_check("real-line-regularity")
@@ -316,32 +319,28 @@ def _check_sign_law(cfg: SolitonConfig, curves: Optional[Sequence[PoleCurve]]):
 
 
 @_check("translation-identity", exact_only="commensurable wavenumbers required")
-def _check_translation(cfg: SolitonConfig, rng: random.Random, probes: int = 60):
+def _check_translation(cfg: SolitonConfig):
+    """Prove the shift identities over Q(i) (``_qi_poly``).  Mixed parity:
+    the half turn takes F_plus's table to F_minus's.  Both odd, in the one
+    variant whose congruence holds: the quarter turns of
+    ``analysis._quarter_turns`` take each factor's table to ``_terms_kdv``."""
     p1, p2 = cfg.comm.p1, cfg.comm.p2
-    pts = analysis._random_probes(cfg, rng, probes)
-    worst, witness = 0.0, ""
     if (p1 + p2) % 2 == 1:
-        theta = analysis.parity_translation_theta(cfg, probes=20, seed=rng.randint(0, 10**6))
-        for x, t in pts:
-            r = analysis.translation_residual(cfg, x, t, theta)
-            if r > worst:
-                worst, witness = r, f"x={x}, t={t}"
-        detail = f"mixed parity, theta={theta!r}, {probes} probes"
+        variant, g2 = Variant.PLUS, cfg.gamma**2
+        pairs = [(2, _terms_F(g2, Variant.PLUS), _terms_F(g2, Variant.MINUS))]
+        claim = "mixed parity, F_plus(x - i pi lam) = F_minus(x)"
     else:
-        # Both odd: exactly one variant satisfies its congruence.
         variant = Variant.PLUS if (p2 - p1) % 4 == 0 else Variant.MINUS
-        th1, th2 = analysis.odd_parity_translation(
-            cfg, variant, probes=20, seed=rng.randint(0, 10**6)
-        )
-        for x, t in pts:
-            r1, r2 = analysis.odd_translation_residuals(cfg, th1, th2, x, t, variant)
-            if max(r1, r2) > worst:
-                worst, witness = max(r1, r2), f"x={x}, t={t}"
-        detail = (
-            f"odd parity ({variant.value}), theta1={th1!r}, "
-            f"theta2={th2!r}, {probes} probes"
-        )
-    return worst < 1e-10, worst, witness, detail
+        work, (q1, q2) = cfg.with_variant(variant), analysis._quarter_turns(p1)
+        kdv = _terms_kdv(work)
+        pairs = [(q1, _terms_factor(work, 1), kdv), (q2, _terms_factor(work, 2), kdv)]
+        claim = f"odd parity ({variant.value}), F_j(x - i Q_j pi lam / 2) = K(x)"
+    rests = [
+        (variant, a - b)
+        for q, table, target in pairs
+        for a, b in zip(_qi_poly(table, q, p1, p2), _qi_poly(target))
+    ]
+    return _proof(f"{claim} over Q(i)", rests)
 
 
 @_check("residue-quantization", exact_only=_NEEDS_ORACLE)
@@ -485,11 +484,11 @@ def run_battery(cfg: SolitonConfig, seed: int = 0) -> BatteryReport:
     checks = (
         _check_field_equation(cfg, rng),
         _check_pde_richardson(cfg, rng),
-        _check_factorization(cfg, rng),
+        _check_factorization(cfg),
         _check_real_line(cfg),
         _check_cosine_relations(cfg),
         _check_sign_law(cfg, curves),
-        _check_translation(cfg, rng),
+        _check_translation(cfg),
         _check_residues(cfg, rng),
         _check_pole_count(cfg),
         _check_asymptotics(cfg, horizon, seeds),

@@ -107,8 +107,8 @@ def test_terms_keep_fraction_coefficients_in_degree_sigma_order() -> None:
     """Over every coprime pair p1 < p2 <= 13, scaled by 1 and 1/3, in both
     variants: each exact coefficient is a nonzero Fraction (an int would
     change the term's repr), the terms run strictly increasing in
-    (degree, sigma), and shifted configs keep the same terms without exact
-    coefficients."""
+    (degree, sigma), and shifted configs keep the same terms, exact
+    coefficients included."""
     pairs = [
         (p1, p2)
         for p2 in range(2, 14)
@@ -128,10 +128,9 @@ def test_terms_keep_fraction_coefficients_in_degree_sigma_order() -> None:
                     keys = [(t.degree, t.sigma_exact) for t in terms]
                     assert keys == sorted(set(keys))
                     shifted = build(cfg.with_shifts(0.3, -0.2)).terms
-                    assert [t.coeff_exact for t in shifted] == [None] * len(terms)
-                    assert [(t.degree, t.coeff, t.sigma_exact) for t in shifted] == [
-                        (t.degree, t.coeff, t.sigma_exact) for t in terms
-                    ]
+                    assert [
+                        (t.degree, t.coeff, t.coeff_exact, t.sigma_exact) for t in shifted
+                    ] == [(t.degree, t.coeff, t.coeff_exact, t.sigma_exact) for t in terms]
 
 
 def test_F_constant_term_is_one_always() -> None:
@@ -384,6 +383,21 @@ def test_oracle_poles_shift_translation() -> None:
     for (xb, mb), (xs, ms) in zip(base, shifted):
         assert mb == ms
         assert abs(xs - (xb + 0.7)) < 1e-8
+
+
+@pytest.mark.parametrize(
+    "spec", [(1, 7, "plus"), (1, 5, "minus"), (1, 3, "plus"), (2, 7, "plus"), (3, 5, "plus")]
+)
+@pytest.mark.parametrize("tau", [1 / 4, 1 / 64, 1 / 2])
+def test_shifts_by_a_time_keep_the_exact_snapshot(spec, tau) -> None:
+    # Shifts x_j = k_j^2 tau move the snapshot from t to t - tau.  For tau
+    # a power of two every exponent is exact, so the snapshot at -tau is
+    # the unshifted one at 0 bit for bit, exceptional collisions included:
+    # the shifted terms keep their exact coefficients.
+    p1, p2, variant = spec
+    shifted = SolitonConfig.make(p1, p2, variant, x1=p1**2 * tau, x2=p2**2 * tau)
+    want = oracle_poles(SolitonConfig.make(p1, p2, variant), t=0.0)
+    assert repr(oracle_poles(shifted, t=-tau)) == repr(want)
 
 
 def _nonzero_roots(rs) -> list[complex]:

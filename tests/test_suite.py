@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -251,11 +252,11 @@ class TestFieldEquationProof:
         assert result.detail.endswith(": 0 nonzero coefficients")
 
     def test_draws_the_probes_it_does_not_use(self):
-        # Every later check must see the random stream a sampled version
-        # left: 2 x 4n probes, 3 draws each.
+        # The Richardson row must see the random stream a sampled version
+        # left: 320 probes, 3 draws each.
         rng, ref = random.Random(4), random.Random(4)
-        suite._check_field_equation(SolitonConfig.make(1, 2, "plus"), rng, n=5)
-        for _ in range(2 * 4 * 5 * 3):
+        suite._check_field_equation(SolitonConfig.make(1, 2, "plus"), rng)
+        for _ in range(320 * 3):
             ref.random()
         assert rng.random() == ref.random()
 
@@ -464,15 +465,12 @@ _BATTERY_CONFIGS = {
 def test_sign_law_and_factorization_make_no_scalar_calls(
     monkeypatch, request, fixture
 ):
-    """The two rows evaluate all their samples on the grid engine: run
-    alone, they call neither ``vertical_sign`` nor the one-value
-    ``factor_scaled`` and ``F_scaled``, and give the battery's rows."""
+    """The sign law evaluates all its samples on the grid engine and the
+    factorization row evaluates nothing: run alone, they call neither
+    ``vertical_sign`` nor the one-value ``factor_scaled`` and ``F_scaled``,
+    and give the battery's rows."""
     report = request.getfixturevalue(fixture)
     cfg = SolitonConfig.make(*_BATTERY_CONFIGS[fixture])
-    rng = random.Random(report.seed)
-    # The rows before factorization draw its probes' predecessors.
-    suite._check_field_equation(cfg, rng)
-    suite._check_pde_richardson(cfg, rng)
     curves = None
     if cfg.comm is not None:
         horizon = max(10.0, suite.seed_time(cfg, 1e-6) + 2.0)
@@ -494,7 +492,7 @@ def test_sign_law_and_factorization_make_no_scalar_calls(
             if hasattr(module, name):
                 spied(module, name)
     rows = {c.name: c.to_dict() for c in report.checks}
-    factorization = suite._check_factorization(cfg, rng)
+    factorization = suite._check_factorization(cfg)
     sign_law = suite._check_sign_law(cfg, curves)
     assert calls == []
     assert factorization.to_dict() == rows["factorization-product"]
@@ -521,3 +519,169 @@ def test_pde_richardson_fails_on_fewer_than_three_ratios(monkeypatch):
     assert len(usable) == 2
     assert (row.passed, row.worst) == (False, math.inf)
     assert row.detail == "ConvergenceError: 2 usable probe points of 40, need 3"
+
+
+_COPRIME_9 = [(p1, p2) for p2 in range(2, 10) for p1 in range(1, p2) if math.gcd(p1, p2) == 1]
+# Changes a binary coefficient, exactly.
+SCALE = 1 + 2.0**-20
+
+
+def _assert_proved(result):
+    assert (result.passed, result.worst, result.witness) == (True, 0.0, "")
+    assert result.detail.endswith(": 0 nonzero coefficients")
+
+
+def _assert_refuted(result, variant=None):
+    assert not result.passed and result.worst >= 1
+    m = re.fullmatch(r"variant=(plus|minus), monomial f1\^\d+ f2\^\d+", result.witness)
+    assert m is not None, result.witness
+    assert variant is None or m.group(1) == variant
+    assert result.detail.endswith(f": {int(result.worst)} nonzero coefficients")
+
+
+class TestTableProofs:
+    """The factorization and translation rows prove their identities from
+    the exact term tables over Q(i)."""
+
+    @pytest.mark.parametrize("variant", ["plus", "minus"])
+    @pytest.mark.parametrize("p1, p2", _COPRIME_9)
+    def test_proved_for_every_coprime_pair(self, p1, p2, variant):
+        cfg = SolitonConfig.make(p1, p2, variant)
+        factorization = suite._check_factorization(cfg)
+        translation = suite._check_translation(cfg)
+        _assert_proved(factorization)
+        _assert_proved(translation)
+        for row in (suite._check_factorization, suite._check_translation):
+            # Under 10 ms per config, best of three (a stray GC pause aside).
+            assert min(row(cfg).elapsed_s for _ in range(3)) < 0.01
+        if (p1 + p2) % 2 == 0:
+            # Both odd: proved in the variant whose congruence holds.
+            congruent = "plus" if (p2 - p1) % 4 == 0 else "minus"
+            assert translation.detail.startswith(f"odd parity ({congruent}), ")
+        else:
+            assert translation.detail.startswith("mixed parity, ")
+
+    @pytest.mark.parametrize("variant", ["plus", "minus"])
+    def test_factorization_proved_for_an_incommensurable_pair(self, variant):
+        _assert_proved(suite._check_factorization(SolitonConfig.make(1.0, 2**0.5, variant)))
+
+    @pytest.mark.parametrize("variant", ["plus", "minus"])
+    @pytest.mark.parametrize("which", [1, 2])
+    @pytest.mark.parametrize("index", range(4))
+    def test_factor_coefficient_mutation_fails_in_its_variant(
+        self, monkeypatch, variant, which, index
+    ):
+        terms_factor = suite._terms_factor
+
+        def mutated(cfg, w):
+            terms = terms_factor(cfg, w)
+            if cfg.variant.value == variant and w == which:
+                c, a1, a2 = terms[index]
+                terms[index] = (c * SCALE, a1, a2)
+            return terms
+
+        monkeypatch.setattr(suite, "_terms_factor", mutated)
+        _assert_refuted(suite._check_factorization(SolitonConfig.make(1, 2)), variant)
+
+    @pytest.mark.parametrize("variant", ["plus", "minus"])
+    def test_gamma_squared_mutation_fails(self, monkeypatch, variant):
+        # Scale g2 = gamma^2, so every gamma^2 term of F's table.
+        terms_F = suite._terms_F
+
+        def mutated(g2, v):
+            return terms_F(g2 * SCALE if v.value == variant else g2, v)
+
+        monkeypatch.setattr(suite, "_terms_F", mutated)
+        _assert_refuted(suite._check_factorization(SolitonConfig.make(1, 2)), variant)
+
+    @pytest.mark.parametrize("spec", [(1, 2, "plus"), (2, 5, "plus"), (1, 5, "plus"), (1, 3, "minus")])
+    def test_wrong_turn_fails_translation(self, monkeypatch, spec):
+        # q + 1 quarter turns, for the half turn of mixed parity and the
+        # quarter turns of both-odd pairs alike.
+        qi_poly = suite._qi_poly
+
+        def turned_once_more(terms, q=0, p1=0, p2=0):
+            return qi_poly(terms, q + 1 if q else 0, p1, p2)
+
+        monkeypatch.setattr(suite, "_qi_poly", turned_once_more)
+        _assert_refuted(suite._check_translation(SolitonConfig.make(*spec)))
+
+    @pytest.mark.parametrize("index", range(4))
+    @pytest.mark.parametrize("spec", [(1, 5, "plus"), (1, 3, "minus")])
+    def test_kdv_sign_flip_fails_translation(self, monkeypatch, spec, index):
+        terms_kdv = suite._terms_kdv
+
+        def flipped(cfg):
+            terms = terms_kdv(cfg)
+            c, a1, a2 = terms[index]
+            terms[index] = (-c, a1, a2)
+            return terms
+
+        monkeypatch.setattr(suite, "_terms_kdv", flipped)
+        _assert_refuted(suite._check_translation(SolitonConfig.make(*spec)), spec[2])
+
+    def test_quarter_turns_have_one_owner(self, monkeypatch):
+        # The row reads the rule from analysis: a wrong rule there fails it.
+        monkeypatch.setattr(analysis, "_quarter_turns", lambda p1: (p1 % 4, (3 * p1) % 4))
+        _assert_refuted(suite._check_translation(SolitonConfig.make(1, 5, "plus")), "plus")
+
+    @pytest.mark.parametrize("spec", [(1, 2, "plus"), (1, 5, "minus"), (1.0, 2**0.5, "plus")])
+    def test_rows_evaluate_nothing(self, monkeypatch, spec):
+        calls = []
+        for name in ("_eval_terms", "_eval_terms_grid", "_PointEval"):
+            original = getattr(kernel, name)
+            monkeypatch.setattr(
+                kernel,
+                name,
+                lambda *a, _name=name, _original=original, **k: calls.append(_name)
+                or _original(*a, **k),
+            )
+        cfg = SolitonConfig.make(*spec)
+        # The spies see evaluator calls: the sampled rows make them.
+        suite._check_real_line(cfg)
+        assert calls
+        calls.clear()
+        for row in (suite._check_factorization, suite._check_translation):
+            assert row(cfg).passed
+        assert calls == []
+
+
+class _Recorder(random.Random):
+    """A battery RNG that records which check body each draw comes from."""
+
+    draws: list = []
+
+    def _row(self):
+        frame = sys._getframe()
+        while frame is not None and not frame.f_code.co_name.startswith("_check_"):
+            frame = frame.f_back
+        return frame.f_code.co_name if frame is not None else None
+
+    def random(self):
+        type(self).draws.append(self._row())
+        return super().random()
+
+    def getrandbits(self, k):
+        type(self).draws.append(self._row())
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize(
+    "spec, rows",
+    [
+        ((1, 2, "plus"), ["_check_field_equation", "_check_pde_richardson", "_check_residues"]),
+        ((1, 5, "minus"), ["_check_field_equation", "_check_pde_richardson", "_check_residues"]),
+        ((1.0, 2**0.5, "plus"), ["_check_field_equation", "_check_pde_richardson"]),
+    ],
+)
+def test_rows_that_draw_from_the_battery_stream(monkeypatch, spec, rows):
+    # Only the field-equation, Richardson and residue rows draw, in that
+    # order; the first two draw 320 and 40 probes of 3 draws each.
+    monkeypatch.setattr(_Recorder, "draws", [])
+    monkeypatch.setattr(suite.random, "Random", _Recorder)
+    report = run_battery(SolitonConfig.make(*spec), seed=0)
+    draws = _Recorder.draws
+    assert None not in draws
+    assert list(dict.fromkeys(draws)) == rows
+    assert draws[: 360 * 3] == ["_check_field_equation"] * 960 + ["_check_pde_richardson"] * 120
+    assert report.passed

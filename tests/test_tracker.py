@@ -702,10 +702,11 @@ def test_near_conjugate_and_signed_zero_seeds_are_tracked(monkeypatch):
     cfg = SolitonConfig.make(1, 2, "plus")
     x = oracle_poles(cfg, t=-1.0)[0][0]
     nudged = complex(x.real, math.nextafter(-x.imag, 0.0))
-    # At t = 0 two poles sit on the imaginary axis, as 2.64...j and
-    # (-0-2.64...j): == as conjugates, but not bit for bit.
-    axis = [x for x, _ in oracle_poles(cfg, t=0.0) if x.real == 0]
-    assert len(axis) == 2 and axis[0] == axis[1].conjugate()
+    # At t = 0 a pole sits on the imaginary axis, at 2.64...j; with
+    # (-0-2.64...j) it is == to its conjugate, but not bit for bit.
+    (top,) = [x for x, _ in oracle_poles(cfg, t=0.0) if x.real == 0 and x.imag > 0]
+    axis = [top, complex(-0.0, -top.imag)]
+    assert axis[0] == axis[1].conjugate()
     for seeds, t0 in (([x, nudged], -1.0), (axis, 0.0)):
         want = [track_curve(cfg, None, s, t0, t0 + 1.0) for s in seeds]
         calls = _spy_track_curve(monkeypatch)
@@ -734,11 +735,14 @@ def test_ensemble_raises_the_first_failing_seed_error():
 
 def test_every_oracle_pole_has_its_exact_conjugate():
     """The precondition of the halving, over the 54 census ensembles: each
-    pole of the t = -10 snapshot is off the real axis and its conjugate,
-    bit for bit, is in the same snapshot."""
+    pole of the t = -10 and t = 0 snapshots is off the real axis and its
+    conjugate, bit for bit, is in the same snapshot -- at t = 0 poles on
+    the imaginary axis too, whose real parts are all +0.0."""
     for pair in _COPRIME_9:
         for variant in ("plus", "minus"):
-            poles = [x for x, _ in oracle_poles(SolitonConfig.make(*pair, variant), t=-10.0)]
-            found = {repr(x) for x in poles}
-            assert all(x.imag != 0 for x in poles)
-            assert all(repr(x.conjugate()) in found for x in poles), (pair, variant)
+            cfg = SolitonConfig.make(*pair, variant)
+            for t in (-10.0, 0.0):
+                poles = [x for x, _ in oracle_poles(cfg, t=t)]
+                found = {repr(x) for x in poles}
+                assert all(x.imag != 0 for x in poles)
+                assert all(repr(x.conjugate()) in found for x in poles), (pair, variant, t)
