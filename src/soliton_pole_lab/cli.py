@@ -352,7 +352,8 @@ def _cmd_track(args):
             mark = "" if c.conjugate_of is None else f" conjugate_of={c.conjugate_of}"
             print(
                 f"curve {i}: accepted={c.accepted} rejected={c.rejected} "
-                f"newton_iterations={c.newton_iterations} points={c.points}{mark}",
+                f"newton_iterations={c.newton_iterations} points={c.points} "
+                f"min_fx_rel={c.min_fx_rel:.3e}{mark}",
                 file=sys.stderr,
             )
     payload = {

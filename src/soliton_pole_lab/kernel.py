@@ -47,17 +47,19 @@ Pointwise callers (tracking, Newton correctors, finite-difference stencils)
 keep the scalar path.  The one-value functions (F_scaled, G_scaled, ...)
 sum one term table with ``balanced_sum``.  Callers that evaluate F many
 times at few points -- the tracker and the Newton polish of
-``analysis.residue_at_pole`` -- hold a point evaluator instead
-(``_PointEval``, from ``_F_point``).  It builds each dx/dt table once from
-``_term_table`` and sums in table order with ``balanced_sum``'s float
-steps, so its values equal F_scaled's bit for bit.  Calls at one point
-share work by two rules: the monomial exponents a1 w1 + a2 w2 are formed
-once per point, and exp(w - base) once per monomial and balance base, so
-tables with the same base share it.  A call returns its ``Scaled`` as
-the bare (mant, log, norm) triple (``Scaled`` is a ``NamedTuple``), which
-the tracker's predictor-corrector unpacks without method calls.  A fresh
-evaluator used for one value costs more than the plain sum, so the
-one-value functions do not use one.
+``analysis.residue_at_pole`` -- hold a point evaluator of F instead
+(``_FPointEval``, from ``_F_point``).  It is written for F's fixed term
+layout, read once from ``_terms_F``: six terms over five monomials, and
+five terms over four in each derivative table.  At each new point it
+forms the five monomial exponents, F's balance base and the derivative
+tables' base, and the exponentials of each base once, shared when the two
+bases are equal; each call is then a straight-line sum in table order with
+``balanced_sum``'s float steps, so its values equal F_scaled's bit for
+bit.  A call returns its ``Scaled`` as the bare (mant, log, norm) triple
+(``Scaled`` is a ``NamedTuple``), which the tracker's predictor-corrector
+unpacks without method calls.  A fresh evaluator used for one value costs
+more than the plain sum (it reads the layout and builds each table on
+first use), so the one-value functions do not use one.
 
 Convention for shifts: the shift factors exp(k_j x_j) are folded directly
 into f_j above.  For zero shifts this is the normalized solution whose
@@ -458,80 +460,166 @@ def _term_table(k1, k2, terms: Sequence[Term], dx: int = 0, dt: int = 0) -> list
     return out
 
 
-class _PointEval:
-    """Point evaluator of one term list: ``ev(x, t, dx, dt)`` is the dx/dt
-    derivative at (x, t) as a ``Scaled``, equal bit for bit to
-    ``balanced_sum`` over that derivative's ``_term_table``.
+# F's six terms by monomial slot, in table order: the second and fifth share
+# f1 f2, and every derivative table drops the first, the constant term.
+# ``_FPointEval``'s straight-line sums are written for this layout.
+_F_SLOTS = (0, 1, 2, 3, 1, 4)
 
-    Each derivative's table is built once per evaluator, on first use.  The
-    exponent a1 w1 + a2 w2 of each monomial is formed once per point, and
-    the point is kept until a call passes another x or t object, so the
-    calls a Newton step or a predictor makes at one point share two things:
 
-    - the exponents, formed once for every table;
-    - exp(w - base) per monomial, formed once for every table with the same
-      balance base.  F and F_x agree on their base unless F's constant term
-      dominates; F_x, F_t and F_xx always agree, since all three drop it.
+class _FPointEval:
+    """Point evaluator of F: ``ev(x, t, dx, dt)`` is the dx/dt derivative
+    of F at (x, t) as a ``Scaled``, equal bit for bit to ``F_scaled``.
 
-    A table exponentiates only its own monomials: a dropped term can lie
-    far above another table's base, where exp(w - base) would overflow.
+    It reads F's layout from ``_terms_F`` once: six terms over five
+    monomials (``_F_SLOTS``), and five terms over the four non-constant
+    monomials in each derivative's ``_term_table``.  The point is kept
+    until a call passes another x or t object.  A new point is set up once
+    (``_at``): w1 and w2, the five monomial exponents a1 w1 + a2 w2, the
+    balance base of F and that of the derivative tables, and the
+    exponentials exp(w - base) of each base.  F and its derivatives share
+    one set of exponentials unless F's constant term dominates, which
+    gives F a base of its own; a base exponentiates only the monomials of
+    its tables, as the constant can lie far above the derivatives' base.
+    Each call is then one straight-line sum in table order with
+    ``balanced_sum``'s float steps, returned as the bare (mant, log, norm)
+    triple, without NamedTuple's keyword-aware constructor.
 
-    A call is the hot loop of the tracker, so it builds its ``Scaled`` as
-    the bare triple, without NamedTuple's keyword-aware constructor.
+    A derivative table off that layout, where an underflowing factor
+    dropped a term, is summed by ``balanced_sum`` over its own support.
     """
 
-    __slots__ = ("cfg", "terms", "slots", "tables", "x", "t", "ws", "exps")
+    __slots__ = (
+        "cfg", "terms", "slots", "monomials", "nk1", "nk2", "x1", "x2",
+        "k1_3", "k2_3", "coeffs", "tables", "sparse",
+        "x", "t", "w", "base_f", "base_d", "exp_f", "exp_d",
+    )  # fmt: skip
 
-    def __init__(self, cfg: SolitonConfig, terms: Sequence[Term]) -> None:
+    def __init__(self, cfg: SolitonConfig) -> None:
         self.cfg = cfg
-        self.terms = terms
-        # Monomial (a1, a2) -> index, and (dx, dt) -> table of
-        # (coefficient, monomial index) pairs, filled in on first use.
-        self.slots: dict[tuple[int, int], int] = {}
-        for _, a1, a2 in terms:
-            self.slots.setdefault((a1, a2), len(self.slots))
-        self.tables: dict[tuple[int, int], list[tuple[complex, int]]] = {}
-        # The current point: its exponents by monomial index, and per
-        # balance base the exponentials formed so far (None until needed).
+        self.terms = _terms_F(cfg.gamma**2, cfg.variant)
+        self.monomials = list(dict.fromkeys((a1, a2) for _, a1, a2 in self.terms))
+        self.slots = {m: i for i, m in enumerate(self.monomials)}
+        if tuple(self.slots[a1, a2] for _, a1, a2 in self.terms) != _F_SLOTS:
+            raise AssertionError("F's term layout is not the one _F_SLOTS names")
+        # _w_pair's operands.
+        self.nk1, self.nk2 = -cfg.k1, -cfg.k2
+        self.x1, self.x2 = cfg.x1, cfg.x2
+        self.k1_3, self.k2_3 = cfg.k1**3, cfg.k2**3
+        self.coeffs = tuple(c for c, _, _ in self.terms)
+        # (dx, dt) -> the coefficients of a derivative table on the layout;
+        # ``sparse`` holds the _term_table of one off it.
+        self.tables: dict[tuple[int, int], tuple] = {}
+        self.sparse: dict[tuple[int, int], list[Term]] = {}
         self.x = self.t = None
-        self.ws: list[complex] = []
-        self.exps: dict[float, list[Optional[complex]]] = {}
 
-    def _table(self, dx: int, dt: int) -> list[tuple[complex, int]]:
-        table = [
-            (c, self.slots[a1, a2])
-            for c, a1, a2 in _term_table(self.cfg.k1, self.cfg.k2, self.terms, dx, dt)
-        ]
-        self.tables[dx, dt] = table
-        return table
+    def _at(self, x: complex, t: float) -> None:
+        """Set up the point (x, t) for every table."""
+        w1 = self.nk1 * (x - self.x1) + self.k1_3 * t
+        w2 = self.nk2 * (x - self.x2) + self.k2_3 * t
+        (a0, b0), (a1, b1), (a2, b2), (a3, b3), (a4, b4) = self.monomials
+        u0 = a0 * w1 + b0 * w2
+        u1 = a1 * w1 + b1 * w2
+        u2 = a2 * w1 + b2 * w2
+        u3 = a3 * w1 + b3 * w2
+        u4 = a4 * w1 + b4 * w2
+        # Each table's max() over its exponents, in table order: the first
+        # largest is kept, and the repeated f1 f2 term cannot replace it.
+        r0, r1, r2, r3, r4 = u0.real, u1.real, u2.real, u3.real, u4.real
+        base = r1
+        if r2 > base:
+            base = r2
+        if r3 > base:
+            base = r3
+        if r4 > base:
+            base = r4
+        base_f = r0
+        if r1 > base_f:
+            base_f = r1
+        if r2 > base_f:
+            base_f = r2
+        if r3 > base_f:
+            base_f = r3
+        if r4 > base_f:
+            base_f = r4
+        exp = cmath.exp
+        e1 = exp(u1 - base)
+        e2 = exp(u2 - base)
+        e3 = exp(u3 - base)
+        e4 = exp(u4 - base)
+        self.exp_d = (e1, e2, e3, e4)
+        if base_f == base:
+            # Equal bases give equal exponentials, whatever their zero signs.
+            self.exp_f = (exp(u0 - base), e1, e2, e3, e4)
+        else:
+            self.exp_f = (
+                exp(u0 - base_f),
+                exp(u1 - base_f),
+                exp(u2 - base_f),
+                exp(u3 - base_f),
+                exp(u4 - base_f),
+            )
+        self.base_f, self.base_d = base_f, base
+        self.w = (w1, w2)
+        self.x, self.t = x, t
 
     def __call__(self, x: complex, t: float, dx: int = 0, dt: int = 0) -> Scaled:
-        table = self.tables.get((dx, dt))
-        if table is None:
-            table = self._table(dx, dt)
         if x is not self.x or t is not self.t:
-            w1, w2 = _w_pair(self.cfg, x, t)
-            self.ws = [a1 * w1 + a2 * w2 for a1, a2 in self.slots]
-            self.exps = {}
-            self.x, self.t = x, t
-        if not table:
-            return Scaled(0j, 0.0, 0.0)
-        ws = self.ws
-        # balanced_sum's float steps, in table order.
-        base = max([ws[i].real for _, i in table])
-        exps = self.exps.get(base)
-        if exps is None:
-            exps = self.exps[base] = [None] * len(ws)
-        mant = 0j
-        norm = 0.0
-        for c, i in table:
-            e = exps[i]
-            if e is None:
-                e = exps[i] = cmath.exp(ws[i] - base)
-            piece = c * e
-            mant += piece
-            norm += abs(piece)
-        return _new_triple(Scaled, (mant, base, norm))
+            self._at(x, t)
+        if dx or dt:
+            coeffs = self.tables.get((dx, dt))
+            if coeffs is None:
+                return self._off_layout(dx, dt)
+            c0, c1, c2, c3, c4 = coeffs
+            e1, e2, e3, e4 = self.exp_d
+            p = c0 * e1
+            m = 0j + p
+            n = abs(p)
+            p = c1 * e2
+            m += p
+            n += abs(p)
+            p = c2 * e3
+            m += p
+            n += abs(p)
+            p = c3 * e1
+            m += p
+            n += abs(p)
+            p = c4 * e4
+            m += p
+            n += abs(p)
+            return _new_triple(Scaled, (m, self.base_d, n))
+        c0, c1, c2, c3, c4, c5 = self.coeffs
+        e0, e1, e2, e3, e4 = self.exp_f
+        p = c0 * e0
+        m = 0j + p
+        n = abs(p)
+        p = c1 * e1
+        m += p
+        n += abs(p)
+        p = c2 * e2
+        m += p
+        n += abs(p)
+        p = c3 * e3
+        m += p
+        n += abs(p)
+        p = c4 * e1
+        m += p
+        n += abs(p)
+        p = c5 * e4
+        m += p
+        n += abs(p)
+        return _new_triple(Scaled, (m, self.base_f, n))
+
+    def _off_layout(self, dx: int, dt: int) -> Scaled:
+        """A derivative table met for the first time, or one off the layout."""
+        table = self.sparse.get((dx, dt))
+        if table is None:
+            table = _term_table(self.cfg.k1, self.cfg.k2, self.terms, dx, dt)
+            if tuple(self.slots[a1, a2] for _, a1, a2 in table) == _F_SLOTS[1:]:
+                self.tables[dx, dt] = tuple(c for c, _, _ in table)
+                return self(self.x, self.t, dx, dt)
+            self.sparse[dx, dt] = table
+        w1, w2 = self.w
+        return balanced_sum([(c, a1 * w1 + a2 * w2) for c, a1, a2 in table])
 
 
 # Scaled(mant, log, norm) without NamedTuple's keyword-aware __new__, as
@@ -555,9 +643,9 @@ def _eval_terms(
     return balanced_sum([(c, a1 * w1 + a2 * w2) for c, a1, a2 in terms])
 
 
-def _F_point(cfg: SolitonConfig) -> _PointEval:
+def _F_point(cfg: SolitonConfig) -> _FPointEval:
     """The point evaluator of F."""
-    return _PointEval(cfg, _terms_F(cfg.gamma**2, cfg.variant))
+    return _FPointEval(cfg)
 
 
 def _w_grid(k: float, shift: float, xr, xi, t):

@@ -23,14 +23,15 @@ for bit: an ensemble tracks one pole of each conjugate pair of seeds and
 conjugates the curve for its partner (``_track_seeds``).
 
 Each step evaluates F through one kernel point evaluator per curve
-(``kernel._F_point``), built once with its dx/dt tables.  The corrector
-returns the F_x of the point it converged to, and the predictor of the next
-step reuses that accepted sample's F_x instead of evaluating it again; its
-F_t at the same point shares the exponentials the corrector formed there.
-The F_x of a corrector whose result is rejected is never reused.  The
-predictor's F_t and slope are formed once per accepted sample: a retry
-with a halved step after a rejected run reuses them, so the evaluator never
-sets up the accepted point a second time.
+(``kernel._F_point``), which sets up each new point once: its exponents,
+balance bases and exponentials serve every call at that point.  The
+corrector returns the F_x of the point it converged to, and the predictor
+of the next step reuses that accepted sample's F_x instead of evaluating
+it again; its F_t at the same point reuses the exponentials the corrector
+formed there.  The F_x of a corrector whose result is rejected is never
+reused.  The predictor's F_t and slope are formed once per accepted
+sample: a retry with a halved step after a rejected run reuses them, so
+the evaluator never sets up the accepted point a second time.
 
 Values stay the (mant, log, norm) triples the evaluator returns: the
 corrector's |F| test and Newton step and the predictor's slope are formed
@@ -39,7 +40,8 @@ from the triples by ``_balanced._relative_of`` (``Scaled.relative``) and
 is built and no method is called.  A ``Scaled`` is such a triple, so any F
 returning ``Scaled`` values can still be followed, with the same samples.
 Each curve records its work: accepted and rejected steps, Newton
-iterations and distinct evaluation points (see ``PoleCurve``).
+iterations, distinct evaluation points and the smallest relative |F_x| it
+met (see ``PoleCurve``).
 """
 
 from __future__ import annotations
@@ -111,6 +113,20 @@ class TrackerOptions:
     grace_radius: float = 2e-2
     max_steps: int = 200_000
 
+    def __post_init__(self) -> None:
+        # Values that would stall the follower (a step that cannot advance
+        # or never grows back) or end it silently (a NaN step) are refused.
+        for name in ("dt_init", "dt_max", "dt_floor", "newton_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not self.grow >= 1:
+            raise ValueError(f"grow must be at least 1, got {self.grow}")
+        for name in ("max_newton", "max_steps"):
+            value = getattr(self, name)
+            if not value >= 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+
 
 @dataclass
 class PoleCurve:
@@ -126,11 +142,13 @@ class PoleCurve:
     other corrector run: a failed corrector, a near-multiple landing),
     ``newton_iterations`` over every corrector run, the seed polish
     included, and the distinct ``points`` (x, t) at which F was evaluated,
-    one per Newton iterate of each run.  They take no part in equality and
-    stay out of every export.  So does ``conjugate_of``: the index of the
-    curve in the same ensemble whose conjugate this curve is, set when the
-    curve was conjugated rather than tracked (its counters are then that
-    curve's).
+    one per Newton iterate of each run.  ``min_fx_rel`` is the smallest
+    relative |F_x| over the seed and the samples, the step control's
+    measure of how near the curve came to a multiple zero (``fx_min``).
+    They take no part in equality and stay out of every export.  So does
+    ``conjugate_of``: the index of the curve in the same ensemble whose
+    conjugate this curve is, set when the curve was conjugated rather than
+    tracked (its counters are then that curve's).
     """
 
     variant: Variant
@@ -144,6 +162,7 @@ class PoleCurve:
     rejected: int = field(default=0, compare=False)
     newton_iterations: int = field(default=0, compare=False)
     points: int = field(default=0, compare=False)
+    min_fx_rel: float = field(default=math.inf, compare=False)
     conjugate_of: Optional[int] = field(default=None, compare=False)
 
     @property
@@ -274,6 +293,7 @@ def track_zero_curve(
         raise ConvergenceError(
             f"near-multiple-root at the seed: relative |F_x|={fx_rel:.3e}"
         )
+    min_fx = fx_rel
     samples = [(t_start, x)]
     residuals = [_relative_of(Fv)]
     curve = PoleCurve(variant=variant, samples=samples, residuals=residuals)
@@ -355,6 +375,8 @@ def track_zero_curve(
         t, x, Fx, prev_fx_old = t_next, x_new, Fx_new, prev_fx
         slope = None
         prev_fx = fx_rel
+        if fx_rel < min_fx:
+            min_fx = fx_rel
         samples.append((t, x))
         residuals.append(_relative_of(F_new))
         cp = nearest_declared(x, opts.collision_radius)
@@ -374,6 +396,7 @@ def track_zero_curve(
     curve.rejected = steps - curve.accepted
     curve.newton_iterations = newton
     curve.points = newton + 1 + steps
+    curve.min_fx_rel = min_fx
     return curve
 
 

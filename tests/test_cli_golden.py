@@ -59,7 +59,7 @@ def test_stdout_matches_golden(capsys, name):
 
 _STATS = re.compile(
     r"curve (\d+): accepted=(\d+) rejected=(\d+) newton_iterations=(\d+) "
-    r"points=(\d+)(?: conjugate_of=(\d+))?"
+    r"points=(\d+) min_fx_rel=(\d\.\d{3}e[+-]\d\d)(?: conjugate_of=(\d+))?"
 )
 
 
@@ -79,20 +79,22 @@ def test_track_stats_go_to_stderr_only(capsys, name):
     assert len(lines) == len(n_samples) == 6
     stats = [_STATS.fullmatch(line).groups() for line in lines]
     for i, (groups, n) in enumerate(zip(stats, n_samples)):
-        *counts, partner = groups
+        *counts, min_fx_rel, partner = groups
         index, accepted, rejected, newton, points = map(int, counts)
         assert index == i
         assert accepted == n - 1
         assert points == newton + 1 + accepted + rejected
+        # The curves pass no multiple zero: F_x stays well above fx_min.
+        assert 3e-6 < float(min_fx_rel) <= 1.0
         if partner is not None:
             # A conjugated curve names an earlier, tracked curve and
             # repeats its counters.
             j = int(partner)
-            assert j < i and stats[j][5] is None
-            assert tuple(counts[1:]) == stats[j][1:5]
+            assert j < i and stats[j][6] is None
+            assert groups[1:6] == stats[j][1:6]
     # The oracle lists (1,2)+'s poles as three upper ones, then their
     # conjugates in reverse: three curves are tracked, three conjugated.
-    assert [g[5] for g in stats] == [None, None, None, "2", "1", "0"]
+    assert [g[6] for g in stats] == [None, None, None, "2", "1", "0"]
 
 
 _ROW_STATS = re.compile(r"check (\S+): elapsed_s=(\d+\.\d{6})")

@@ -9,6 +9,7 @@ import cmath
 import math
 import random
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Optional
 
 import pytest
@@ -621,8 +622,8 @@ def test_pde_residual_rejects_bad_step() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Point evaluator: one long-lived evaluator per term list equals the
-# one-value functions bit for bit, however the calls interleave.
+# Point evaluator: one long-lived evaluator of F equals F_scaled bit for bit,
+# however the calls interleave.
 # ---------------------------------------------------------------------------
 
 
@@ -630,7 +631,12 @@ def _bits(s) -> tuple:
     return tuple(float(v).hex() for v in (s.mant.real, s.mant.imag, s.log, s.norm))
 
 
-POINT_CONFIGS = [(1, 2), (1, 5), (2, 7), (1.0, math.sqrt(2.0))]
+# Every coprime pair up to 9, an incommensurable pair, and a k1 whose
+# derivative factors underflow: 2 k1^3 = 0 drops a term of F_t, and
+# (2 k1)^3 = 0 one of F_xxx, so those tables leave F's term layout.
+POINT_CONFIGS = [
+    (p1, p2) for p2 in range(2, 10) for p1 in range(1, p2) if math.gcd(p1, p2) == 1
+] + [(1.0, math.sqrt(2.0)), (1e-110, 1)]
 
 
 @given(
@@ -642,7 +648,6 @@ POINT_CONFIGS = [(1, 2), (1, 5), (2, 7), (1.0, math.sqrt(2.0))]
     calls=st.lists(
         st.tuples(
             st.integers(min_value=0, max_value=11),  # point
-            st.sampled_from(["F", "G", "F1", "F2"]),
             st.integers(min_value=0, max_value=3),  # dx
             st.integers(min_value=0, max_value=1),  # dt
             st.booleans(),  # pass an equal copy of x instead of the object
@@ -651,53 +656,69 @@ POINT_CONFIGS = [(1, 2), (1, 5), (2, 7), (1.0, math.sqrt(2.0))]
         max_size=40,
     ),
 )
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 def test_point_evaluator_matches_one_shot_bitwise(spec, variant, res, ims, ts, calls) -> None:
     cfg = SolitonConfig.make(*spec, variant)
     # Points share their x or their t (the very objects) with other points,
     # so an evaluator that kept a stale exponent or exponential would show.
     xs = [complex(r, i) for r in res for i in ims]
     points = [(x, t) for x in xs for t in ts]
-    one_shot = {
-        "F": (kernel._terms_F(cfg.gamma**2, cfg.variant),
-              lambda x, t, dx, dt: kernel.F_scaled(cfg, x, t, dx, dt)),
-        "G": (kernel._terms_G(cfg.k1, cfg.k2, cfg.variant),
-              lambda x, t, dx, dt: kernel.G_scaled(cfg, x, t, dx, dt)),
-    }
-    for which in (1, 2):
-        one_shot[f"F{which}"] = (
-            kernel._terms_factor(cfg, which),
-            lambda x, t, dx, dt, which=which: kernel.factor_scaled(cfg, x, t, which, dx, dt),
-        )
-    evaluators = {name: kernel._PointEval(cfg, terms) for name, (terms, _) in one_shot.items()}
-    for i, name, dx, dt, copy in calls:
+    ev = kernel._F_point(cfg)
+    for i, dx, dt, copy in calls:
         x, t = points[i % len(points)]
         if copy:
             x = complex(x.real, x.imag)
-        _, scalar = one_shot[name]
-        want = _bits(scalar(x, t, dx, dt))
-        assert _bits(evaluators[name](x, t, dx, dt)) == want, (name, x, t, dx, dt)
+        want = _bits(kernel.F_scaled(cfg, x, t, dx, dt))
+        assert _bits(ev(x, t, dx, dt)) == want, (x, t, dx, dt)
+
+
+def test_point_evaluator_sums_off_layout_tables_bitwise() -> None:
+    cfg = SolitonConfig.make(1e-110, 1, "plus")
+    terms = kernel._terms_F(cfg.gamma**2, cfg.variant)
+    assert len(kernel._term_table(cfg.k1, cfg.k2, terms, 0, 1)) == 4
+    ev = kernel._F_point(cfg)
+    x, t = 0.3 - 0.2j, 0.7
+    for dx, dt in ((0, 0), (1, 0), (0, 1), (2, 0), (3, 0), (0, 1), (2, 1)):
+        assert _bits(ev(x, t, dx, dt)) == _bits(kernel.F_scaled(cfg, x, t, dx, dt))
+    # The straight-line sums serve the tables on F's layout; those whose
+    # (2, 0) term underflowed are summed over their own support.
+    assert sorted(ev.tables) == [(1, 0), (2, 0)]
+    assert sorted(ev.sparse) == [(0, 1), (2, 1), (3, 0)]
 
 
 DERIVS = ((0, 0), (1, 0), (0, 1), (2, 0))
 
 
 @pytest.mark.parametrize("x", [-0.4 + 0.2j, 40.0 + 0.3j, 800.0 + 0.3j])
-def test_point_evaluator_shares_exponentials_per_base(x) -> None:
+def test_point_evaluator_shares_exponentials_per_base(monkeypatch, x) -> None:
+    exps = []
+
+    def counted(w):
+        exps.append(w)
+        return cmath.exp(w)
+
+    monkeypatch.setattr(kernel, "cmath", SimpleNamespace(exp=counted))
     ev = kernel._F_point(C12P)
     t = 0.25
     values = [ev(x, t, dx, dt) for dx, dt in DERIVS]
+    monkeypatch.undo()
     for v, (dx, dt) in zip(values, DERIVS):
         assert _bits(v) == _bits(kernel.F_scaled(C12P, x, t, dx, dt))
-    # One point, and one set of exponentials per distinct balance base.
+    # One point, and one set of exponentials per distinct balance base: the
+    # derivative tables' base exponentiates F's four non-constant
+    # monomials, and F's constant term adds one to that set when F shares
+    # the base, or F's own base exponentiates all five.
     assert ev.x is x and ev.t is t
-    assert sorted(ev.exps) == sorted({v.log for v in values})
+    bases = {v.log for v in values}
+    assert len(exps) == (5 if len(bases) == 1 else 9)
     if x.real > 0:
         # The constant term dominates F: F's base is 0 and F_x's far below
         # it; at x = 800 exponentiating the constant term against F_x's
         # base would overflow.
         assert values[0].log == 0.0 and values[1].log < -39.0
-        assert len(ev.exps) == 2
+        assert len(bases) == 2
+    else:
+        assert len(bases) == 1
     # A new t at the same x object, then a new x at the same t object.
     t2 = 0.5
     assert _bits(ev(x, t2)) == _bits(kernel.F_scaled(C12P, x, t2))

@@ -628,7 +628,7 @@ class TestTableProofs:
     @pytest.mark.parametrize("spec", [(1, 2, "plus"), (1, 5, "minus"), (1.0, 2**0.5, "plus")])
     def test_rows_evaluate_nothing(self, monkeypatch, spec):
         calls = []
-        for name in ("_eval_terms", "_eval_terms_grid", "_PointEval"):
+        for name in ("_eval_terms", "_eval_terms_grid", "_FPointEval"):
             original = getattr(kernel, name)
             monkeypatch.setattr(
                 kernel,

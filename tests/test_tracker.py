@@ -266,6 +266,7 @@ def test_mirror_curve_properties(collision_curves):
     assert double.samples == curve.samples
     # The mirror keeps the work counters of the curve it reflects.
     assert curve.accepted == len(curve.samples) - 1
+    assert 0.0 < curve.min_fx_rel < math.inf
     assert _counters(mirrored) == _counters(double) == _counters(curve)
 
 
@@ -338,6 +339,36 @@ def test_step_budget_reach_is_refused_only_without_collision_points():
         track_zero_curve(F, seed, 0.0, 0.6, opts, collision_points=[50j])
     with pytest.raises(ConvergenceError, match="step budget 10 exhausted"):
         track_zero_curve(F, seed, 0.0, 0.5, opts)
+
+
+@pytest.mark.parametrize(
+    "knob",
+    [
+        {"dt_init": math.nan},
+        {"dt_init": 0.0},
+        {"dt_max": 0.0},
+        {"dt_max": -0.05},
+        {"dt_max": math.inf},
+        {"dt_floor": 0.0},
+        {"newton_tol": -1e-12},
+        {"newton_tol": math.nan},
+        {"grow": 0.5},
+        {"grow": math.nan},
+        {"max_newton": 0},
+        {"max_steps": 0},
+    ],
+)
+def test_options_that_stall_or_end_silently_rejected(knob):
+    # Unchecked on (1,2)+ from t = -1 to 1: dt_init=nan returns the seed
+    # alone, dt_max=0 and grow=0.5 run the whole step budget before they
+    # raise, and dt_max=-0.05 walks away from t_end.
+    with pytest.raises(ValueError, match=next(iter(knob))):
+        TrackerOptions(**knob)
+
+
+def test_options_at_their_bounds_construct():
+    # A step that never grows and single-iteration budgets still advance.
+    TrackerOptions(grow=1.0, max_newton=1, max_steps=1)
 
 
 def test_classify_requires_flagged_curve():
@@ -443,7 +474,13 @@ def _assert_same_as_plain_F_scaled(cfg, x0, t0, t1, opts=None):
 
 
 def _counters(curve):
-    return (curve.accepted, curve.rejected, curve.newton_iterations, curve.points)
+    return (
+        curve.accepted,
+        curve.rejected,
+        curve.newton_iterations,
+        curve.points,
+        curve.min_fx_rel,
+    )
 
 
 @pytest.mark.parametrize("case", sorted(TRACK_CASES))
@@ -485,17 +522,21 @@ def test_track_curve_equals_plain_F_scaled_property(pair, variant, t0, t1, pick)
 
 def _spied(cfg):
     """The kernel's point evaluator of F behind a spy that records the
-    distinct points (x, t) it is called at, counts the calls for F's value
-    and records the points of the predictor's F_t calls."""
+    distinct points (x, t) it is called at, counts the calls for F's value,
+    records the points of the predictor's F_t calls and the relative |F_x|
+    at each point."""
     ev = _F_point(cfg)
-    seen = {"points": set(), "F": 0, "F_t": []}
+    seen = {"points": set(), "F": 0, "F_t": [], "F_x": {}}
 
     def spy(x, t, dx=0, dt=0):
         seen["points"].add((x, t))
         seen["F"] += (dx, dt) == (0, 0)
         if (dx, dt) == (0, 1):
             seen["F_t"].append((t, x))
-        return ev(x, t, dx, dt)
+        value = ev(x, t, dx, dt)
+        if (dx, dt) == (1, 0):
+            seen["F_x"][t, x] = value.relative()
+        return value
 
     return spy, seen
 
@@ -522,6 +563,8 @@ def test_work_counters_match_a_spy(case):
         assert curve.newton_iterations == (
             curve.points - 1 - curve.accepted - curve.rejected
         )
+        # The smallest relative |F_x| over the seed and the samples.
+        assert curve.min_fx_rel == min(seen["F_x"][s] for s in curve.samples)
         rejected += curve.rejected
         # The counters are no part of the curve's value.
         bare = PoleCurve(
@@ -539,19 +582,19 @@ def test_work_counters_match_a_spy(case):
 def test_retries_set_up_no_point_twice(monkeypatch):
     """A retry after a rejected corrector run reuses the accepted sample's
     predictor: the point evaluator sets up each distinct point once (one
-    exponent pair per new (x, t)), and the samples are those recorded
-    before the reuse, bit for bit."""
+    set-up per new (x, t)), and the samples are those recorded before the
+    reuse, bit for bit."""
     spec, t0, t1, opts, keep = TRACK_CASES["collision"]
     cfg = SolitonConfig.make(*spec)
     seeds = [x for x, _ in oracle_poles(cfg, t=t0) if keep(x)]
     setups = []
-    w_pair = kernel._w_pair
+    at = kernel._FPointEval._at
 
-    def counted(*args):
-        setups.append(args[1:])
-        return w_pair(*args)
+    def counted(self, x, t):
+        setups.append((x, t))
+        return at(self, x, t)
 
-    monkeypatch.setattr(kernel, "_w_pair", counted)
+    monkeypatch.setattr(kernel._FPointEval, "_at", counted)
     digest = hashlib.sha256()
     rejected = 0
     for x0 in seeds:
