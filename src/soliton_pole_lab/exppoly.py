@@ -24,9 +24,6 @@ stages:
 * An arbitrary-precision Newton polish (``_POLISH_DPS`` digits) with
   cluster merging and multiplicity certification by the derivative ladder.
   One evaluator gives p and its derivatives from one power of y per term.
-  Estimates within ``_GROUP_TOL`` of one another, which double precision
-  leaves unresolved near an exceptional collision, are polished together
-  by a 45-digit Aberth iteration, so that no two reach the same root.
   F and G have real coefficients, so their non-real roots come in exact
   conjugate pairs: of two estimates that are unambiguously each other's
   conjugate, one is polished and certified and the other is recorded as its
@@ -83,11 +80,6 @@ _POLISH_DPS = 45
 # (_aberth_sweep); the 45-digit Newton polish stops at this many times its
 # own bound.
 _FLOOR_FACTOR = 4.0
-# Estimates closer than this (|log(a/b)|) are polished together: the double
-# estimates of a 4-fold root scatter by ~1e-4, and so do those of the four
-# distinct roots it splits into a moment away, which Newton from each
-# estimate alone can take to the same root.
-_GROUP_TOL = 1e-2
 # log|y| outside this range does not survive conversion to a normal double.
 _LOG_Y_RANGE = (math.log(sys.float_info.min), math.log(sys.float_info.max))
 
@@ -472,28 +464,6 @@ def _conjugate_pairs(log_y: np.ndarray) -> dict[int, int]:
     return pairs
 
 
-def _near_groups(log_y: np.ndarray) -> list[list[int]]:
-    """The connected components, of two or more estimates, of estimates
-    within _GROUP_TOL of one another (|log(a/b)|, relative in y), each in
-    index order."""
-    n = len(log_y)
-    near = np.abs(_wrap_phase(log_y[:, None] - log_y[None, :])) < _GROUP_TOL
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in zip(*np.nonzero(np.triu(near, 1))):
-        parent[find(int(i))] = find(int(j))
-    components: dict[int, list[int]] = {}
-    for i in range(n):
-        components.setdefault(find(i), []).append(i)
-    return [members for members in components.values() if len(members) > 1]
-
-
 def _mp_exact(exact: Optional[Fraction], approx: complex) -> "mp.mpc":
     """A term's coefficient or rate at working precision: the exact rational
     when known, else its float."""
@@ -514,11 +484,10 @@ def _polish_and_certify(
     """Arbitrary-precision Newton polish, cluster merging, multiplicity
     certification via the derivative ladder.  ``estimates`` holds log y of
     each root estimate, ``pairs`` maps an estimate to the estimate whose
-    conjugate it is (``_conjugate_pairs``); estimates in a group
-    (``_near_groups``) are polished together and keep no partner.  Returns
-    one record (y, multiplicity, log y, condition) per distinct root, in
-    discovery order (the root at y = 0 first, then cluster by cluster), and
-    the worst relative residual.  y and log y are doubles taken from the
+    conjugate it is (``_conjugate_pairs``).  Returns one record
+    (y, multiplicity, log y, condition) per distinct root, in discovery
+    order (the root at y = 0 first, then cluster by cluster), and the
+    worst relative residual.  y and log y are doubles taken from the
     45-digit root.
 
     The polynomial is built from the exact rationals of each term when it
@@ -608,59 +577,11 @@ def _polish_and_certify(
                     break
             return y
 
-        def cluster_bound(y: "mp.mpc") -> "mp.mpf":
-            """The distance within which another root joins y's cluster."""
-            size = abs(y)
-            return cluster_tol * (min(1, size) + size)
-
-        def aberth(members: list[int], max_sweeps: int) -> None:
-            """Polish a group's estimates together (Gauss-Seidel Aberth):
-            each step is Newton's, damped by the pull of the group's other
-            estimates, so no two of them settle on the same root.  An
-            estimate stops at the rounding floor or a step below step_tol.
-            At an m-fold root the group closes in only linearly, by
-            (m-1)/(m+1) a sweep, so the sweeps also stop once each estimate
-            is within the cluster bound of another: the clustering below
-            merges them, and the recentring finishes the root."""
-            for i in members:
-                polished[i] = mp.exp(mp.mpc(complex(estimates[i])))
-            active = list(members)
-            for _ in range(max_sweeps):
-                if not active or all(
-                    any(
-                        abs(polished[i] - polished[j]) < cluster_bound(polished[i])
-                        for j in members
-                        if j != i
-                    )
-                    for i in members
-                ):
-                    break
-                for i in list(active):
-                    y = polished[i]
-                    (pv, dv), (norm,) = derivs(y, 0, 1, 1)
-                    if dv == 0 or abs(pv) <= floor * norm:
-                        active.remove(i)
-                        continue
-                    ratio = pv / dv
-                    pull = mp.fsum(1 / (y - polished[j]) for j in members if j != i)
-                    step = ratio / (1 - ratio * pull)
-                    polished[i] = y - step
-                    if abs(step) <= step_tol * (1 + abs(polished[i])):
-                        active.remove(i)
-
-        # Estimates that double precision leaves within _GROUP_TOL of one
-        # another (the scatter of a multiple root, or of the distinct roots
-        # just off one) are polished as a group, and keep no conjugate.
         n_est = len(estimates)
-        groups = _near_groups(estimates)
-        grouped = {i for members in groups for i in members}
-        pairs = {j: i for j, i in pairs.items() if i not in grouped and j not in grouped}
         polished: list["mp.mpc"] = [mp.mpc(0)] * n_est
         for i, log_y in enumerate(estimates):
-            if i not in pairs and i not in grouped:
+            if i not in pairs:
                 polished[i] = newton(mp.exp(mp.mpc(complex(log_y))), 0, 80)
-        for members in groups:
-            aberth(members, 120)
         for j, i in pairs.items():
             polished[j] = mp.conj(polished[i])
 
@@ -676,7 +597,8 @@ def _polish_and_certify(
         for i in range(n_est):
             # |d| < bound needs |Re d| and |Im d| below it; those cost no
             # square root, so abs(d) runs only for near pairs.
-            bound = cluster_bound(polished[i])
+            size = abs(polished[i])
+            bound = cluster_tol * (min(1, size) + size)
             for j in range(i + 1, n_est):
                 d = polished[i] - polished[j]
                 if abs(d.real) < bound and abs(d.imag) < bound and abs(d) < bound:
@@ -781,9 +703,7 @@ def roots_at_time(
     unconverged estimates at a time.  Every estimate is polished by
     arbitrary-precision Newton, except that of an unambiguous conjugate
     pair only one is, and the other becomes its exact conjugate (skipped
-    when the sweeps hit ``max_iter``), and that estimates within
-    ``_GROUP_TOL`` of one another are polished together by Aberth's
-    iteration at the same precision.  Clusters within ``cluster_tol`` are
+    when the sweeps hit ``max_iter``).  Clusters within ``cluster_tol`` are
     merged and certified for multiplicity by the derivative ladder, and
     each root must pass a relative-residual certificate below ``cert_tol``.
     The polish's per-root records are sorted once by ``_sort_key`` (a
