@@ -93,7 +93,7 @@ from .kernel import (
     kdv_F_scaled,
     strip_scale,
 )
-from .tracker import TrackerOptions, _newton_correct
+from .tracker import FX_MIN, TrackerOptions, _newton_correct
 
 __all__ = [
     "RealDecomp",
@@ -115,11 +115,13 @@ __all__ = [
 # (relative to the term scale); used as the "is actually a zero" gate.
 ZERO_GATE = 1e-6
 # A factor derivative below this relative size marks a multiple zero: the
-# tracker's near-multiple-root threshold (see ``TrackerOptions``).
-FX_GATE = TrackerOptions.fx_min
+# tracker's near-multiple-root threshold.
+FX_GATE = FX_MIN
 # Residues are read off at the pole itself, so polish tighter than the
 # tracker's default corrector target.
 _POLISH_OPTS = TrackerOptions(newton_tol=1e-13)
+# Nodes of the trapezoid rule in residue_at_pole's contour cross-check.
+_CONTOUR_NODES = 256
 
 _FACTOR_SIGN = {
     (Variant.PLUS, 1): +1,
@@ -647,14 +649,12 @@ def residue_at_pole(
     x_pole: complex,
     t: float,
     variant: Optional[Variant] = None,
-    cross_check: bool = True,
-    nodes: int = 256,
     poles: Optional[Sequence[tuple[complex, int]]] = None,
 ) -> complex:
     """Residue of u at a simple pole: 2 gamma G(x0) / F_x(x0).
 
-    The input point is polished by Newton first.  With cross_check, a
-    periodic-trapezoid contour integral on a circle of radius
+    The input point is polished by Newton first.  A periodic-trapezoid
+    contour integral over _CONTOUR_NODES points on a circle of radius
     1e-3 * isolation (isolation = min(distance to the nearest other
     pole, quarter vertical period)) must agree to 1e-6, else
     ConvergenceError.  ``poles`` is the ``oracle_poles`` snapshot at
@@ -677,23 +677,23 @@ def residue_at_pole(
             f"{Fx.relative():.3e}"
         )
     res = 2.0 * cfg.gamma * G_scaled(cfg, x0, t).ratio(Fx)
-    if cross_check:
-        radius = 1e-3 * _isolation_radius(cfg, x0, t, poles)
-        total = 0j
-        phases = [cmath.exp(2j * math.pi * j / nodes) for j in range(nodes)]
-        try:
-            us = _u_or_raise_grid(cfg, [x0 + radius * p for p in phases], t)
-        except PoleError:
-            raise ConvergenceError(
-                f"contour of radius {radius:.3e} around {x0} touches "
-                "another pole"
-            ) from None
-        for u, phase in zip(us.tolist(), phases):
-            total += u * phase
-        contour = total * radius / nodes
-        if abs(contour - res) > 1e-6 * max(1.0, abs(res)):
-            raise ConvergenceError(
-                f"contour check failed at ({x0}, {t}): derivative formula "
-                f"{res}, contour {contour}"
-            )
+    radius = 1e-3 * _isolation_radius(cfg, x0, t, poles)
+    total = 0j
+    nodes = _CONTOUR_NODES
+    phases = [cmath.exp(2j * math.pi * j / nodes) for j in range(nodes)]
+    try:
+        us = _u_or_raise_grid(cfg, [x0 + radius * p for p in phases], t)
+    except PoleError:
+        raise ConvergenceError(
+            f"contour of radius {radius:.3e} around {x0} touches "
+            "another pole"
+        ) from None
+    for u, phase in zip(us.tolist(), phases):
+        total += u * phase
+    contour = total * radius / nodes
+    if abs(contour - res) > 1e-6 * max(1.0, abs(res)):
+        raise ConvergenceError(
+            f"contour check failed at ({x0}, {t}): derivative formula "
+            f"{res}, contour {contour}"
+        )
     return res

@@ -58,7 +58,6 @@ from .kernel import (
 # blowup.track_curve to check that names imported across modules are traced.
 from .tracker import (  # noqa: F401
     PoleCurve,
-    TrackerOptions,
     position_at,
     track_curve,
     track_ensemble,
@@ -82,6 +81,10 @@ __all__ = [
 # line is grazed, not swept, and the simple-pole rate model does not
 # apply (horizontally moving poles sit exactly on their line).
 TRANSVERSAL_MIN = 1e-8
+# find_crossing refines its bracket to this width in t.
+_CROSSING_TOL = 1e-12
+# fit_blowup_rate refuses a power-law fit with R^2 below this.
+_MIN_R2 = 0.99
 
 # The |t - t_star| ladder of a blowup profile series: a hair over two
 # decades, because ``fit_blowup_rate`` recomputes |t - t_star| from the
@@ -118,15 +121,13 @@ def find_crossing(
     cfg: SolitonConfig,
     curve: PoleCurve,
     alpha: float,
-    opts: Optional[TrackerOptions] = None,
-    tol: float = 1e-12,
 ) -> Crossing:
     """Solve Im x(t) = -alpha on a tracked curve.
 
     The sampled polyline, read in increasing t whichever way the curve
     was tracked, provides the bracket; the root is refined by bisection
     with secant acceleration, re-polishing the pole position at every
-    probe time, until the bracket width falls below tol.
+    probe time, until the bracket width falls below _CROSSING_TOL.
     Raises ValueError when Im x + alpha never changes sign along the
     samples, and when the curve's variant is not the config's: the
     crossing speed is measured on the config's field.  A root with
@@ -143,7 +144,7 @@ def find_crossing(
         raise ValueError("curve must carry at least two samples")
 
     def g(t: float) -> tuple[float, complex]:
-        x = position_at(cfg, curve, t, opts)
+        x = position_at(cfg, curve, t)
         return x.imag + alpha, x
 
     bracket = None
@@ -168,11 +169,11 @@ def find_crossing(
     a, b = bracket
     if a == b:
         t_root = a
-        x_root = position_at(cfg, curve, a, opts)
+        x_root = position_at(cfg, curve, a)
     else:
         ga, xa = g(a)
         gb, xb = g(b)
-        while b - a > tol:
+        while b - a > _CROSSING_TOL:
             # Secant proposal, falling back to the midpoint whenever it
             # leaves the bracket or stalls.
             t_new = b - gb * (b - a) / (gb - ga) if gb != ga else 0.5 * (a + b)
@@ -189,7 +190,7 @@ def find_crossing(
             else:
                 b, gb, xb = t_new, g_new, x_new
         t_root = 0.5 * (a + b)
-        x_root = position_at(cfg, curve, t_root, opts)
+        x_root = position_at(cfg, curve, t_root)
     speed = _im_velocity(cfg, x_root, t_root)
     return Crossing(t_root, x_root, speed, abs(speed) >= TRANSVERSAL_MIN)
 
@@ -317,7 +318,6 @@ def build_scenario(
     curves: Optional[Sequence[PoleCurve]] = None,
     alpha: Optional[float] = None,
     t_span: float = 6.0,
-    opts: Optional[TrackerOptions] = None,
     grid: Optional[GridSpec] = None,
 ) -> BlowupScenario:
     """Assemble a blowup scenario with a verified transversal crossing.
@@ -329,7 +329,7 @@ def build_scenario(
     ConvergenceError.
     """
     if curves is None:
-        curves = track_ensemble(cfg, -t_span, t_span, opts)
+        curves = track_ensemble(cfg, -t_span, t_span)
     if alpha is None:
         alpha, idx = choose_alpha(cfg, curves)
         candidates = [curves[idx]]
@@ -338,7 +338,7 @@ def build_scenario(
     last_err: Optional[Exception] = None
     for curve in candidates:
         try:
-            crossing = find_crossing(cfg, curve, alpha, opts)
+            crossing = find_crossing(cfg, curve, alpha)
         except ValueError as exc:
             last_err = exc
             continue
@@ -481,14 +481,13 @@ class RateFit:
 def fit_blowup_rate(
     scenario: BlowupScenario,
     series: Optional[Sequence[ProfileSample]] = None,
-    min_r2: float = 0.99,
 ) -> RateFit:
     """Least-squares slope of log sup|u| against log|t - t_star|.
 
     Requires at least 4 samples spanning at least two decades of
     |t - t_star|.  The simple-pole model predicts exponent -1 and
     amplitude |residue| / |Im x'(t_star)| = 1/|Im x'|.  A fit with
-    R^2 below min_r2 raises ConvergenceError.
+    R^2 below _MIN_R2 raises ConvergenceError.
     """
     pts = list(scenario.series if series is None else series)
     if len(pts) < 4:
@@ -507,9 +506,9 @@ def fit_blowup_rate(
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
     predicted = 1.0 / abs(scenario.crossing.vertical_speed)
     fit = RateFit(slope, math.exp(intercept), r2, predicted)
-    if r2 < min_r2:
+    if r2 < _MIN_R2:
         raise ConvergenceError(
-            f"poor power-law fit: R^2 = {r2:.4f} < {min_r2}"
+            f"poor power-law fit: R^2 = {r2:.4f} < {_MIN_R2}"
         )
     return fit
 

@@ -176,7 +176,7 @@ class RootSet:
     estimate (relative root change per unit relative coefficient change).
     ``iterations`` counts simultaneous Aberth sweeps (each updates every
     estimate not yet converged); ``cap_hit`` is true when the sweeps ran
-    out (``max_iter``) with estimates still unconverged, which the polish
+    out (``MAX_ITER``) with estimates still unconverged, which the polish
     then had to finish.  ``log_roots`` holds log y of each root,
     taken from its 45-digit value: finite even where y over- or underflows a
     double (real part -inf only for a root at y = 0).
@@ -370,7 +370,7 @@ def _newton_polygon_inits(coeffs: list[Scaled]) -> np.ndarray:
 
 
 def _aberth_sweep(
-    coeffs: list[Scaled], log_y: np.ndarray, max_iter: int
+    coeffs: list[Scaled], log_y: np.ndarray
 ) -> tuple[np.ndarray, int, bool]:
     """Simultaneous Aberth iteration on every unconverged estimate at once
     (Jacobi style: a sweep reads the positions the previous one left).
@@ -396,7 +396,7 @@ def _aberth_sweep(
     active = np.ones(len(log_y), dtype=bool)
     it = 0
     with np.errstate(all="ignore"):
-        for it in range(1, max_iter + 1):
+        for it in range(1, MAX_ITER + 1):
             rows = np.flatnonzero(active)
             ly = log_y[rows]
             w = log_c + deg * ly[:, None]
@@ -478,8 +478,6 @@ def _polish_and_certify(
     estimates: np.ndarray,
     pairs: dict[int, int],
     zero_mult: int,
-    cluster_tol: float,
-    cert_tol: float,
 ) -> tuple[list[tuple[complex, int, complex, float]], float]:
     """Arbitrary-precision Newton polish, cluster merging, multiplicity
     certification via the derivative ladder.  ``estimates`` holds log y of
@@ -598,7 +596,7 @@ def _polish_and_certify(
             # |d| < bound needs |Re d| and |Im d| below it; those cost no
             # square root, so abs(d) runs only for near pairs.
             size = abs(polished[i])
-            bound = cluster_tol * (min(1, size) + size)
+            bound = CLUSTER_TOL * (min(1, size) + size)
             for j in range(i + 1, n_est):
                 d = polished[i] - polished[j]
                 if abs(d.real) < bound and abs(d.imag) < bound and abs(d) < bound:
@@ -638,10 +636,10 @@ def _polish_and_certify(
             rel, kappa, y_d, log_d = certified[src]
             if not rel <= worst:  # a NaN too, which max() would drop
                 worst = rel
-            if not rel <= cert_tol:
+            if not rel <= CERT_TOL:
                 raise ConvergenceError(
                     f"root {complex(polished[k])} failed certification: "
-                    f"relative residual {rel:.3e} > {cert_tol:.1e}"
+                    f"relative residual {rel:.3e} > {CERT_TOL:.1e}"
                 )
             if k != src:
                 y_d, log_d = y_d.conjugate(), log_d.conjugate()
@@ -660,7 +658,7 @@ def _polish_and_certify(
                 float(abs(v) / s) if s > 0 else 0.0
                 for v, s in zip(values[:m], sizes[:m])
             ]
-            ladder_ok = rels[0] <= cert_tol and all(r <= 1e-3 for r in rels[1:])
+            ladder_ok = rels[0] <= CERT_TOL and all(r <= 1e-3 for r in rels[1:])
             nondeg = sizes[m] > 0 and abs(values[m]) / sizes[m] > 1e-12
             if not ladder_ok or not nondeg:
                 # Not a genuine multiple root: keep members as simple roots.
@@ -689,13 +687,7 @@ def _sort_key(y: complex) -> tuple[float, float]:
     return tuple(0.0 if abs(part) < 1e-30 * size else part for part in (y.real, y.imag))
 
 
-def roots_at_time(
-    poly: ExpPoly,
-    t: float,
-    cluster_tol: float = CLUSTER_TOL,
-    cert_tol: float = CERT_TOL,
-    max_iter: int = MAX_ITER,
-) -> RootSet:
+def roots_at_time(poly: ExpPoly, t: float) -> RootSet:
     """All complex roots of the polynomial specialized at time t.
 
     Strategy: Newton-polygon circles seed a simultaneous Aberth iteration
@@ -703,9 +695,9 @@ def roots_at_time(
     unconverged estimates at a time.  Every estimate is polished by
     arbitrary-precision Newton, except that of an unambiguous conjugate
     pair only one is, and the other becomes its exact conjugate (skipped
-    when the sweeps hit ``max_iter``).  Clusters within ``cluster_tol`` are
+    when the sweeps hit ``MAX_ITER``).  Clusters within ``CLUSTER_TOL`` are
     merged and certified for multiplicity by the derivative ladder, and
-    each root must pass a relative-residual certificate below ``cert_tol``.
+    each root must pass a relative-residual certificate below ``CERT_TOL``.
     The polish's per-root records are sorted once by ``_sort_key`` (a
     stable sort), and the RootSet's roots, conditions and logarithms are
     read from that one list, so they stay aligned.  A non-finite t raises
@@ -736,11 +728,9 @@ def roots_at_time(
             log_roots=(complex(-math.inf),) if zero_mult else tuple(),
         )
     inits = _newton_polygon_inits(reduced)
-    estimates, iters, cap_hit = _aberth_sweep(reduced, inits, max_iter)
+    estimates, iters, cap_hit = _aberth_sweep(reduced, inits)
     pairs = {} if cap_hit else _conjugate_pairs(estimates)
-    roots, worst = _polish_and_certify(
-        poly, t, estimates, pairs, zero_mult, cluster_tol, cert_tol
-    )
+    roots, worst = _polish_and_certify(poly, t, estimates, pairs, zero_mult)
     roots.sort(key=lambda r: _sort_key(r[0]))
     return RootSet(
         t=t,

@@ -85,47 +85,56 @@ class BranchClass(Enum):
     NONE = "None"
 
 
+# Step control of the follower.  A step is halved when the corrector fails
+# (it takes at most MAX_NEWTON iterations), takes more than SLOW_NEWTON
+# iterations, or sees the relative |F_x| fall by more than a factor FX_DROP
+# from the last sample; otherwise it grows by GROW, up to
+# TrackerOptions.dt_max.  A step halved below DT_FLOOR cannot advance.
+DT_FLOOR = 1e-9
+MAX_NEWTON = 20
+SLOW_NEWTON = 5
+GROW = 1.5
+FX_DROP = 10.0
+# Relative |F_x| below FX_MIN marks a near-multiple root.  It is set so that
+# a corrector landing |F| below newton_tol *because the zero is multiple* is
+# recognized: at an order-m zero the converged point sits at distance
+# ~ tol^{1/m}, where the relative |F_x| is ~ m * tol^{(m-1)/m} (2e-6 for a
+# double zero, smaller for higher orders), while healthy simple zeros keep
+# relative |F_x| many orders larger.
+FX_MIN = 3e-6
+# Inside GRACE_RADIUS of a declared collision point, a step below DT_FLOOR
+# or a relative |F_x| below FX_MIN means "entering the declared collision"
+# and ends the curve there, rather than raising.
+GRACE_RADIUS = 2e-2
+
+
 @dataclass(frozen=True)
 class TrackerOptions:
-    """Step-control knobs for the predictor/corrector follower.
+    """Settings of the predictor/corrector follower.
 
-    ``fx_min`` is calibrated so that a corrector landing |F| below
-    ``newton_tol`` *because the zero is multiple* is recognized: at an
-    order-m zero the converged point sits at distance ~ tol^{1/m}, where
-    the relative |F_x| is ~ m * tol^{(m-1)/m} (2e-6 for a double zero,
-    smaller for higher orders), while healthy simple zeros keep relative
-    |F_x| many orders larger.  ``collision_radius`` is the handoff ball
-    around a declared collision point; ``grace_radius`` is the looser
-    neighborhood inside which step-floor and small-|F_x| events mean
-    "entering the declared collision" rather than an error.
+    ``newton_tol`` is the corrector's relative |F| target.  The step starts
+    at ``dt_init`` and never exceeds ``dt_max``; ``max_steps`` bounds the
+    corrector runs per curve.  ``collision_radius`` is the handoff ball
+    around a declared collision point: an accepted sample inside it ends
+    the curve.  The fixed step control is in the module constants above.
     """
 
     dt_init: float = 1e-3
     dt_max: float = 0.05
-    dt_floor: float = 1e-9
-    newton_tol: float = 1e-12  # relative |F| target of the corrector
-    max_newton: int = 20
-    slow_newton: int = 5  # more iterations than this halves the step
-    grow: float = 1.5
-    fx_drop: float = 10.0  # |F_x| falling by this factor halves the step
-    fx_min: float = 3e-6  # relative |F_x| below this = near-multiple root
+    newton_tol: float = 1e-12
     collision_radius: float = 1e-3
-    grace_radius: float = 2e-2
     max_steps: int = 200_000
 
     def __post_init__(self) -> None:
-        # Values that would stall the follower (a step that cannot advance
-        # or never grows back) or end it silently (a NaN step) are refused.
-        for name in ("dt_init", "dt_max", "dt_floor", "newton_tol"):
+        # Values that would stall the follower (a step that cannot advance)
+        # or end it silently (a NaN step, a collision stop that never or
+        # always fires) are refused.
+        for name in ("dt_init", "dt_max", "newton_tol", "collision_radius"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
-        if not self.grow >= 1:
-            raise ValueError(f"grow must be at least 1, got {self.grow}")
-        for name in ("max_newton", "max_steps"):
-            value = getattr(self, name)
-            if not value >= 1:
-                raise ValueError(f"{name} must be at least 1, got {value}")
+        if not self.max_steps >= 1:
+            raise ValueError(f"max_steps must be at least 1, got {self.max_steps}")
 
 
 @dataclass
@@ -144,7 +153,7 @@ class PoleCurve:
     included, and the distinct ``points`` (x, t) at which F was evaluated,
     one per Newton iterate of each run.  ``min_fx_rel`` is the smallest
     relative |F_x| over the seed and the samples, the step control's
-    measure of how near the curve came to a multiple zero (``fx_min``).
+    measure of how near the curve came to a multiple zero (``FX_MIN``).
     They take no part in equality and stay out of every export.  So does
     ``conjugate_of``: the index of the curve in the same ensemble whose
     conjugate this curve is, set when the curve was conjugated rather than
@@ -192,13 +201,13 @@ triple, e.g. a ``Scaled``.  The kernel's point evaluator of F
 (``kernel._F_point``) is one."""
 
 
-def detect_exceptional(cfg: SolitonConfig, q_values: Sequence[int] = (0, -1)) -> dict:
+def detect_exceptional(cfg: SolitonConfig) -> dict:
     """Exceptional-case arithmetic test plus the collision points.
 
     True iff the wavenumber ratio is rational with p1, p2 both odd and
     p2 - p1 in 4N (Minus) or p2 + p1 in 4N (Plus).  Points are
-    (1/2 + q) lambda pi i for the requested q values; the default covers the
-    fundamental strip (q = 0 and q = -1, i.e. +- lambda pi i / 2).
+    (1/2 + q) lambda pi i for q = 0 and q = -1, i.e. +- lambda pi i / 2,
+    the collision points of the fundamental strip.
     """
     if cfg.comm is None:
         return {"is_exceptional": False, "points": []}
@@ -209,7 +218,7 @@ def detect_exceptional(cfg: SolitonConfig, q_values: Sequence[int] = (0, -1)) ->
     if combo % 4 != 0:
         return {"is_exceptional": False, "points": []}
     lam = cfg.comm.lam
-    points = [1j * (0.5 + q) * lam * math.pi for q in q_values]
+    points = [1j * (0.5 + q) * lam * math.pi for q in (0, -1)]
     return {"is_exceptional": True, "points": points}
 
 
@@ -232,7 +241,7 @@ def _newton_correct(
     iterations + 1 points.  Raises ConvergenceError when the iteration cap
     is exhausted or a step cannot be formed."""
     tol = opts.newton_tol
-    for it in range(opts.max_newton):
+    for it in range(MAX_NEWTON):
         Fv = F(x, t, 0, 0)
         Fx = F(x, t, 1, 0)
         if _relative_of(Fv) < tol:
@@ -245,10 +254,10 @@ def _newton_correct(
     Fv = F(x, t, 0, 0)
     rel = _relative_of(Fv)
     if rel < tol:
-        return x, Fv, F(x, t, 1, 0), opts.max_newton
+        return x, Fv, F(x, t, 1, 0), MAX_NEWTON
     raise _gave_up(
         f"corrector did not converge at t={t}: relative |F|={rel:.3e}",
-        opts.max_newton,
+        MAX_NEWTON,
     )
 
 
@@ -289,7 +298,7 @@ def track_zero_curve(
 
     x, Fv, Fx, newton = _newton_correct(F, complex(x_start), t_start, opts)
     fx_rel = _relative_of(Fx)
-    if fx_rel < opts.fx_min:
+    if fx_rel < FX_MIN:
         raise ConvergenceError(
             f"near-multiple-root at the seed: relative |F_x|={fx_rel:.3e}"
         )
@@ -303,19 +312,19 @@ def track_zero_curve(
         curve.collision_point = cp
 
     def halve(step: float) -> bool:
-        """Halve the step; below dt_floor stop at a declared collision
-        within grace_radius (False) or raise."""
+        """Halve the step; below DT_FLOOR stop at a declared collision
+        within GRACE_RADIUS (False) or raise."""
         nonlocal dt
         dt = step / 2.0
-        if dt < opts.dt_floor:
-            cp = nearest_declared(x, opts.grace_radius)
+        if dt < DT_FLOOR:
+            cp = nearest_declared(x, GRACE_RADIUS)
             if cp is None:
                 raise ConvergenceError(
                     "near-multiple-root: step size underflow at "
                     f"t={t}, x={x}; last good sample kept"
                 )
             stop_at(cp)
-        return dt >= opts.dt_floor
+        return dt >= DT_FLOOR
 
     dt = opts.dt_init
     t = t_start
@@ -353,17 +362,17 @@ def track_zero_curve(
             break
         newton += iters
         fx_rel = _relative_of(Fx_new)
-        if fx_rel < opts.fx_min:
+        if fx_rel < FX_MIN:
             # The corrector converged onto a (near-)multiple zero.  A
             # clamped jump onto t_end can overshoot the approach (landing
             # directly on the collision time); retry with smaller steps so
             # samples keep resolving the scaling regime.  Otherwise, inside
             # the grace neighborhood of a declared collision point this is
             # the expected endgame; elsewhere it is a hard error.
-            if clamped and step / 2.0 >= opts.dt_floor:
+            if clamped and step / 2.0 >= DT_FLOOR:
                 dt = step / 2.0
                 continue
-            cp = nearest_declared(x_new, opts.grace_radius)
+            cp = nearest_declared(x_new, GRACE_RADIUS)
             if cp is None:
                 raise ConvergenceError(
                     f"near-multiple-root: relative |F_x|={fx_rel:.3e} at "
@@ -383,13 +392,13 @@ def track_zero_curve(
         if cp is not None:
             stop_at(cp)
             break
-        slow = iters > opts.slow_newton
-        dropped = prev_fx_old > 0 and fx_rel < prev_fx_old / opts.fx_drop
+        slow = iters > SLOW_NEWTON
+        dropped = prev_fx_old > 0 and fx_rel < prev_fx_old / FX_DROP
         if slow or dropped:
             if not halve(step):
                 break
         else:
-            dt = min(step * opts.grow, opts.dt_max)
+            dt = min(step * GROW, opts.dt_max)
     # Each loop pass ran the corrector once; every run, the seed polish
     # too, evaluated at one point per iteration plus one.
     curve.accepted = len(samples) - 1
@@ -573,16 +582,11 @@ def classify_branch(curve: PoleCurve) -> BranchFit:
     return fit
 
 
-def position_at(
-    cfg: SolitonConfig,
-    curve: PoleCurve,
-    t: float,
-    opts: Optional[TrackerOptions] = None,
-) -> complex:
+def position_at(cfg: SolitonConfig, curve: PoleCurve, t: float) -> complex:
     """Pole position at an interior time t, obtained by Newton-polishing the
     sample nearest in time on F of the curve's variant.  t must lie within
     (or very close to) the curve's sampled span."""
-    opts = opts or TrackerOptions()
+    opts = TrackerOptions()
     lo = min(curve.t_first, curve.t_last)
     hi = max(curve.t_first, curve.t_last)
     slack = 2 * opts.dt_max

@@ -499,7 +499,7 @@ def test_residues_are_plus_minus_i(variant):
     for t in (-0.7, 0.0, 1.3):
         seen = {1: 0, -1: 0}
         for x, _ in oracle_poles(cfg, t=t):
-            r = residue_at_pole(cfg, x, t)  # contour check is on by default
+            r = residue_at_pole(cfg, x, t)  # the contour check always runs
             dev = min(abs(r - 1j), abs(r + 1j))
             assert dev < 1e-8
             seen[1 if r.imag > 0 else -1] += 1

@@ -84,7 +84,7 @@ def test_track_stats_go_to_stderr_only(capsys, name):
         assert index == i
         assert accepted == n - 1
         assert points == newton + 1 + accepted + rejected
-        # The curves pass no multiple zero: F_x stays well above fx_min.
+        # The curves pass no multiple zero: F_x stays well above tracker.FX_MIN.
         assert 3e-6 < float(min_fx_rel) <= 1.0
         if partner is not None:
             # A conjugated curve names an earlier, tracked curve and

@@ -323,9 +323,7 @@ def test_nan_estimates_fail_certification() -> None:
     poly = build_F_poly(SolitonConfig.make(1, 2, "plus"))
     estimates = np.full(6, complex(math.nan, math.nan))
     with pytest.raises(ConvergenceError, match="nan"):
-        exppoly._polish_and_certify(
-            poly, 0.0, estimates, {}, 0, exppoly.CLUSTER_TOL, exppoly.CERT_TOL
-        )
+        exppoly._polish_and_certify(poly, 0.0, estimates, {}, 0)
 
 
 def test_roots_against_mpmath_polyroots() -> None:

@@ -4,6 +4,9 @@ and no module-level definition that the package never refers to."""
 from __future__ import annotations
 
 import ast
+import dataclasses
+import importlib
+import inspect
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "soliton_pole_lab"
@@ -254,3 +257,34 @@ def test_records_export_through_one_rule() -> None:
     # records that rename, compute or reorder keys write their own.
     found = hand_written_to_dicts(sorted(PACKAGE.glob("*.py")))
     assert found == sorted(OWN_TO_DICT)
+
+
+# Tuning values that no caller set are module constants, not parameters
+# (tracker.DT_FLOOR, exppoly.MAX_ITER, ...).  A new knob needs a caller
+# that sets it and an edit here.
+TRACKER_OPTION_FIELDS = (
+    "dt_init",
+    "dt_max",
+    "newton_tol",
+    "collision_radius",
+    "max_steps",
+)
+REMOVED_PARAMETERS = {
+    ("exppoly", "roots_at_time"): {"cluster_tol", "cert_tol", "max_iter"},
+    ("analysis", "residue_at_pole"): {"cross_check", "nodes"},
+    ("blowup", "find_crossing"): {"opts", "tol"},
+    ("blowup", "build_scenario"): {"opts"},
+    ("blowup", "fit_blowup_rate"): {"min_r2"},
+    ("tracker", "position_at"): {"opts"},
+    ("tracker", "detect_exceptional"): {"q_values"},
+}
+
+
+def test_tuning_constants_stay_constants() -> None:
+    from soliton_pole_lab.tracker import TrackerOptions
+
+    fields = tuple(f.name for f in dataclasses.fields(TrackerOptions))
+    assert fields == TRACKER_OPTION_FIELDS
+    for (module, name), removed in REMOVED_PARAMETERS.items():
+        fn = getattr(importlib.import_module(f"soliton_pole_lab.{module}"), name)
+        assert removed.isdisjoint(inspect.signature(fn).parameters), (module, name)

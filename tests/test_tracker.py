@@ -349,26 +349,29 @@ def test_step_budget_reach_is_refused_only_without_collision_points():
         {"dt_max": 0.0},
         {"dt_max": -0.05},
         {"dt_max": math.inf},
-        {"dt_floor": 0.0},
         {"newton_tol": -1e-12},
         {"newton_tol": math.nan},
-        {"grow": 0.5},
-        {"grow": math.nan},
-        {"max_newton": 0},
         {"max_steps": 0},
+        {"collision_radius": math.nan},
+        {"collision_radius": 0.0},
+        {"collision_radius": -1e-3},
+        {"collision_radius": math.inf},
     ],
 )
 def test_options_that_stall_or_end_silently_rejected(knob):
     # Unchecked on (1,2)+ from t = -1 to 1: dt_init=nan returns the seed
-    # alone, dt_max=0 and grow=0.5 run the whole step budget before they
-    # raise, and dt_max=-0.05 walks away from t_end.
+    # alone, dt_max=0 runs the whole step budget before it raises, and
+    # dt_max=-0.05 walks away from t_end.  On (1,5)- from t = -0.5 to 0, a
+    # NaN, zero or negative collision_radius never hands off inside the
+    # collision ball (two curves run on to t = -1e-6), and an infinite one
+    # ends every curve at its first step, flagged as a collision.
     with pytest.raises(ValueError, match=next(iter(knob))):
         TrackerOptions(**knob)
 
 
 def test_options_at_their_bounds_construct():
-    # A step that never grows and single-iteration budgets still advance.
-    TrackerOptions(grow=1.0, max_newton=1, max_steps=1)
+    # A single-step budget still advances.
+    TrackerOptions(max_steps=1)
 
 
 def test_classify_requires_flagged_curve():
