@@ -145,14 +145,6 @@ def _relative_of(v: tuple) -> float:
     return abs(mant) if norm == 0.0 else abs(mant) / norm
 
 
-def _quotient(num: tuple, den: tuple) -> complex:
-    """``(num / den).value()`` of two (mant, log, norm) triples, without
-    building the intermediate ``Scaled``: the same float steps and errors."""
-    if den[0] == 0:
-        raise ZeroDivisionError("scaled division by zero mantissa")
-    return _unscale(num[0] / den[0], num[1] - den[1])
-
-
 def balanced_sum(terms: Iterable[tuple[complex, complex]]) -> Scaled:
     """Sum ``c * exp(w)`` over (c, w) pairs with the largest Re w factored out.
 

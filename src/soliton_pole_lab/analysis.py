@@ -74,7 +74,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._balanced import ScaledGrid
+from ._balanced import Scaled, ScaledGrid
 from .exppoly import oracle_poles
 from .kernel import (
     ConvergenceError,
@@ -120,8 +120,12 @@ FX_GATE = FX_MIN
 # Residues are read off at the pole itself, so polish tighter than the
 # tracker's default corrector target.
 _POLISH_OPTS = TrackerOptions(newton_tol=1e-13)
-# Nodes of the trapezoid rule in residue_at_pole's contour cross-check.
+# Nodes of the trapezoid rule in residue_at_pole's contour cross-check, and
+# their phases on the unit circle.
 _CONTOUR_NODES = 256
+_CONTOUR_PHASES = tuple(
+    cmath.exp(2j * math.pi * j / _CONTOUR_NODES) for j in range(_CONTOUR_NODES)
+)
 
 _FACTOR_SIGN = {
     (Variant.PLUS, 1): +1,
@@ -664,33 +668,31 @@ def residue_at_pole(
     """
     cfg = _in_variant(cfg, variant)
     try:
-        x0, _, Fx, _ = _newton_correct(
+        x0, _, fx_mant, fx_log, fx_rel, _ = _newton_correct(
             _F_point(cfg), complex(x_pole), t, _POLISH_OPTS
         )
     except ConvergenceError as exc:
         raise PoleError(
             f"({x_pole}, {t}) did not polish to a zero of F ({exc})"
         ) from exc
-    if Fx.relative() < FX_GATE:
+    if fx_rel < FX_GATE:
         raise ConvergenceError(
-            f"multiple zero at ({x0}, {t}): relative |F_x|="
-            f"{Fx.relative():.3e}"
+            f"multiple zero at ({x0}, {t}): relative |F_x|={fx_rel:.3e}"
         )
-    res = 2.0 * cfg.gamma * G_scaled(cfg, x0, t).ratio(Fx)
+    # ``ratio`` reads F_x's mantissa and log only.
+    res = 2.0 * cfg.gamma * G_scaled(cfg, x0, t).ratio(Scaled(fx_mant, fx_log))
     radius = 1e-3 * _isolation_radius(cfg, x0, t, poles)
     total = 0j
-    nodes = _CONTOUR_NODES
-    phases = [cmath.exp(2j * math.pi * j / nodes) for j in range(nodes)]
     try:
-        us = _u_or_raise_grid(cfg, [x0 + radius * p for p in phases], t)
+        us = _u_or_raise_grid(cfg, [x0 + radius * p for p in _CONTOUR_PHASES], t)
     except PoleError:
         raise ConvergenceError(
             f"contour of radius {radius:.3e} around {x0} touches "
             "another pole"
         ) from None
-    for u, phase in zip(us.tolist(), phases):
+    for u, phase in zip(us.tolist(), _CONTOUR_PHASES):
         total += u * phase
-    contour = total * radius / nodes
+    contour = total * radius / _CONTOUR_NODES
     if abs(contour - res) > 1e-6 * max(1.0, abs(res)):
         raise ConvergenceError(
             f"contour check failed at ({x0}, {t}): derivative formula "

@@ -45,21 +45,20 @@ per table as well.
 
 Pointwise callers (tracking, Newton correctors, finite-difference stencils)
 keep the scalar path.  The one-value functions (F_scaled, G_scaled, ...)
-sum one term table with ``balanced_sum``.  Callers that evaluate F many
-times at few points -- the tracker and the Newton polish of
-``analysis.residue_at_pole`` -- hold a point evaluator of F instead
+sum one term table with ``balanced_sum``.  Newton in x -- the tracker's
+corrector, which ``analysis.residue_at_pole`` and
+``asymptotics.match_horizons`` share -- holds a point evaluator of F instead
 (``_FPointEval``, from ``_F_point``).  It is written for F's fixed term
 layout, read once from ``_terms_F``: six terms over five monomials, and
-five terms over four in each derivative table.  At each new point it
-forms the five monomial exponents, F's balance base and the derivative
-tables' base, and the exponentials of each base once, shared when the two
-bases are equal; each call is then a straight-line sum in table order with
-``balanced_sum``'s float steps, so its values equal F_scaled's bit for
-bit.  A call returns its ``Scaled`` as the bare (mant, log, norm) triple
-(``Scaled`` is a ``NamedTuple``), which the tracker's predictor-corrector
-unpacks without method calls.  A fresh evaluator used for one value costs
-more than the plain sum (it reads the layout and builds each table on
-first use), so the one-value functions do not use one.
+five terms over four in the F_x and F_t tables.  One call per Newton
+iterate, ``point(x, t)``, forms the five monomial exponents, F's balance
+base and the derivative tables' base, and the exponentials of each base
+once, shared when the two bases are equal, and returns F and F_x as flat
+values; the tracker's predictor then asks ``F_t(x, t)`` at an accepted
+sample, from the same exponentials.  Each value is a straight-line sum in
+table order with ``balanced_sum``'s float steps, so it equals F_scaled's
+bit for bit.  An evaluator builds its tables when it is made, which costs
+more than one plain sum, so the one-value functions do not use one.
 
 Convention for shifts: the shift factors exp(k_j x_j) are folded directly
 into f_j above.  For zero shifts this is the normalized solution whose
@@ -461,59 +460,76 @@ def _term_table(k1, k2, terms: Sequence[Term], dx: int = 0, dt: int = 0) -> list
 
 
 # F's six terms by monomial slot, in table order: the second and fifth share
-# f1 f2, and every derivative table drops the first, the constant term.
+# f1 f2, and the F_x and F_t tables drop the first, the constant term.
 # ``_FPointEval``'s straight-line sums are written for this layout.
 _F_SLOTS = (0, 1, 2, 3, 1, 4)
 
 
 class _FPointEval:
-    """Point evaluator of F: ``ev(x, t, dx, dt)`` is the dx/dt derivative
-    of F at (x, t) as a ``Scaled``, equal bit for bit to ``F_scaled``.
+    """Point evaluator of F for Newton in x and the tracker's predictor.
+
+    ``ev.point(x, t)`` sets up the point (x, t) and returns F and F_x there
+    as the flat tuple (F_rel, F_mant, F_log, F_x_mant, F_x_log, F_x_norm):
+    F as its relative size (``Scaled.relative``) and the mantissa and log
+    of its ``Scaled``, F_x as its ``Scaled``'s three parts.
+    ``ev.F_t(x, t)`` then returns (mant, log) of F_t at that point, the
+    last one set up; it forms no norm.  Every part equals ``F_scaled``'s
+    bit for bit.
 
     It reads F's layout from ``_terms_F`` once: six terms over five
     monomials (``_F_SLOTS``), and five terms over the four non-constant
-    monomials in each derivative's ``_term_table``.  The point is kept
-    until a call passes another x or t object.  A new point is set up once
-    (``_at``): w1 and w2, the five monomial exponents a1 w1 + a2 w2, the
+    monomials in the F_x and F_t tables of ``_term_table``.  A point's
+    set-up forms w1 and w2, the five monomial exponents a1 w1 + a2 w2, the
     balance base of F and that of the derivative tables, and the
-    exponentials exp(w - base) of each base.  F and its derivatives share
-    one set of exponentials unless F's constant term dominates, which
-    gives F a base of its own; a base exponentiates only the monomials of
-    its tables, as the constant can lie far above the derivatives' base.
-    Each call is then one straight-line sum in table order with
-    ``balanced_sum``'s float steps, returned as the bare (mant, log, norm)
-    triple, without NamedTuple's keyword-aware constructor.
+    exponentials exp(w - base) of each base.  F shares the derivative
+    tables' exponentials unless F's constant term dominates, which gives F
+    a base of its own; a base exponentiates only the monomials of its
+    tables, as the constant can lie far above the derivatives' base.  Each
+    value is then one straight-line sum in table order with
+    ``balanced_sum``'s float steps.
 
-    A derivative table off that layout, where an underflowing factor
-    dropped a term, is summed by ``balanced_sum`` over its own support.
+    F_x is always on the layout: a non-constant monomial's factor
+    -(a1 k1 + a2 k2) is nonzero for 0 < k1 < k2, and so is each of F's
+    coefficients times it.  F_t's factor a1 k1^3 + a2 k2^3 can underflow
+    (2 k1^3 = 0 for k1 = 1e-110, which drops the f1^2 term); an F_t table
+    off the layout is summed by ``balanced_sum`` over its own support.
     """
 
     __slots__ = (
-        "cfg", "terms", "slots", "monomials", "nk1", "nk2", "x1", "x2",
-        "k1_3", "k2_3", "coeffs", "tables", "sparse",
-        "x", "t", "w", "base_f", "base_d", "exp_f", "exp_d",
+        "monomials", "nk1", "nk2", "x1", "x2", "k1_3", "k2_3",
+        "coeffs", "coeffs_x", "coeffs_t", "table_t", "last",
     )  # fmt: skip
 
     def __init__(self, cfg: SolitonConfig) -> None:
-        self.cfg = cfg
-        self.terms = _terms_F(cfg.gamma**2, cfg.variant)
-        self.monomials = list(dict.fromkeys((a1, a2) for _, a1, a2 in self.terms))
-        self.slots = {m: i for i, m in enumerate(self.monomials)}
-        if tuple(self.slots[a1, a2] for _, a1, a2 in self.terms) != _F_SLOTS:
+        terms = _terms_F(cfg.gamma**2, cfg.variant)
+        self.monomials = list(dict.fromkeys((a1, a2) for _, a1, a2 in terms))
+        slots = {m: i for i, m in enumerate(self.monomials)}
+
+        def on_layout(table: list[Term], layout: tuple) -> bool:
+            return tuple(slots[a1, a2] for _, a1, a2 in table) == layout
+
+        table_x = _term_table(cfg.k1, cfg.k2, terms, 1, 0)
+        table_t = _term_table(cfg.k1, cfg.k2, terms, 0, 1)
+        if not (on_layout(terms, _F_SLOTS) and on_layout(table_x, _F_SLOTS[1:])):
             raise AssertionError("F's term layout is not the one _F_SLOTS names")
         # _w_pair's operands.
         self.nk1, self.nk2 = -cfg.k1, -cfg.k2
         self.x1, self.x2 = cfg.x1, cfg.x2
         self.k1_3, self.k2_3 = cfg.k1**3, cfg.k2**3
-        self.coeffs = tuple(c for c, _, _ in self.terms)
-        # (dx, dt) -> the coefficients of a derivative table on the layout;
-        # ``sparse`` holds the _term_table of one off it.
-        self.tables: dict[tuple[int, int], tuple] = {}
-        self.sparse: dict[tuple[int, int], list[Term]] = {}
-        self.x = self.t = None
+        self.coeffs = tuple(c for c, _, _ in terms)
+        self.coeffs_x = tuple(c for c, _, _ in table_x)
+        if on_layout(table_t, _F_SLOTS[1:]):
+            self.coeffs_t, self.table_t = tuple(c for c, _, _ in table_t), None
+        else:
+            self.coeffs_t, self.table_t = None, table_t
+        # The point last set up: (x, t, w1, w2, its derivative tables'
+        # exponentials, their base).
+        self.last = None
 
-    def _at(self, x: complex, t: float) -> None:
-        """Set up the point (x, t) for every table."""
+    def point(
+        self, x: complex, t: float
+    ) -> tuple[float, complex, float, complex, float, float]:
+        """Set up (x, t); (F_rel, F_mant, F_log, F_x_mant, F_x_log, F_x_norm)."""
         w1 = self.nk1 * (x - self.x1) + self.k1_3 * t
         w2 = self.nk2 * (x - self.x2) + self.k2_3 * t
         (a0, b0), (a1, b1), (a2, b2), (a3, b3), (a4, b4) = self.monomials
@@ -546,85 +562,72 @@ class _FPointEval:
         e2 = exp(u2 - base)
         e3 = exp(u3 - base)
         e4 = exp(u4 - base)
-        self.exp_d = (e1, e2, e3, e4)
+        self.last = (x, t, w1, w2, e1, e2, e3, e4, base)
         if base_f == base:
             # Equal bases give equal exponentials, whatever their zero signs.
-            self.exp_f = (exp(u0 - base), e1, e2, e3, e4)
+            f0, f1, f2, f3, f4 = exp(u0 - base), e1, e2, e3, e4
         else:
-            self.exp_f = (
-                exp(u0 - base_f),
-                exp(u1 - base_f),
-                exp(u2 - base_f),
-                exp(u3 - base_f),
-                exp(u4 - base_f),
-            )
-        self.base_f, self.base_d = base_f, base
-        self.w = (w1, w2)
-        self.x, self.t = x, t
-
-    def __call__(self, x: complex, t: float, dx: int = 0, dt: int = 0) -> Scaled:
-        if x is not self.x or t is not self.t:
-            self._at(x, t)
-        if dx or dt:
-            coeffs = self.tables.get((dx, dt))
-            if coeffs is None:
-                return self._off_layout(dx, dt)
-            c0, c1, c2, c3, c4 = coeffs
-            e1, e2, e3, e4 = self.exp_d
-            p = c0 * e1
-            m = 0j + p
-            n = abs(p)
-            p = c1 * e2
-            m += p
-            n += abs(p)
-            p = c2 * e3
-            m += p
-            n += abs(p)
-            p = c3 * e1
-            m += p
-            n += abs(p)
-            p = c4 * e4
-            m += p
-            n += abs(p)
-            return _new_triple(Scaled, (m, self.base_d, n))
+            f0 = exp(u0 - base_f)
+            f1 = exp(u1 - base_f)
+            f2 = exp(u2 - base_f)
+            f3 = exp(u3 - base_f)
+            f4 = exp(u4 - base_f)
         c0, c1, c2, c3, c4, c5 = self.coeffs
-        e0, e1, e2, e3, e4 = self.exp_f
-        p = c0 * e0
+        p = c0 * f0
         m = 0j + p
         n = abs(p)
-        p = c1 * e1
+        p = c1 * f1
         m += p
         n += abs(p)
-        p = c2 * e2
+        p = c2 * f2
         m += p
         n += abs(p)
-        p = c3 * e3
+        p = c3 * f3
         m += p
         n += abs(p)
-        p = c4 * e1
+        p = c4 * f1
         m += p
         n += abs(p)
-        p = c5 * e4
+        p = c5 * f4
         m += p
         n += abs(p)
-        return _new_triple(Scaled, (m, self.base_f, n))
+        c0, c1, c2, c3, c4 = self.coeffs_x
+        p = c0 * e1
+        mx = 0j + p
+        nx = abs(p)
+        p = c1 * e2
+        mx += p
+        nx += abs(p)
+        p = c2 * e3
+        mx += p
+        nx += abs(p)
+        p = c3 * e1
+        mx += p
+        nx += abs(p)
+        p = c4 * e4
+        mx += p
+        nx += abs(p)
+        return (abs(m) / n if n else abs(m)), m, base_f, mx, base, nx
 
-    def _off_layout(self, dx: int, dt: int) -> Scaled:
-        """A derivative table met for the first time, or one off the layout."""
-        table = self.sparse.get((dx, dt))
-        if table is None:
-            table = _term_table(self.cfg.k1, self.cfg.k2, self.terms, dx, dt)
-            if tuple(self.slots[a1, a2] for _, a1, a2 in table) == _F_SLOTS[1:]:
-                self.tables[dx, dt] = tuple(c for c, _, _ in table)
-                return self(self.x, self.t, dx, dt)
-            self.sparse[dx, dt] = table
-        w1, w2 = self.w
-        return balanced_sum([(c, a1 * w1 + a2 * w2) for c, a1, a2 in table])
-
-
-# Scaled(mant, log, norm) without NamedTuple's keyword-aware __new__, as
-# ``Scaled._make`` builds it.
-_new_triple = tuple.__new__
+    def F_t(self, x: complex, t: float) -> tuple[complex, float]:
+        """(mant, log) of F_t at (x, t), which must be the point last set
+        up, passed as the same objects: its exponentials are reused."""
+        x0, t0, w1, w2, e1, e2, e3, e4, base = self.last
+        if x is not x0 or t is not t0:
+            raise ValueError(f"F_t at ({x}, {t}), but ({x0}, {t0}) was set up")
+        coeffs = self.coeffs_t
+        if coeffs is None:
+            mant, log, _ = balanced_sum(
+                [(c, a1 * w1 + a2 * w2) for c, a1, a2 in self.table_t]
+            )
+            return mant, log
+        c0, c1, c2, c3, c4 = coeffs
+        m = 0j + c0 * e1
+        m += c1 * e2
+        m += c2 * e3
+        m += c3 * e1
+        m += c4 * e4
+        return m, base
 
 
 def _eval_terms(

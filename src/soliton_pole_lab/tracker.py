@@ -22,23 +22,25 @@ curves as well, and it commutes with every operation of the follower bit
 for bit: an ensemble tracks one pole of each conjugate pair of seeds and
 conjugates the curve for its partner (``_track_seeds``).
 
-Each step evaluates F through one kernel point evaluator per curve
-(``kernel._F_point``), which sets up each new point once: its exponents,
-balance bases and exponentials serve every call at that point.  The
-corrector returns the F_x of the point it converged to, and the predictor
-of the next step reuses that accepted sample's F_x instead of evaluating
-it again; its F_t at the same point reuses the exponentials the corrector
-formed there.  The F_x of a corrector whose result is rejected is never
-reused.  The predictor's F_t and slope are formed once per accepted
-sample: a retry with a halved step after a rejected run reuses them, so
-the evaluator never sets up the accepted point a second time.
+Each curve holds one kernel point evaluator of F (``kernel._F_point``),
+and the corrector, ``_newton_correct``, makes one call per Newton iterate:
+``point(x, t)`` sets the point up and returns F and F_x there as flat
+values, F's relative size, mantissa and log and F_x's mantissa, log and
+norm.  The |F| test, the Newton step F / F_x (``(F / F_x).value()``'s
+float steps) and the relative |F_x| of the converged point are formed from
+them without building a ``Scaled``.  The predictor's slope -F_t / F_x at
+an accepted sample takes the F_x the corrector converged with there and
+F_t from ``F_t(x, t)``, which reuses the exponentials of that point's
+set-up and forms F_t's mantissa and log only.  The slope is formed once
+per accepted sample: a retry with a halved step after a rejected run
+reuses it, so no point is set up twice.  The F_x of a rejected corrector
+run is never reused.
 
-Values stay the (mant, log, norm) triples the evaluator returns: the
-corrector's |F| test and Newton step and the predictor's slope are formed
-from the triples by ``_balanced._relative_of`` (``Scaled.relative``) and
-``_balanced._quotient`` (``(a / b).value()``), so no intermediate ``Scaled``
-is built and no method is called.  A ``Scaled`` is such a triple, so any F
-returning ``Scaled`` values can still be followed, with the same samples.
+``track_zero_curve`` also follows a plain F(x, t, dx, dt) returning
+(mant, log, norm) triples, e.g. ``Scaled`` values: ``_PlainPoint`` adapts
+it at entry to the evaluator's two calls, and the loop and the corrector
+are the same, with the same samples for the same values.
+
 Each curve records its work: accepted and rejected steps, Newton
 iterations, distinct evaluation points and the smallest relative |F_x| it
 met (see ``PoleCurve``).
@@ -53,7 +55,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._balanced import _quotient, _relative_of
+from ._balanced import _relative_of, _unscale
 from .exppoly import oracle_poles
 from .kernel import (
     ConvergenceError,
@@ -197,8 +199,26 @@ of its terms.  A ``Scaled`` is one."""
 
 FFun = Callable[[complex, float, int, int], Triple]
 """Signature of a trackable function: (x, t, dx, dt) -> the value as a
-triple, e.g. a ``Scaled``.  The kernel's point evaluator of F
-(``kernel._F_point``) is one."""
+triple, e.g. a ``Scaled``."""
+
+
+class _PlainPoint:
+    """A trackable function F seen as a point evaluator: the ``point`` and
+    ``F_t`` of ``kernel._FPointEval``, from the triples F returns."""
+
+    __slots__ = ("F",)
+
+    def __init__(self, F: FFun) -> None:
+        self.F = F
+
+    def point(self, x: complex, t: float) -> tuple:
+        m, lg, n = self.F(x, t, 0, 0)
+        mx, lgx, nx = self.F(x, t, 1, 0)
+        return _relative_of((m, lg, n)), m, lg, mx, lgx, nx
+
+    def F_t(self, x: complex, t: float) -> tuple[complex, float]:
+        m, lg, _ = self.F(x, t, 0, 1)
+        return m, lg
 
 
 def detect_exceptional(cfg: SolitonConfig) -> dict:
@@ -231,30 +251,32 @@ def _gave_up(message: str, iterations: int) -> ConvergenceError:
 
 
 def _newton_correct(
-    F: FFun,
+    ev,
     x: complex,
     t: float,
     opts: TrackerOptions,
-) -> tuple[complex, Triple, Triple, int]:
-    """Newton in x at fixed t.  Returns (x, F, F_x, iterations), F and F_x
-    the triples F returned at the returned x, after evaluating at
-    iterations + 1 points.  Raises ConvergenceError when the iteration cap
-    is exhausted or a step cannot be formed."""
+) -> tuple[complex, float, complex, float, float, int]:
+    """Newton in x at fixed t on a point evaluator of F (``kernel._F_point``,
+    or a plain F in ``_PlainPoint``), one ``point`` call per iterate.
+    Returns (x, F_rel, F_x_mant, F_x_log, F_x_rel, iterations): F's and
+    F_x's relative sizes and F_x's mantissa and log at the returned x,
+    after evaluating at iterations + 1 points.  Raises ConvergenceError when
+    the iteration cap is exhausted or a step cannot be formed."""
+    point = ev.point
     tol = opts.newton_tol
-    for it in range(MAX_NEWTON):
-        Fv = F(x, t, 0, 0)
-        Fx = F(x, t, 1, 0)
-        if _relative_of(Fv) < tol:
-            return x, Fv, Fx, it
+    for it in range(MAX_NEWTON + 1):
+        rel, m, lg, mx, lgx, nx = point(x, t)
+        if rel < tol:
+            return x, rel, mx, lgx, (abs(mx) / nx if nx else abs(mx)), it
+        if it == MAX_NEWTON:
+            break
+        # The step F / F_x, as (F / F_x).value() forms it.
         try:
-            step = _quotient(Fv, Fx)
+            if mx == 0:
+                raise ZeroDivisionError("scaled division by zero mantissa")
+            x = x - _unscale(m / mx, lg - lgx)
         except (ZeroDivisionError, OverflowError) as exc:
             raise _gave_up(f"corrector diverged at t={t}, x={x}: {exc}", it) from exc
-        x = x - step
-    Fv = F(x, t, 0, 0)
-    rel = _relative_of(Fv)
-    if rel < tol:
-        return x, Fv, F(x, t, 1, 0), MAX_NEWTON
     raise _gave_up(
         f"corrector did not converge at t={t}: relative |F|={rel:.3e}",
         MAX_NEWTON,
@@ -272,20 +294,23 @@ def track_zero_curve(
 ) -> PoleCurve:
     """Follow a zero curve of an arbitrary entire function F(x, t).
 
-    Core engine behind ``track_curve``; usable directly for other
-    meromorphic families (e.g. the one-soliton denominator).  The returned
-    curve carries its work counters (see ``PoleCurve``).  A non-finite
-    t_start or t_end raises ValueError, and so does a span that
-    ``opts.max_steps`` steps cannot cover when no collision point is
-    declared to end the curve early.
+    Core engine behind ``track_curve``, which passes the kernel's point
+    evaluator of F as ``F``; usable directly for other meromorphic families
+    (e.g. the one-soliton denominator).  The returned curve carries its
+    work counters (see ``PoleCurve``).  A non-finite t_start or t_end
+    raises ValueError, and so does a span that ``opts.max_steps`` steps
+    cannot cover when no collision point is declared to end the curve
+    early.
     """
     opts = opts or TrackerOptions()
     if t_end == t_start or not (math.isfinite(t_start) and math.isfinite(t_end)):
         raise ValueError(f"need finite t_start != t_end, got {t_start} -> {t_end}")
-    reach = opts.max_steps * max(opts.dt_init, opts.dt_max)
+    reach = opts.max_steps * opts.dt_max
     if not collision_points and abs(t_end - t_start) > reach:
         raise ValueError(f"span {t_start} -> {t_end} exceeds the step budget's {reach}")
     sign = 1.0 if t_end > t_start else -1.0
+    ev = F if hasattr(F, "point") else _PlainPoint(F)
+    F_t = ev.F_t
 
     def nearest_declared(z: complex, radius: float) -> Optional[complex]:
         best = None
@@ -296,15 +321,16 @@ def track_zero_curve(
                 best = cp
         return best
 
-    x, Fv, Fx, newton = _newton_correct(F, complex(x_start), t_start, opts)
-    fx_rel = _relative_of(Fx)
+    x, res, fx_m, fx_lg, fx_rel, newton = _newton_correct(
+        ev, complex(x_start), t_start, opts
+    )
     if fx_rel < FX_MIN:
         raise ConvergenceError(
             f"near-multiple-root at the seed: relative |F_x|={fx_rel:.3e}"
         )
     min_fx = fx_rel
     samples = [(t_start, x)]
-    residuals = [_relative_of(Fv)]
+    residuals = [res]
     curve = PoleCurve(variant=variant, samples=samples, residuals=residuals)
 
     def stop_at(cp: complex) -> None:
@@ -326,7 +352,7 @@ def track_zero_curve(
             stop_at(cp)
         return dt >= DT_FLOOR
 
-    dt = opts.dt_init
+    dt = min(opts.dt_init, opts.dt_max)
     t = t_start
     prev_fx = fx_rel
     steps = 0
@@ -345,23 +371,26 @@ def track_zero_curve(
         else:
             step, t_next = dt, t + sign * dt
         # Predictor: x' = -F_t / F_x, with the F_x the corrector left at
-        # this sample, formed once per sample and kept for retries.
+        # this sample and F_t from the exponentials it set up there,
+        # formed once per sample and kept for retries.
         if slope is None:
-            Ft = F(x, t, 0, 1)
+            ft_m, ft_lg = F_t(x, t)
             try:
-                slope = -_quotient(Ft, Fx)
+                if fx_m == 0:
+                    raise ZeroDivisionError
+                slope = -_unscale(ft_m / fx_m, ft_lg - fx_lg)
             except (ZeroDivisionError, OverflowError):
                 slope = 0j
-        x_pred = x + slope * sign * step
         try:
-            x_new, F_new, Fx_new, iters = _newton_correct(F, x_pred, t_next, opts)
+            x_new, res, fx_m_new, fx_lg_new, fx_rel, iters = _newton_correct(
+                ev, x + slope * sign * step, t_next, opts
+            )
         except ConvergenceError as exc:
             newton += getattr(exc, "iterations", 0)
             if halve(step):
                 continue
             break
         newton += iters
-        fx_rel = _relative_of(Fx_new)
         if fx_rel < FX_MIN:
             # The corrector converged onto a (near-)multiple zero.  A
             # clamped jump onto t_end can overshoot the approach (landing
@@ -381,20 +410,19 @@ def track_zero_curve(
             stop_at(cp)
             break
         # Accept the sample.
-        t, x, Fx, prev_fx_old = t_next, x_new, Fx_new, prev_fx
+        t, x, fx_m, fx_lg = t_next, x_new, fx_m_new, fx_lg_new
         slope = None
+        dropped = prev_fx > 0 and fx_rel < prev_fx / FX_DROP
         prev_fx = fx_rel
         if fx_rel < min_fx:
             min_fx = fx_rel
         samples.append((t, x))
-        residuals.append(_relative_of(F_new))
+        residuals.append(res)
         cp = nearest_declared(x, opts.collision_radius)
         if cp is not None:
             stop_at(cp)
             break
-        slow = iters > SLOW_NEWTON
-        dropped = prev_fx_old > 0 and fx_rel < prev_fx_old / FX_DROP
-        if slow or dropped:
+        if iters > SLOW_NEWTON or dropped:
             if not halve(step):
                 break
         else:
@@ -592,9 +620,8 @@ def position_at(cfg: SolitonConfig, curve: PoleCurve, t: float) -> complex:
     slack = 2 * opts.dt_max
     if not (lo - slack <= t <= hi + slack):
         raise ValueError(f"t={t} outside the curve's span [{lo}, {hi}]")
-    F = _F_point(cfg.with_variant(curve.variant))
-    x, _, _, _ = _newton_correct(F, curve.x_at_nearest(t), t, opts)
-    return x
+    ev = _F_point(cfg.with_variant(curve.variant))
+    return _newton_correct(ev, curve.x_at_nearest(t), t, opts)[0]
 
 
 def mirror_curve(curve: PoleCurve) -> PoleCurve:

@@ -623,17 +623,34 @@ def test_pde_residual_rejects_bad_step() -> None:
 
 # ---------------------------------------------------------------------------
 # Point evaluator: one long-lived evaluator of F equals F_scaled bit for bit,
-# however the calls interleave.
+# however the points follow each other.
 # ---------------------------------------------------------------------------
 
 
-def _bits(s) -> tuple:
-    return tuple(float(v).hex() for v in (s.mant.real, s.mant.imag, s.log, s.norm))
+def _bits(values) -> tuple:
+    """The exact bits of a tuple of complex and float values."""
+    out = []
+    for v in values:
+        parts = (v.real, v.imag) if isinstance(v, complex) else (v,)
+        out += [float(p).hex() for p in parts]
+    return tuple(out)
+
+
+def _point_want(cfg, x, t) -> tuple:
+    """``point``'s flat values from one-shot F_scaled calls."""
+    F = kernel.F_scaled(cfg, x, t)
+    Fx = kernel.F_scaled(cfg, x, t, dx=1)
+    return (F.relative(), F.mant, F.log, *Fx)
+
+
+def _F_t_want(cfg, x, t) -> tuple:
+    Ft = kernel.F_scaled(cfg, x, t, dt=1)
+    return Ft.mant, Ft.log
 
 
 # Every coprime pair up to 9, an incommensurable pair, and a k1 whose
-# derivative factors underflow: 2 k1^3 = 0 drops a term of F_t, and
-# (2 k1)^3 = 0 one of F_xxx, so those tables leave F's term layout.
+# derivative factor underflows: 2 k1^3 = 0 drops a term of F_t, so that
+# table leaves F's term layout.
 POINT_CONFIGS = [
     (p1, p2) for p2 in range(2, 10) for p1 in range(1, p2) if math.gcd(p1, p2) == 1
 ] + [(1.0, math.sqrt(2.0)), (1e-110, 1)]
@@ -648,9 +665,8 @@ POINT_CONFIGS = [
     calls=st.lists(
         st.tuples(
             st.integers(min_value=0, max_value=11),  # point
-            st.integers(min_value=0, max_value=3),  # dx
-            st.integers(min_value=0, max_value=1),  # dt
             st.booleans(),  # pass an equal copy of x instead of the object
+            st.booleans(),  # then ask for F_t there
         ),
         min_size=1,
         max_size=40,
@@ -664,12 +680,13 @@ def test_point_evaluator_matches_one_shot_bitwise(spec, variant, res, ims, ts, c
     xs = [complex(r, i) for r in res for i in ims]
     points = [(x, t) for x in xs for t in ts]
     ev = kernel._F_point(cfg)
-    for i, dx, dt, copy in calls:
+    for i, copy, with_t in calls:
         x, t = points[i % len(points)]
         if copy:
             x = complex(x.real, x.imag)
-        want = _bits(kernel.F_scaled(cfg, x, t, dx, dt))
-        assert _bits(ev(x, t, dx, dt)) == want, (x, t, dx, dt)
+        assert _bits(ev.point(x, t)) == _bits(_point_want(cfg, x, t)), (x, t)
+        if with_t:
+            assert _bits(ev.F_t(x, t)) == _bits(_F_t_want(cfg, x, t)), (x, t)
 
 
 def test_point_evaluator_sums_off_layout_tables_bitwise() -> None:
@@ -677,16 +694,13 @@ def test_point_evaluator_sums_off_layout_tables_bitwise() -> None:
     terms = kernel._terms_F(cfg.gamma**2, cfg.variant)
     assert len(kernel._term_table(cfg.k1, cfg.k2, terms, 0, 1)) == 4
     ev = kernel._F_point(cfg)
-    x, t = 0.3 - 0.2j, 0.7
-    for dx, dt in ((0, 0), (1, 0), (0, 1), (2, 0), (3, 0), (0, 1), (2, 1)):
-        assert _bits(ev(x, t, dx, dt)) == _bits(kernel.F_scaled(cfg, x, t, dx, dt))
-    # The straight-line sums serve the tables on F's layout; those whose
-    # (2, 0) term underflowed are summed over their own support.
-    assert sorted(ev.tables) == [(1, 0), (2, 0)]
-    assert sorted(ev.sparse) == [(0, 1), (2, 1), (3, 0)]
-
-
-DERIVS = ((0, 0), (1, 0), (0, 1), (2, 0))
+    # F and F_x keep the straight-line sums; F_t, whose (2, 0) term
+    # underflowed, is summed over its own support.
+    assert ev.coeffs_t is None and len(ev.table_t) == 4
+    assert kernel._F_point(C12P).table_t is None
+    for x, t in ((0.3 - 0.2j, 0.7), (-25.0 + 1.0j, -3.0), (30.0 + 0.5j, 2.0)):
+        assert _bits(ev.point(x, t)) == _bits(_point_want(cfg, x, t))
+        assert _bits(ev.F_t(x, t)) == _bits(_F_t_want(cfg, x, t))
 
 
 @pytest.mark.parametrize("x", [-0.4 + 0.2j, 40.0 + 0.3j, 800.0 + 0.3j])
@@ -700,27 +714,30 @@ def test_point_evaluator_shares_exponentials_per_base(monkeypatch, x) -> None:
     monkeypatch.setattr(kernel, "cmath", SimpleNamespace(exp=counted))
     ev = kernel._F_point(C12P)
     t = 0.25
-    values = [ev(x, t, dx, dt) for dx, dt in DERIVS]
+    values = ev.point(x, t)
+    ft = ev.F_t(x, t)
     monkeypatch.undo()
-    for v, (dx, dt) in zip(values, DERIVS):
-        assert _bits(v) == _bits(kernel.F_scaled(C12P, x, t, dx, dt))
-    # One point, and one set of exponentials per distinct balance base: the
-    # derivative tables' base exponentiates F's four non-constant
-    # monomials, and F's constant term adds one to that set when F shares
-    # the base, or F's own base exponentiates all five.
-    assert ev.x is x and ev.t is t
-    bases = {v.log for v in values}
-    assert len(exps) == (5 if len(bases) == 1 else 9)
+    assert _bits(values) == _bits(_point_want(C12P, x, t))
+    assert _bits(ft) == _bits(_F_t_want(C12P, x, t))
+    # One set of exponentials per distinct balance base: the derivative
+    # tables' base exponentiates F's four non-constant monomials, and F's
+    # constant term adds one to that set when F shares the base, or F's own
+    # base exponentiates all five.  F_t reuses F_x's and forms none.
+    f_log, fx_log = values[2], values[4]
+    assert ft[1] == fx_log
+    assert len(exps) == (5 if f_log == fx_log else 9)
     if x.real > 0:
         # The constant term dominates F: F's base is 0 and F_x's far below
         # it; at x = 800 exponentiating the constant term against F_x's
         # base would overflow.
-        assert values[0].log == 0.0 and values[1].log < -39.0
-        assert len(bases) == 2
+        assert f_log == 0.0 and fx_log < -39.0
     else:
-        assert len(bases) == 1
+        assert f_log == fx_log
     # A new t at the same x object, then a new x at the same t object.
     t2 = 0.5
-    assert _bits(ev(x, t2)) == _bits(kernel.F_scaled(C12P, x, t2))
+    assert _bits(ev.point(x, t2)) == _bits(_point_want(C12P, x, t2))
     x2 = x + 1.0
-    assert _bits(ev(x2, t2)) == _bits(kernel.F_scaled(C12P, x2, t2))
+    assert _bits(ev.point(x2, t2)) == _bits(_point_want(C12P, x2, t2))
+    # F_t is served at the point last set up only.
+    with pytest.raises(ValueError, match="was set up"):
+        ev.F_t(x, t2)

@@ -277,12 +277,26 @@ def test_mirror_curve_properties(collision_curves):
 
 def test_undeclared_collision_raises():
     # Zero curves x = 0 and x = t of (e^x - 1)(e^x - e^t) merge at t = 0,
-    # which is not a declared collision point.  The step cap keeps the
-    # tracker from striding over the pinch unresolved.
+    # which is not a declared collision point.  The step cap, from the
+    # first step on, keeps the tracker from striding over the pinch: it
+    # raises on the approach, one capped step before t = 0.
     F = _exp_sum([(1, 2, 0), (-1, 1, 1), (-1, 1, 0), (1, 0, 1)])
     opts = TrackerOptions(dt_max=1e-5)
-    with pytest.raises(ConvergenceError, match="near-multiple-root"):
+    with pytest.raises(ConvergenceError, match="near-multiple-root") as exc:
         track_zero_curve(F, -0.001 + 0j, -0.001, 0.001, opts)
+    assert "at t=-9.99999" in str(exc.value)
+
+
+def test_first_step_is_capped_by_dt_max():
+    # A dt_init above dt_max starts at dt_max: no step exceeds the cap.
+    k = 1.3
+    F = _exp_sum([(1.0, -k, k**3), (1.0, k, -k**3)])
+    opts = TrackerOptions(dt_init=1e-3, dt_max=1e-4)
+    curve = track_zero_curve(F, 1j * math.pi / (2 * k), 0.0, 0.002, opts)
+    ts = [t for t, _ in curve.samples]
+    assert ts[-1] == 0.002
+    # Sample spacings carry the rounding of t + dt.
+    assert max(b - a for a, b in zip(ts, ts[1:])) <= opts.dt_max * (1 + 1e-9)
 
 
 def test_seed_on_double_root_raises():
@@ -524,11 +538,10 @@ def test_track_curve_equals_plain_F_scaled_property(pair, variant, t0, t1, pick)
 
 
 def _spied(cfg):
-    """The kernel's point evaluator of F behind a spy that records the
+    """F_scaled as a plain trackable function behind a spy that records the
     distinct points (x, t) it is called at, counts the calls for F's value,
     records the points of the predictor's F_t calls and the relative |F_x|
     at each point."""
-    ev = _F_point(cfg)
     seen = {"points": set(), "F": 0, "F_t": [], "F_x": {}}
 
     def spy(x, t, dx=0, dt=0):
@@ -536,7 +549,7 @@ def _spied(cfg):
         seen["F"] += (dx, dt) == (0, 0)
         if (dx, dt) == (0, 1):
             seen["F_t"].append((t, x))
-        value = ev(x, t, dx, dt)
+        value = F_scaled(cfg, x, t, dx, dt)
         if (dx, dt) == (1, 0):
             seen["F_x"][t, x] = value.relative()
         return value
@@ -544,8 +557,56 @@ def _spied(cfg):
     return spy, seen
 
 
+class _NativeSpy:
+    """The kernel's point evaluator of F behind a spy with the same
+    records as ``_spied``'s: ``point`` is one call per point, and it gives
+    F_x's relative size from F_x's mantissa and norm."""
+
+    def __init__(self, cfg):
+        self.ev = _F_point(cfg)
+        self.seen = {"points": set(), "F": 0, "F_t": [], "F_x": {}}
+
+    def point(self, x, t):
+        self.seen["points"].add((x, t))
+        self.seen["F"] += 1
+        values = self.ev.point(x, t)
+        self.seen["F_x"][t, x] = abs(values[3]) / values[5]
+        return values
+
+    def F_t(self, x, t):
+        self.seen["F_t"].append((t, x))
+        return self.ev.F_t(x, t)
+
+
+def _assert_counters_match(curve, seen):
+    assert curve.accepted == len(curve.samples) - 1
+    # The predictor's F_t is formed at accepted samples only, once each,
+    # however many corrector runs start from the sample.
+    assert len(set(seen["F_t"])) == len(seen["F_t"]) <= curve.accepted + 1
+    assert set(seen["F_t"]) <= set(curve.samples)
+    # Each corrector iterate asks for F once, at a point of its own.
+    assert curve.points == len(seen["points"]) == seen["F"]
+    # One point per Newton iterate plus one per corrector run: the
+    # seed's, and one per accepted or rejected step.
+    assert curve.newton_iterations == (
+        curve.points - 1 - curve.accepted - curve.rejected
+    )
+    # The smallest relative |F_x| over the seed and the samples.
+    assert curve.min_fx_rel == min(seen["F_x"][s] for s in curve.samples)
+    # The counters are no part of the curve's value.
+    bare = PoleCurve(
+        variant=curve.variant,
+        samples=curve.samples,
+        residuals=curve.residuals,
+        exceptional_collision=curve.exceptional_collision,
+        collision_point=curve.collision_point,
+    )
+    assert bare == curve
+
+
 @pytest.mark.parametrize("case", sorted(TRACK_CASES))
 def test_work_counters_match_a_spy(case):
+    """The counters of a curve tracked on a plain F, through the adapter."""
     spec, t0, t1, opts, keep = TRACK_CASES[case]
     cfg = SolitonConfig.make(*spec)
     points = detect_exceptional(cfg)["points"]
@@ -554,32 +615,30 @@ def test_work_counters_match_a_spy(case):
     for x0 in seeds:
         spy, seen = _spied(cfg)
         curve = track_zero_curve(spy, x0, t0, t1, opts, points, cfg.variant)
-        assert curve.accepted == len(curve.samples) - 1
-        # The predictor's F_t is formed at accepted samples only, once each,
-        # however many corrector runs start from the sample.
-        assert len(set(seen["F_t"])) == len(seen["F_t"]) <= curve.accepted + 1
-        assert set(seen["F_t"]) <= set(curve.samples)
-        # Each corrector iterate asks for F once, at a point of its own.
-        assert curve.points == len(seen["points"]) == seen["F"]
-        # One point per Newton iterate plus one per corrector run: the
-        # seed's, and one per accepted or rejected step.
-        assert curve.newton_iterations == (
-            curve.points - 1 - curve.accepted - curve.rejected
-        )
-        # The smallest relative |F_x| over the seed and the samples.
-        assert curve.min_fx_rel == min(seen["F_x"][s] for s in curve.samples)
+        _assert_counters_match(curve, seen)
         rejected += curve.rejected
-        # The counters are no part of the curve's value.
-        bare = PoleCurve(
-            variant=curve.variant,
-            samples=curve.samples,
-            residuals=curve.residuals,
-            exceptional_collision=curve.exceptional_collision,
-            collision_point=curve.collision_point,
-        )
-        assert bare == curve
     if case == "collision":
         assert rejected > 0  # the approach halves its step
+
+
+@pytest.mark.parametrize("case", sorted(TRACK_CASES))
+def test_native_evaluator_work_matches_a_spy(monkeypatch, case):
+    """track_curve on the kernel's point evaluator: one ``point`` call per
+    Newton iterate and at most one F_t per accepted sample."""
+    spec, t0, t1, opts, keep = TRACK_CASES[case]
+    cfg = SolitonConfig.make(*spec)
+    seeds = [x for x, _ in oracle_poles(cfg, t=t0) if keep is None or keep(x)]
+    spies = []
+
+    def spied_point(c):
+        spies.append(_NativeSpy(c))
+        return spies[-1]
+
+    monkeypatch.setattr(tracker, "_F_point", spied_point)
+    for x0 in seeds:
+        curve = track_curve(cfg, None, x0, t0, t1, opts)
+        _assert_counters_match(curve, spies[-1].seen)
+    assert len(spies) == len(seeds)
 
 
 def test_retries_set_up_no_point_twice(monkeypatch):
@@ -591,13 +650,13 @@ def test_retries_set_up_no_point_twice(monkeypatch):
     cfg = SolitonConfig.make(*spec)
     seeds = [x for x, _ in oracle_poles(cfg, t=t0) if keep(x)]
     setups = []
-    at = kernel._FPointEval._at
+    point = kernel._FPointEval.point
 
     def counted(self, x, t):
         setups.append((x, t))
-        return at(self, x, t)
+        return point(self, x, t)
 
-    monkeypatch.setattr(kernel._FPointEval, "_at", counted)
+    monkeypatch.setattr(kernel._FPointEval, "point", counted)
     digest = hashlib.sha256()
     rejected = 0
     for x0 in seeds:
