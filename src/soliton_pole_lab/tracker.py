@@ -62,6 +62,7 @@ from .kernel import (
     SolitonConfig,
     Variant,
     _F_point,
+    _FPointEval,
     _in_variant,
 )
 
@@ -251,7 +252,7 @@ def _gave_up(message: str, iterations: int) -> ConvergenceError:
 
 
 def _newton_correct(
-    ev,
+    ev: _FPointEval | _PlainPoint,
     x: complex,
     t: float,
     opts: TrackerOptions,
@@ -284,7 +285,7 @@ def _newton_correct(
 
 
 def track_zero_curve(
-    F: FFun,
+    F: FFun | _FPointEval,
     x_start: complex,
     t_start: float,
     t_end: float,
