@@ -8,6 +8,7 @@ polynomial division by (y^2+1)^4.
 """
 
 import cmath
+import hashlib
 import math
 from fractions import Fraction
 
@@ -381,6 +382,80 @@ def test_oracle_poles_shift_translation() -> None:
     for (xb, mb), (xs, ms) in zip(base, shifted):
         assert mb == ms
         assert abs(xs - (xb + 0.7)) < 1e-8
+
+
+# sha256 of the five reprs of oracle_poles(cfg, t=t), joined by newlines,
+# for t in _CENSUS_TIMES and each coprime p1 < p2 <= 9 in both variants.
+# Recorded from the mpmath polish; a change of the polish's arithmetic must
+# keep every reported double.
+_CENSUS_TIMES = (-10.0, -0.6, 0.0, 0.4, 10.0)
+_CENSUS_DIGESTS = {
+    "1,2,plus": "d9cab62d4f64589f08423e456400d322b38b75071a9791acd456d88bd27ede1e",
+    "1,2,minus": "13e9731e597227936305abd7ed05c25c19aef49195c241400d4eefc18e4c75ff",
+    "1,3,plus": "a47181e0fae66882dda33be90d95f71b616f32fdae42aca135ed3479604726d5",
+    "1,3,minus": "81eed9ecf9372b7e33ce1bf7fff5f2e74840068dd663051eea67ef88253d4b05",
+    "2,3,plus": "61d6d5622e302905cff81a601df72a86842a61ce87918d5f1279044cc010db22",
+    "2,3,minus": "60720ca9987322c793d9fa8b62ca413a72fcccdcb4e2cd3f44b2659f378c9732",
+    "1,4,plus": "6d3f6a26d84e4e13eafe554be812f191787d8c1fe5226b0226bb878f8aa26c33",
+    "1,4,minus": "40afef14f24a17e3eb080c7e1fc1eb76d1684ded67db05e52944095e780f81b1",
+    "3,4,plus": "f3f8a11105e0050755ff51754f8da96efd2c7675045f62b5d1c6e4b9953b9335",
+    "3,4,minus": "93e9b05a91bbb89d83e8e9f60422579714088da3657f7efe54c011119734444f",
+    "1,5,plus": "96d527ddf954dc97f048529d895167bde646c5f9df8ce44218d7671c2b82c407",
+    "1,5,minus": "3aa75eba46c01294620c80cc43527a224190d36fae65f2f56dfb2c9328c45285",
+    "2,5,plus": "f6defeb8bcc524fa27fb0d65e2b8d249506c303bd357b07bccc9088bf0a0df21",
+    "2,5,minus": "7758c325df397292fb482d7df52e0bbe5be02316b749c33903a9dbe5db86a678",
+    "3,5,plus": "e1a760a105cc49c26e4a3de85f2afdb8dd999eb79d5622d08e4c50c60a1d1c8f",
+    "3,5,minus": "1b8dd22779d329bf9fef063b74bd27e0febf1cc164aff9ac99adba01238a0afd",
+    "4,5,plus": "c07a5c68789fcaedf777fb134cbdc75b33dbfa7a3f85302732bec98f48aedb4b",
+    "4,5,minus": "d677c5bc6521145e5ea8ffaa04cad920f675ea2b315ea2cbe37d04676e70d652",
+    "1,6,plus": "56db64c74672c469f7799e293f0e304e3a49db7feff984f2e61cb6324dc5cb74",
+    "1,6,minus": "69bc174c250eabf6600c357b4ba80be8038fddcbae0816d90be38666ba17d72a",
+    "5,6,plus": "7b1aaff986dd8c997f1c08997c555a2e24214c2c9b2ee4041d9c2ef8c991fddc",
+    "5,6,minus": "7cba15357563564eae751bdb161a6c563262e705cf8a8534dc3e28d5deb00f61",
+    "1,7,plus": "fdbbe158ac317c9f9e464d328977409369e91e2fe950e44ab08f9b2194bc8726",
+    "1,7,minus": "0942b3a04ed0598ed5075c04c848342a5dce9b52a3b69333e82f3b61b90a8132",
+    "2,7,plus": "cb743d08f6c3849a4e2e122eda1f92e8634b84321eb958d6ed7156df5471e442",
+    "2,7,minus": "7f5778386547bef6bb3fd6e1d085faf95cc4828b230e548ef651de991a6c7517",
+    "3,7,plus": "245a4523eedcd17fa2b4a37ddc79e12cbfd5fe2851712dbb5593880f9cf00336",
+    "3,7,minus": "f04d1ed9080177de0b04780010e8eda7d6b8cc7357e017e65f2965ffcafda8be",
+    "4,7,plus": "1503758ea2429ea314ee20e41041aac12305f67b8460862401044577396fd12c",
+    "4,7,minus": "66072a7ce65a1014051f4e1f1f9300a7acb74c822ca74c5d660346d63d557e3f",
+    "5,7,plus": "7c9eb4315cbf3d19e92fe836c2e31f9b4841b37195807d01654881931a416a8b",
+    "5,7,minus": "b6bf6357b40d41cbbe658c07e3346f763aa02cc1bf92960897aeaa4297387ed0",
+    "6,7,plus": "06641f9992e7c4e7f9e39e77fa5c9831c823849cd19afa5a3d2c0899ffc663b6",
+    "6,7,minus": "d8da11cd5d79d9721de7190ae3e475e11befbd96d35fab807e8501c23bdbc976",
+    "1,8,plus": "345944a0ec4af791cf688d13a88774ea5cac3596d80e47359a2f19654f263319",
+    "1,8,minus": "c260ea14420fd4a5163e51967e0f214d91eea784adeed498265ec7f4f681f2a0",
+    "3,8,plus": "1937b8e382736e36af22aaa30f5b4bb6dd3e44d5577e22e425283728a072cff9",
+    "3,8,minus": "50fb60d05dc17f4cdb86f1e81a8c0e859b6564e581f26fd4a57ac48ab74493d4",
+    "5,8,plus": "c65e9205ca23d5af317f56316308d264fb4eec4917a3bffd0682080765ffa3a1",
+    "5,8,minus": "f0f318ff5785c31a892bd68940ed29c19da37ee5b0f3f3885a783a5b9a8abb47",
+    "7,8,plus": "4d052c7f9a381be7b20131c07ab5f1878f8e2597841cc8f7ee3c8a3a7cf81e4d",
+    "7,8,minus": "764f9da91715bb21c87715782dbe5f6f8ffac3f55f5182cd3c08998ebf241484",
+    "1,9,plus": "485e6007c5e6cce01e68657bdc5ba2e44534976793d702bac60a510b905be6b2",
+    "1,9,minus": "606dadde752d8fa55cebe08bf3d368195d70b98f3cd353a91d732f4c75b5d801",
+    "2,9,plus": "e891135821ba510fed3c0cfb4147ddb3f7b2949b8be971a14488aa332bb75ff7",
+    "2,9,minus": "980430b09726215e24c29bb89591adec77c90b99145dfe963ffe2becb8d89c01",
+    "4,9,plus": "e02e5d44abe6215d2cad3ea7ff424d124711187f0399b1d1b9684aa315cd7239",
+    "4,9,minus": "900ab85c32eee78a423f809f56cf75d33ca0aedf1429cea0ef5fc1ad4615fb40",
+    "5,9,plus": "8bfd488ba108d72b50ec8125a5411e9bd9cb5ddded506e3921e4da9b853dd762",
+    "5,9,minus": "aad958a10536bc1c0956e8e23cbd30f07f0611b9a8a38ace9310e4ae964faf84",
+    "7,9,plus": "12ab9e647e2ce87af8d1025569b1cf8abe53769ca85b9a3d502a4cb3958f6f62",
+    "7,9,minus": "bd2b85e722e68495ee023690e0cec5457e29f75b84bd25c14719624623f63d82",
+    "8,9,plus": "4acab1050df9f71df29f38df814c38340e3c451661a7f1350007a282c211619e",
+    "8,9,minus": "a41f62b07ff805ae1ebbf3424dac031b3b88b837d2227aaa12849c8a77b82916",
+}
+
+
+def test_oracle_census_matches_recorded_digests() -> None:
+    got = {}
+    for key in _CENSUS_DIGESTS:
+        p1, p2, variant = key.split(",")
+        cfg = SolitonConfig.make(int(p1), int(p2), variant)
+        text = "\n".join(repr(oracle_poles(cfg, t=t)) for t in _CENSUS_TIMES)
+        got[key] = hashlib.sha256(text.encode()).hexdigest()
+    assert len(got) == 54
+    assert {k: v for k, v in got.items() if v != _CENSUS_DIGESTS[k]} == {}
 
 
 @pytest.mark.parametrize(
