@@ -21,13 +21,17 @@ stages:
 * A numpy Aberth sweep on Newton-polygon initial circles updates every
   unconverged estimate at once, in log-scaled coordinates (log y), so roots
   far beyond double range stay representable.
-* An arbitrary-precision Newton polish (``_POLISH_DPS`` digits) with
-  cluster merging and multiplicity certification by the derivative ladder.
-  One evaluator gives p and its derivatives from one power of y per term.
+* A Newton polish at ``_POLISH_DPS`` digits with cluster merging and
+  multiplicity certification by the derivative ladder.  mpmath forms the
+  coefficients once per snapshot; the iterations run in block-scaled
+  Gaussian integers (``_GaussPoly``), where one set of term values
+  c_k y^(n_k) per iterate gives p and every derivative it needs, as
+  y^j p^(j)(y) = sum_k perm(n_k, j) c_k y^(n_k).
   F and G have real coefficients, so their non-real roots come in exact
   conjugate pairs: of two estimates that are unambiguously each other's
   conjugate, one is polished and certified and the other is recorded as its
-  conjugate, which mpmath's arithmetic makes exact, not approximate.
+  conjugate.  The integers round toward zero, so p(conj y) = conj p(y)
+  holds exactly and the mirror is exact, not approximate.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from typing import Optional
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import from_man_exp, fzero
 
 from ._balanced import Scaled, balanced_sum, complex_array
 from .kernel import (
@@ -80,6 +85,15 @@ _POLISH_DPS = 45
 # (_aberth_sweep); the 45-digit Newton polish stops at this many times its
 # own bound.
 _FLOOR_FACTOR = 4.0
+# The polish's integers carry this many bits beyond mp.prec, and its
+# coefficient scale this many more above the largest term (_GaussPoly).
+_GUARD_BITS = 48
+_HEADROOM_BITS = 64
+# log 2 split for e^(log y) = 2^k e^r: k * _LN2_HI is exact for |k| < 2^20.
+_LN2 = math.log(2.0)
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
+_LOG2_3 = math.log2(3.0)
 # log|y| outside this range does not survive conversion to a normal double.
 _LOG_Y_RANGE = (math.log(sys.float_info.min), math.log(sys.float_info.max))
 
@@ -180,6 +194,13 @@ class RootSet:
     then had to finish.  ``log_roots`` holds log y of each root,
     taken from its 45-digit value: finite even where y over- or underflows a
     double (real part -inf only for a root at y = 0).
+
+    ``condition`` and ``worst_residual`` are ratios of the polish's integer
+    term sums at each polished root (``_GaussPoly``): the residual is
+    |p(y)| over the term norm sum_k |c_k y^(n_k)|, and a simple root's
+    condition is that norm over |y p'(y)|, times |y| / 1e-300 for |y| below
+    1e-300.  A multiple root's condition is (norm m! / |y^m p^(m)(y)|)^(1/m)
+    min(|y|, 1).
     """
 
     t: float
@@ -472,6 +493,203 @@ def _mp_exact(exact: Optional[Fraction], approx: complex) -> "mp.mpc":
     return mp.mpf(exact.numerator) / exact.denominator
 
 
+# A Gaussian integer re + i*im, and an iterate (re, im, e): y = (re + i*im) 2^e.
+_Gauss = tuple[int, int]
+_Fixed = tuple[int, int, int]
+
+
+def _shr(x: int, k: int) -> int:
+    """x / 2^k rounded toward zero.  ``>>`` alone floors, and rounding must
+    commute with negation for p(conj y) = conj p(y) to hold exactly."""
+    return x >> k if x >= 0 else -(-x >> k)
+
+
+def _quo(x: int, d: int) -> int:
+    """x / d for d > 0, rounded toward zero (``//`` floors)."""
+    return x // d if x >= 0 else -(-x // d)
+
+
+def _cmul(a: _Gauss, b: _Gauss, bits: int) -> _Gauss:
+    """a b / 2^bits: the product of two fixed-point values with ``bits``
+    fraction bits, each part rounded toward zero."""
+    ar, ai = a
+    br, bi = b
+    return _shr(ar * br - ai * bi, bits), _shr(ar * bi + ai * br, bits)
+
+
+def _cdiv(num: _Gauss, den: _Gauss, bits: int) -> _Gauss:
+    """num / den with ``bits`` fraction bits, each part rounded toward zero
+    (den != 0)."""
+    nr, ni = num
+    dr, di = den
+    d2 = dr * dr + di * di
+    return _quo((nr * dr + ni * di) << bits, d2), _quo((ni * dr - nr * di) << bits, d2)
+
+
+def _cabs(z: _Gauss) -> int:
+    """floor |z|."""
+    return math.isqrt(z[0] * z[0] + z[1] * z[1])
+
+
+def _log2_abs(z: _Gauss) -> float:
+    """log2 |z|, -inf at 0."""
+    sq = z[0] * z[0] + z[1] * z[1]
+    return 0.5 * math.log2(sq) if sq else -math.inf
+
+
+def _ratio(num: int, den: int) -> float:
+    """num / den for num, den >= 0 as a float: inf when den is 0 or the
+    quotient is past the double range."""
+    try:
+        return num / den
+    except (ZeroDivisionError, OverflowError):
+        return math.inf
+
+
+def _mp_parts(z: "mp.mpf | mp.mpc") -> _Fixed:
+    """A finite mpf or mpc as (re, im, e) with z = (re + i*im) 2^e exactly."""
+    raws = z._mpc_ if isinstance(z, mp.mpc) else (z._mpf_, fzero)
+    e = min((exp for _, man, exp, _ in raws if man), default=0)
+    re, im = ((-man if sign else man) << (exp - e) if man else 0 for sign, man, exp, _ in raws)
+    return re, im, e
+
+
+class _GaussPoly:
+    """One snapshot's p(y) = sum_k c_k y^(n_k) in block-scaled Gaussian
+    integers, for the polish.
+
+    An iterate is ``_Fixed`` (re, im, e), kept by ``normal`` with
+    u = (re + i*im) / 2^bits within a factor sqrt(2) of the unit circle.
+    ``terms`` forms every T_k = c_k y^(n_k) / 2^E at once: the powers
+    u^(n_k) come from one chain over the sorted degree gaps (F has two
+    distinct gaps, 2 p1 and p2 - p1), each step a fixed-point product, and
+    the coefficients c_k 2^(s n_k), s = e + bits, sit on one integer scale
+    2^E on which the largest has bits + _HEADROOM_BITS bits.  Every quantity
+    the polish tests is a ratio of sums of these values, so E cancels:
+    y^j p^(j)(y) / 2^E = sum_k perm(n_k, j) T_k (``value``), and the term
+    norm of p^(j) is sum_k perm(n_k, j) |T_k| (``norm``).  Each rounding is
+    toward zero, so with real coefficients the values at conj y are
+    exactly the conjugates of those at y."""
+
+    def __init__(self, coeffs: list[tuple["mp.mpf | mp.mpc", int]], bits: int) -> None:
+        self.bits = bits
+        self.degrees = [n for _, n in coeffs]
+        self._coeffs = [_mp_parts(c) for c, _ in coeffs]
+        distinct = sorted(set(self.degrees))
+        slot = {n: i for i, n in enumerate(distinct)}
+        self._slots = [slot[n] for n in self.degrees]
+        # Power chain: u^(d_i) = u^(d_(i-1)) u^(gaps[i]) over the distinct degrees.
+        self._gaps = [b - a for a, b in zip([0] + distinct, distinct)]
+        self._gap_set = sorted({g for g in self._gaps if g})
+        self._squarings = self._gap_set[-1].bit_length() if self._gap_set else 0
+        self._scaled: dict[int, list[_Gauss]] = {}
+        self._weights: dict[int, list[int]] = {}
+
+    def normal(self, re: int, im: int, e: int) -> _Fixed:
+        """(re, im, e) rescaled so that |re + i*im| is within sqrt(2) of 2^bits."""
+        shift = (re * re + im * im).bit_length() // 2 - self.bits
+        if shift > 0:
+            return _shr(re, shift), _shr(im, shift), e + shift
+        return re << -shift, im << -shift, e + shift
+
+    def from_log(self, log_y: complex) -> _Fixed:
+        """The iterate e^(log_y) of a finite double log y, to about a unit in
+        the last place of a double: 2^k e^r (cos + i sin) with
+        log_y.real = k log 2 + r."""
+        k = round(log_y.real / _LN2)
+        mag = math.exp((log_y.real - k * _LN2_HI) - k * _LN2_LO)
+        re = int(math.ldexp(mag * math.cos(log_y.imag), 64))
+        im = int(math.ldexp(mag * math.sin(log_y.imag), 64))
+        return self.normal(re, im, k - 64)
+
+    @staticmethod
+    def to_mpc(y: _Fixed) -> "mp.mpc":
+        """The iterate as an mpc, exactly (it keeps every bit)."""
+        re, im, e = y
+        return mp.make_mpc((from_man_exp(re, e), from_man_exp(im, e)))
+
+    @staticmethod
+    def log2_abs(y: _Fixed) -> float:
+        """log2 |y|, |y| beyond double range too."""
+        return y[2] + _log2_abs(y[:2])
+
+    @staticmethod
+    def below(y: _Fixed, limit: float) -> float:
+        """min(1, |y| / limit) as a float, |y| beyond double range too."""
+        m, k = math.frexp(float(_cabs(y[:2])))
+        m0, k0 = math.frexp(limit)
+        shift = k + y[2] - k0
+        return 1.0 if shift > 1 else min(1.0, math.ldexp(m / m0, shift))
+
+    def _scale(self, s: int) -> list[_Gauss]:
+        """c_k 2^(s n_k - E) for every term, rounded toward zero, with E
+        giving the largest bits + _HEADROOM_BITS bits."""
+        top = max(
+            max(abs(cr), abs(ci)).bit_length() + ce + s * n
+            for (cr, ci, ce), n in zip(self._coeffs, self.degrees)
+            if cr or ci
+        )
+        scale = top - self.bits - _HEADROOM_BITS
+        out = []
+        for (cr, ci, ce), n in zip(self._coeffs, self.degrees):
+            k = ce + s * n - scale
+            out.append((cr << k, ci << k) if k >= 0 else (_shr(cr, -k), _shr(ci, -k)))
+        return out
+
+    def terms(self, y: _Fixed) -> list[_Gauss]:
+        """T_k = c_k y^(n_k) / 2^E for every term, in term order."""
+        re, im, e = y
+        bits = self.bits
+        coeffs = self._scaled.get(e)
+        if coeffs is None:
+            coeffs = self._scaled[e] = self._scale(e + bits)
+        squares = [(re, im)]  # u^(2^i)
+        while len(squares) < self._squarings:
+            squares.append(_cmul(squares[-1], squares[-1], bits))
+        gap_power = {}
+        for g in self._gap_set:
+            acc = None
+            for i, sq in enumerate(squares):
+                if g >> i & 1:
+                    acc = sq if acc is None else _cmul(acc, sq, bits)
+            gap_power[g] = acc
+        powers: list[Optional[_Gauss]] = []  # u^(d_i); None is u^0 = 1
+        acc = None
+        for g in self._gaps:
+            if g:
+                acc = gap_power[g] if acc is None else _cmul(acc, gap_power[g], bits)
+            powers.append(acc)
+        out = []
+        for (cr, ci), slot in zip(coeffs, self._slots):
+            power = powers[slot]
+            if power is None:
+                out.append((cr, ci))
+            elif ci:
+                out.append(_cmul((cr, ci), power, bits))
+            else:
+                out.append((_shr(cr * power[0], bits), _shr(cr * power[1], bits)))
+        return out
+
+    def _weight(self, j: int) -> list[int]:
+        """perm(n_k, j) = n_k! / (n_k - j)! per term."""
+        w = self._weights.get(j)
+        if w is None:
+            w = self._weights[j] = [math.perm(n, j) for n in self.degrees]
+        return w
+
+    def value(self, terms: list[_Gauss], j: int) -> _Gauss:
+        """y^j p^(j)(y) / 2^E."""
+        w = self._weight(j)
+        return (
+            sum(a * re for a, (re, _) in zip(w, terms)),
+            sum(a * im for a, (_, im) in zip(w, terms)),
+        )
+
+    def norm(self, sizes: list[int], j: int) -> int:
+        """The term norm of y^j p^(j)(y) / 2^E from the |T_k| in ``sizes``."""
+        return sum(a * s for a, s in zip(self._weight(j), sizes))
+
+
 def _polish_and_certify(
     poly: ExpPoly,
     t: float,
@@ -479,25 +697,37 @@ def _polish_and_certify(
     pairs: dict[int, int],
     zero_mult: int,
 ) -> tuple[list[tuple[complex, int, complex, float]], float]:
-    """Arbitrary-precision Newton polish, cluster merging, multiplicity
-    certification via the derivative ladder.  ``estimates`` holds log y of
-    each root estimate, ``pairs`` maps an estimate to the estimate whose
-    conjugate it is (``_conjugate_pairs``).  Returns one record
-    (y, multiplicity, log y, condition) per distinct root, in discovery
-    order (the root at y = 0 first, then cluster by cluster), and the
-    worst relative residual.  y and log y are doubles taken from the
-    45-digit root.
+    """Newton polish at ``_POLISH_DPS`` digits, cluster merging, and
+    multiplicity certification by the derivative ladder.  ``estimates``
+    holds log y of each root estimate, ``pairs`` maps an estimate to the
+    estimate whose conjugate it is (``_conjugate_pairs``).  Returns one
+    record (y, multiplicity, log y, condition) per distinct root, in
+    discovery order (the root at y = 0 first, then cluster by cluster), and
+    the worst relative residual.  y and log y are doubles rounded from the
+    polished root.
 
-    The polynomial is built from the exact rationals of each term when it
-    has them: rounding gamma^2 to a double already splits the 4-fold roots
-    of the exceptional collisions into simple roots ~1e-5 apart.
+    mpmath forms the coefficients c_k e^(sigma_k t) once, from the exact
+    rationals of each term when it has them: rounding gamma^2 to a double
+    already splits the 4-fold roots of the exceptional collisions into
+    simple roots ~1e-5 apart.  The Newton iterations and every test run in
+    ``_GaussPoly``'s integers at mp.prec + _GUARD_BITS bits, one set of term
+    values per iterate; each test is a ratio of its sums, so the thresholds
+    are relative, as in ``_aberth_sweep``.  Clustering, the mean that
+    starts a cluster's recentring, and the records' ``complex`` and
+    ``mp.log`` run on mpc values converted exactly from the integers.
 
-    With real coefficients, p(conj y) = conj p(y) holds exactly in mpmath's
-    arithmetic (each operation rounds real and imaginary parts alike, toward
-    zero), so the Newton iterates, residual and condition of a conjugate
-    estimate are the conjugates of its partner's: only one member of each
-    pair is polished and certified, and the other is recorded as its
-    conjugate."""
+    The integers round toward zero, so with real coefficients
+    p(conj y) = conj p(y) exactly and the Newton iterates, residual and
+    condition of a conjugate estimate are the conjugates of its partner's:
+    only one member of each pair is polished and certified, and the other
+    is recorded as its conjugate.  A non-finite estimate raises
+    ConvergenceError, its residual being NaN."""
+    for log_y in estimates:
+        if not cmath.isfinite(log_y):
+            raise ConvergenceError(
+                f"root estimate e^({complex(log_y)}) failed certification: "
+                f"relative residual nan > {CERT_TOL:.1e}"
+            )
     with mp.workdps(_POLISH_DPS):
         mp_terms = [
             (
@@ -510,76 +740,72 @@ def _polish_and_certify(
         degree = poly.degree
         if any(mp.im(c) != 0 for c, _ in mp_terms):
             pairs = {}
+        gp = _GaussPoly(mp_terms, mp.mp.prec + _GUARD_BITS)
+        bits = gp.bits
+        floor = _FLOOR_FACTOR * degree * float(mp.eps)
+        log2_step_tol = (8 - _POLISH_DPS) * math.log2(10)
 
-        # c * n!/(n-j)!, the coefficient of y^(n-j) in the j-th derivative.
-        falling: dict[tuple[int, int], "mp.mpf"] = {}
-
-        def derivs(
-            y: "mp.mpc", lo: int, hi: int, norms: int = 0
-        ) -> tuple[list["mp.mpc"], list["mp.mpf"]]:
-            """p^(j)(y) for j = lo..hi from one power y^(n-hi) per term
-            (y^(n-j) = y^(n-hi) y^(hi-j)), and the term 1-norms of the first
-            ``norms`` of them: a norm costs an absolute value per term, so
-            only residual tests ask."""
-            values = [mp.mpc(0)] * (hi - lo + 1)
-            sizes = [mp.mpf(0)] * norms
-            for k, (c, n) in enumerate(mp_terms):
-                if n < lo:
-                    continue
-                top = min(n, hi)
-                power = y ** (n - top)
-                for j in range(top, lo - 1, -1):
-                    coeff = falling.get((k, j))
-                    if coeff is None:
-                        coeff = falling[(k, j)] = c * math.perm(n, j)
-                    term = coeff * power
-                    values[j - lo] += term
-                    if j - lo < norms:
-                        sizes[j - lo] += abs(term)
-                    if j > lo:
-                        power = power * y
-            return values, sizes
-
-        step_tol = mp.mpf(10) ** (-_POLISH_DPS + 8)
-        floor = _FLOOR_FACTOR * degree * mp.eps
-
-        def newton(y: "mp.mpc", deriv: int, max_steps: int) -> "mp.mpc":
+        def newton(y: _Fixed, deriv: int, max_steps: int) -> _Fixed:
             """Newton on p^(deriv): deriv 0 polishes a root estimate, deriv
-            m-1 recentres an m-cluster on the simple root of p^(m-1).
+            m-1 recentres an m-cluster on the simple root of p^(m-1).  With
+            A_j = y^j p^(j)(y), its step is y A_d / A_(d+1).
 
             At an m-fold root Newton's step shrinks only by (m-1)/m, so once
             a step exceeds a third of the one before, the iteration turns to
-            Newton on p/p', quadratic at every multiplicity, and stops when
-            the residual reaches the rounding floor or the step stops
-            shrinking (the root is then resolved to 10^(-dps/m))."""
+            Newton on p/p', quadratic at every multiplicity, whose step is
+            y A B / (B^2 - A C) with (A, B, C) = A_d, A_(d+1), A_(d+2); it stops
+            when the residual |A_d| reaches the rounding floor of its term norm
+            or the step stops shrinking (the root is then resolved to
+            10^(-dps/m)).  Either stops on a step below 10^(8-dps) (1 + |y|).
+            Step sizes are compared as log2 |step|."""
             prev = None
             multiple = False
             for _ in range(max_steps):
+                terms = gp.terms(y)
+                a = gp.value(terms, deriv)
+                b = gp.value(terms, deriv + 1)
+                if b == (0, 0):
+                    break
                 if multiple:
-                    (pv, dv, d2v), (norm,) = derivs(y, deriv, deriv + 2, 1)
-                    if dv == 0 or abs(pv) <= floor * norm:
+                    if _cabs(a) <= floor * gp.norm([_cabs(v) for v in terms], deriv):
                         break
-                    step = pv * dv / (dv * dv - pv * d2v)
-                    if prev is not None and abs(step) >= abs(prev):
+                    c = gp.value(terms, deriv + 2)
+                    den = (
+                        b[0] * b[0] - b[1] * b[1] - a[0] * c[0] + a[1] * c[1],
+                        2 * b[0] * b[1] - a[0] * c[1] - a[1] * c[0],
+                    )
+                    if den == (0, 0):
+                        break
+                    ab = (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+                    r = _cdiv(ab, den, bits)
+                    step = gp.log2_abs(y) + _log2_abs(r) - bits
+                    if prev is not None and step >= prev:
                         break
                     prev = step
                 else:
-                    (pv, dv), _ = derivs(y, deriv, deriv + 1)
-                    if dv == 0:
-                        break
-                    step = pv / dv
-                    multiple = prev is not None and abs(step) > abs(prev) / 3
+                    r = _cdiv(a, b, bits)
+                    step = gp.log2_abs(y) + _log2_abs(r) - bits
+                    multiple = prev is not None and step > prev - _LOG2_3
                     prev = None if multiple else step
-                y = y - step
-                if abs(step) <= step_tol * (1 + abs(y)):
+                re, im, e = y
+                y = gp.normal(
+                    re - _shr(re * r[0] - im * r[1], bits),
+                    im - _shr(re * r[1] + im * r[0], bits),
+                    e,
+                )
+                # log2 (1 + |y|), |y| beyond double range too.
+                size = gp.log2_abs(y)
+                if step <= log2_step_tol + max(size, 0.0) + math.log2(1.0 + 2.0 ** -abs(size)):
                     break
             return y
 
         n_est = len(estimates)
+        fixed: list[Optional[_Fixed]] = [None] * n_est
         polished: list["mp.mpc"] = [mp.mpc(0)] * n_est
         for i, log_y in enumerate(estimates):
             if i not in pairs:
-                polished[i] = newton(mp.exp(mp.mpc(complex(log_y))), 0, 80)
+                fixed[i] = newton(gp.from_log(complex(log_y)), 0, 80)
+                polished[i] = gp.to_mpc(fixed[i])
         for j, i in pairs.items():
             polished[j] = mp.conj(polished[i])
 
@@ -618,24 +844,21 @@ def _polish_and_certify(
 
         def keep_simple(k: int) -> None:
             """Certify estimate k's root as simple and record it with its
-            condition; a conjugate estimate takes its partner's numbers and
-            the conjugates of its y and log y."""
+            condition |p|-norm / (|p'| max(|y|, 1e-300)); a conjugate
+            estimate takes its partner's numbers and the conjugates of its y
+            and log y."""
             nonlocal worst
             src = pairs.get(k, k)
             if src not in certified:
-                y = polished[src]
-                (pv, dv), (norm,) = derivs(y, 0, 1, 1)
-                # norm != 0, not norm > 0: a NaN norm must give a NaN rel.
-                rel = float(abs(pv) / norm) if norm != 0 else 0.0
-                kappa = (
-                    float(norm / (abs(dv) * max(abs(y), mp.mpf(1e-300))))
-                    if dv != 0
-                    else math.inf
-                )
-                certified[src] = (rel, kappa, complex(y), complex(mp.log(y)))
+                y = fixed[src]
+                terms = gp.terms(y)
+                norm = sum(_cabs(v) for v in terms)
+                rel = _ratio(_cabs(gp.value(terms, 0)), norm) if norm else 0.0
+                kappa = _ratio(norm, _cabs(gp.value(terms, 1))) * gp.below(y, 1e-300)
+                ympc = polished[src]
+                certified[src] = (rel, kappa, complex(ympc), complex(mp.log(ympc)))
             rel, kappa, y_d, log_d = certified[src]
-            if not rel <= worst:  # a NaN too, which max() would drop
-                worst = rel
+            worst = max(worst, rel)
             if not rel <= CERT_TOL:
                 raise ConvergenceError(
                     f"root {complex(polished[k])} failed certification: "
@@ -650,26 +873,28 @@ def _polish_and_certify(
             if m == 1:
                 keep_simple(members[0])
                 continue
-            center = newton(sum(polished[i] for i in members) / m, m - 1, 60)
+            mean = sum(polished[i] for i in members) / m
+            center = newton(gp.normal(*_mp_parts(mean)), m - 1, 60)
             # Derivative ladder: p^{(j)} must vanish (relative to its term
             # norm) for j < m and must not for j = m.
-            values, sizes = derivs(center, 0, m, m + 1)
-            rels = [
-                float(abs(v) / s) if s > 0 else 0.0
-                for v, s in zip(values[:m], sizes[:m])
-            ]
+            terms = gp.terms(center)
+            sizes = [_cabs(v) for v in terms]
+            values = [_cabs(gp.value(terms, j)) for j in range(m + 1)]
+            norms = [gp.norm(sizes, j) for j in range(m + 1)]
+            rels = [_ratio(v, s) if s > 0 else 0.0 for v, s in zip(values[:m], norms[:m])]
             ladder_ok = rels[0] <= CERT_TOL and all(r <= 1e-3 for r in rels[1:])
-            nondeg = sizes[m] > 0 and abs(values[m]) / sizes[m] > 1e-12
+            nondeg = norms[m] > 0 and values[m] / norms[m] > 1e-12
             if not ladder_ok or not nondeg:
                 # Not a genuine multiple root: keep members as simple roots.
                 for i in members:
                     keep_simple(i)
                 continue
             worst = max(worst, rels[0])
-            # Multiplicity-m sensitivity: eps^(1/m) scaling.
-            base = sizes[0] / (abs(values[m]) / math.factorial(m))
-            kappa = float(base) ** (1.0 / m) / max(float(abs(center)), 1.0)
-            record(center, m, kappa)
+            # Multiplicity-m sensitivity, eps^(1/m) scaling:
+            # (|p|-norm m! / |p^(m)|)^(1/m) / max(|y|, 1).
+            base = _ratio(norms[0] * math.factorial(m), values[m])
+            kappa = base ** (1.0 / m) * gp.below(center, 1.0)
+            record(gp.to_mpc(center), m, kappa)
 
         got = sum(m for _, m, _, _ in roots)
         if got != degree:
