@@ -186,8 +186,9 @@ class RootSet:
 
     ``roots`` pairs each root y with its multiplicity; multiplicities sum to
     the polynomial degree.  They are sorted by (Re y, Im y), where a part
-    below 1e-30 |y| counts as 0.  ``condition`` holds a per-root sensitivity
-    estimate (relative root change per unit relative coefficient change).
+    below 1e-30 of the larger part counts as 0.  ``condition`` holds a
+    per-root sensitivity estimate (relative root change per unit relative
+    coefficient change).
     ``iterations`` counts simultaneous Aberth sweeps (each updates every
     estimate not yet converged); ``cap_hit`` is true when the sweeps ran
     out (``MAX_ITER``) with estimates still unconverged, which the polish
@@ -571,10 +572,22 @@ class _GaussPoly:
     toward zero, so with real coefficients the values at conj y are
     exactly the conjugates of those at y."""
 
-    def __init__(self, coeffs: list[tuple["mp.mpf | mp.mpc", int]], bits: int) -> None:
-        self.bits = bits
-        self.degrees = [n for _, n in coeffs]
-        self._coeffs = [_mp_parts(c) for c, _ in coeffs]
+    def __init__(self, poly: ExpPoly, t: float) -> None:
+        """The terms c_k e^(sigma_k t) at ``_POLISH_DPS`` digits, from the
+        exact rationals of each term when it has them; bits = mp.prec +
+        _GUARD_BITS."""
+        with mp.workdps(_POLISH_DPS):
+            self.bits = mp.mp.prec + _GUARD_BITS
+            self._coeffs = [
+                _mp_parts(
+                    _mp_exact(term.coeff_exact, term.coeff)
+                    * mp.exp(_mp_exact(term.sigma_exact, term.sigma) * t + term.log_factor)
+                )
+                for term in poly.terms
+            ]
+        self.degrees = [term.degree for term in poly.terms]
+        # Real coefficients: p(conj y) = conj p(y).
+        self.real = not any(ci for _, ci, _ in self._coeffs)
         distinct = sorted(set(self.degrees))
         slot = {n: i for i, n in enumerate(distinct)}
         self._slots = [slot[n] for n in self.degrees]
@@ -729,18 +742,10 @@ def _polish_and_certify(
                 f"relative residual nan > {CERT_TOL:.1e}"
             )
     with mp.workdps(_POLISH_DPS):
-        mp_terms = [
-            (
-                _mp_exact(term.coeff_exact, term.coeff)
-                * mp.exp(_mp_exact(term.sigma_exact, term.sigma) * t + term.log_factor),
-                term.degree,
-            )
-            for term in poly.terms
-        ]
-        degree = poly.degree
-        if any(mp.im(c) != 0 for c, _ in mp_terms):
+        gp = _GaussPoly(poly, t)
+        if not gp.real:
             pairs = {}
-        gp = _GaussPoly(mp_terms, mp.mp.prec + _GUARD_BITS)
+        degree = poly.degree
         bits = gp.bits
         floor = _FLOOR_FACTOR * degree * float(mp.eps)
         log2_step_tol = (8 - _POLISH_DPS) * math.log2(10)
@@ -905,10 +910,11 @@ def _polish_and_certify(
 
 
 def _sort_key(y: complex) -> tuple[float, float]:
-    """(Re y, Im y), with a part below 1e-30 |y| read as 0: a root on an
-    axis has the other part at the 45-digit polish's noise, whose sign must
-    not decide its place."""
-    size = abs(y)
+    """(Re y, Im y), with a part below 1e-30 of the larger part read as 0:
+    a root on an axis has the other part at the 45-digit polish's noise,
+    whose sign must not decide its place.  The larger part, not |y|: abs()
+    overflows for a root whose parts are doubles but |y| is not."""
+    size = max(abs(y.real), abs(y.imag))
     return tuple(0.0 if abs(part) < 1e-30 * size else part for part in (y.real, y.imag))
 
 
@@ -918,9 +924,10 @@ def roots_at_time(poly: ExpPoly, t: float) -> RootSet:
     Strategy: Newton-polygon circles seed a simultaneous Aberth iteration
     run in log-scaled double precision, one numpy sweep over all
     unconverged estimates at a time.  Every estimate is polished by
-    arbitrary-precision Newton, except that of an unambiguous conjugate
-    pair only one is, and the other becomes its exact conjugate (skipped
-    when the sweeps hit ``MAX_ITER``).  Clusters within ``CLUSTER_TOL`` are
+    Newton at ``_POLISH_DPS`` digits in integers (``_polish_and_certify``),
+    except that of an unambiguous conjugate pair only one is, and the
+    other becomes its exact conjugate (skipped when the sweeps hit
+    ``MAX_ITER``).  Clusters within ``CLUSTER_TOL`` are
     merged and certified for multiplicity by the derivative ladder, and
     each root must pass a relative-residual certificate below ``CERT_TOL``.
     The polish's per-root records are sorted once by ``_sort_key`` (a

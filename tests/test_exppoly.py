@@ -10,6 +10,8 @@ polynomial division by (y^2+1)^4.
 import cmath
 import hashlib
 import math
+import random
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -327,6 +329,87 @@ def test_nan_estimates_fail_certification() -> None:
         exppoly._polish_and_certify(poly, 0.0, estimates, {}, 0)
 
 
+def _gauss_at(gp, y):
+    """Every term value and the sums y^j p^(j)(y) / 2^E, j = 0..3, of the
+    polish's integer evaluator at the iterate y."""
+    terms = gp.terms(y)
+    return terms, [gp.value(terms, j) for j in range(4)]
+
+
+@pytest.mark.parametrize("build", [build_F_poly, build_G_poly])
+def test_gauss_values_at_the_conjugate_are_exact_conjugates(build) -> None:
+    # The polish's integers round toward zero, so for real coefficients the
+    # term values, derivative sums and Newton quotient at conj y are the
+    # exact conjugates of those at y.  Flooring (Python's >> and //) breaks
+    # this in the last bit of the negated part.
+    gp = exppoly._GaussPoly(build(C12P), 0.4)
+    assert gp.real
+    rng = random.Random(3)
+    half = 1 << (gp.bits - 1)
+    for _ in range(40):
+        e = rng.randrange(-gp.bits - 40, -gp.bits + 40)
+        y = gp.normal(rng.randrange(-half, half), rng.randrange(-half, half), e)
+        conj = (y[0], -y[1], y[2])
+        assert gp.normal(*conj) == conj
+        terms, sums = _gauss_at(gp, y)
+        conj_terms, conj_sums = _gauss_at(gp, conj)
+        assert conj_terms == [(re, -im) for re, im in terms]
+        assert conj_sums == [(re, -im) for re, im in sums]
+        quo = exppoly._cdiv(sums[0], sums[1], gp.bits)
+        assert exppoly._cdiv(conj_sums[0], conj_sums[1], gp.bits) == (quo[0], -quo[1])
+
+
+@pytest.mark.parametrize(
+    "spec,t,log_y",
+    [
+        ((1, 5, "minus"), 0.013, 0.3 + 2.0j),
+        ((1, 5, "minus"), 0.013, -2.0 - 0.5j),
+        ((1, 7, "minus"), -20.0, None),
+        ((8, 9, "plus"), 12.114, None),
+    ],
+)
+def test_gauss_sums_match_mpmath_derivatives(spec, t: float, log_y) -> None:
+    # y^j p^(j)(y) / (y p'(y)) from the integer sums against mpmath's
+    # derivatives of the same 45-digit coefficients, at two points near the
+    # unit circle and at the root farthest out (|log y| beyond 709) of two
+    # snapshots.  Only terms within _HEADROOM_BITS of the largest keep
+    # their relative precision, so the comparison runs where terms balance.
+    poly = build_F_poly(SolitonConfig.make(*spec))
+    if log_y is None:
+        log_y = max(roots_at_time(poly, t).log_roots, key=lambda g: abs(g.real))
+        assert abs(log_y.real) > 709
+    gp = exppoly._GaussPoly(poly, t)
+    _, sums = _gauss_at(gp, gp.from_log(log_y))
+    with mp.workdps(exppoly._POLISH_DPS):
+        coeffs = [
+            mp.mpf(term.coeff_exact.numerator) / term.coeff_exact.denominator
+            * mp.exp(mp.mpf(term.sigma_exact.numerator) / term.sigma_exact.denominator * t)
+            for term in poly.terms
+        ]
+    # The same coefficients, summed at twice the digits: near a root p(y)
+    # cancels to about 1e-14 of its terms.
+    with mp.workdps(2 * exppoly._POLISH_DPS):
+        ym = gp.to_mpc(gp.from_log(log_y))
+        want = [
+            sum(c * math.perm(term.degree, j) * ym**term.degree for c, term in zip(coeffs, poly.terms))
+            for j in range(4)
+        ]
+        for j in (0, 2, 3):
+            ratio = want[j] / want[1]
+            got = mp.mpc(*sums[j]) / mp.mpc(*sums[1])
+            assert abs(got - ratio) <= mp.mpf(10) ** -40 * abs(ratio)
+
+
+@pytest.mark.parametrize("dps", [30, 80])
+def test_polish_precision_follows_polish_dps(monkeypatch, dps: int) -> None:
+    # --precision sets _POLISH_DPS, and the integers' width follows it: at 80
+    # digits the residual falls far below what 45 digits can reach.
+    monkeypatch.setattr(exppoly, "_POLISH_DPS", dps)
+    rs = roots_at_time(build_F_poly(C12P), 0.4)
+    assert rs.total_multiplicity() == 6
+    assert rs.worst_residual < 10.0 ** (-dps + 10)
+
+
 def test_roots_against_mpmath_polyroots() -> None:
     # Independent solver cross-check at a generic time.
     cfg = SolitonConfig.make(2, 3, "minus")
@@ -510,6 +593,16 @@ def test_roots_on_the_imaginary_axis_sort_by_imaginary_part() -> None:
     # order must not follow them.
     noisy = [complex(-1.4e-85, 1.0), complex(-5.1e-86, -1.0), 0j]
     assert sorted(noisy, key=exppoly._sort_key) == [noisy[1], noisy[2], noisy[0]]
+
+
+def test_roots_whose_modulus_overflows_a_double_sort() -> None:
+    # (2,7)+ at t = -14.484375 has a root whose parts are doubles but whose
+    # |y| is above the largest double: abs(y) raised OverflowError in the sort.
+    cfg = SolitonConfig.make(2, 7, "plus")
+    for poly in (build_F_poly(cfg), build_G_poly(cfg)):
+        rs = roots_at_time(poly, -14.484375)
+        assert rs.total_multiplicity() == poly.degree
+        assert any(math.hypot(y.real, y.imag) > sys.float_info.max for y, _ in rs.roots)
 
 
 def test_zero_sets_of_F_and_G_distinct_generic() -> None:
