@@ -765,6 +765,7 @@ def _polish_and_certify(
             Step sizes are compared as log2 |step|."""
             prev = None
             multiple = False
+            size = gp.log2_abs(y)
             for _ in range(max_steps):
                 terms = gp.terms(y)
                 a = gp.value(terms, deriv)
@@ -783,13 +784,13 @@ def _polish_and_certify(
                         break
                     ab = (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
                     r = _cdiv(ab, den, bits)
-                    step = gp.log2_abs(y) + _log2_abs(r) - bits
+                    step = size + _log2_abs(r) - bits
                     if prev is not None and step >= prev:
                         break
                     prev = step
                 else:
                     r = _cdiv(a, b, bits)
-                    step = gp.log2_abs(y) + _log2_abs(r) - bits
+                    step = size + _log2_abs(r) - bits
                     multiple = prev is not None and step > prev - _LOG2_3
                     prev = None if multiple else step
                 re, im, e = y
@@ -798,8 +799,8 @@ def _polish_and_certify(
                     im - _shr(re * r[1] + im * r[0], bits),
                     e,
                 )
-                # log2 (1 + |y|), |y| beyond double range too.
                 size = gp.log2_abs(y)
+                # log2 (1 + |y|) from log2 |y|, |y| beyond double range too.
                 if step <= log2_step_tol + max(size, 0.0) + math.log2(1.0 + 2.0 ** -abs(size)):
                     break
             return y
