@@ -597,7 +597,8 @@ def test_roots_on_the_imaginary_axis_sort_by_imaginary_part() -> None:
 
 def test_roots_whose_modulus_overflows_a_double_sort() -> None:
     # (2,7)+ at t = -14.484375 has a root whose parts are doubles but whose
-    # |y| is above the largest double: abs(y) raised OverflowError in the sort.
+    # |y| is above the largest double, so abs(y) raises OverflowError: the
+    # sort key must not take it.
     cfg = SolitonConfig.make(2, 7, "plus")
     for poly in (build_F_poly(cfg), build_G_poly(cfg)):
         rs = roots_at_time(poly, -14.484375)
