@@ -52,7 +52,9 @@ the common positive-coefficient form
 needs Q p1 = Q p2 = 3 (mod 4) for the first plus factor (Q p_j = 1 for
 the second), solvable exactly when p2 - p1 = 0 (mod 4) since an odd p is
 its own inverse mod 4; the minus variant needs Q p1 = 3, Q p2 = 1 (mod 4)
-(and the mirror), solvable exactly when p2 + p1 = 0 (mod 4).
+(and the mirror), solvable exactly when p2 + p1 = 0 (mod 4).  Both are
+proved from the term tables over Q(i), as the battery's translation row
+proves them (``_translation_rests``), not sampled.
 
 Residues.  At a simple zero x0 of F the solution u = 2 g G/F has the
 simple-pole residue 2 g G(x0)/F_x(x0); a trapezoid contour integral on a
@@ -68,8 +70,8 @@ from __future__ import annotations
 
 import cmath
 import math
-import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -87,7 +89,11 @@ from .kernel import (
     _F_point,
     _factor_grid,
     _in_variant,
+    _QPoly,
     _record_dict,
+    _terms_F,
+    _terms_factor,
+    _terms_kdv,
     _u_or_raise_grid,
     factor_scaled,
     kdv_F_scaled,
@@ -493,19 +499,60 @@ def _require_comm(cfg: SolitonConfig):
     return cfg.comm
 
 
-def _random_probes(
-    cfg: SolitonConfig, rng: random.Random, n: int
-) -> list[tuple[complex, float]]:
-    """n random (x, t) probes around the interaction region, as a list: a
-    caller that stops early (the battery's Richardson row) still draws all n."""
-    scale = strip_scale(cfg)
-    return [
-        (
-            complex(rng.uniform(-3.0, 3.0), rng.uniform(-2.0, 2.0) * scale),
-            rng.uniform(-1.5, 1.5),
-        )
-        for _ in range(n)
+def _qi_poly(terms, q: int = 0, p1: int = 0, p2: int = 0) -> tuple[_QPoly, _QPoly]:
+    """A term table over Q(i), as its real and imaginary parts at their
+    exact binary values.  With q, the table after x -> x - i q pi lam / 2,
+    which turns f1^a1 f2^a2 by i^(q (a1 p1 + a2 p2)) as k_j = p_j / lam."""
+    re, im = [], []
+    for c, a1, a2 in terms:
+        part = Fraction(c.real), Fraction(c.imag)
+        for _ in range(q * (a1 * p1 + a2 * p2) % 4):
+            part = -part[1], part[0]
+        re.append(((a1, a2), part[0]))
+        im.append(((a1, a2), part[1]))
+    return _QPoly.collect(re), _QPoly.collect(im)
+
+
+def _quarter_turns(p1: int) -> tuple[int, int]:
+    """(Q_1, Q_2) of ``odd_parity_translation``: (3 p1, p1) mod 4."""
+    return (3 * p1) % 4, p1 % 4
+
+
+def _translation_rests(cfg: SolitonConfig) -> tuple[str, list[tuple[Variant, _QPoly]]]:
+    """(claim, rests): cfg's translation identity holds iff every rest is 0
+    over Q(i).  Mixed parity: the half turn takes F_plus's table to F_minus's.
+    Both odd, in the one variant whose congruence holds: the quarter turns
+    ``_quarter_turns`` take each factor's table to ``_terms_kdv``."""
+    p1, p2 = cfg.comm.p1, cfg.comm.p2
+    if (p1 + p2) % 2 == 1:
+        variant, g2 = Variant.PLUS, cfg.gamma**2
+        pairs = [(2, _terms_F(g2, Variant.PLUS), _terms_F(g2, Variant.MINUS))]
+        claim = "mixed parity, F_plus(x - i pi lam) = F_minus(x)"
+    else:
+        variant = Variant.PLUS if (p2 - p1) % 4 == 0 else Variant.MINUS
+        work, (q1, q2) = cfg.with_variant(variant), _quarter_turns(p1)
+        kdv = _terms_kdv(work)
+        pairs = [(q1, _terms_factor(work, 1), kdv), (q2, _terms_factor(work, 2), kdv)]
+        claim = f"odd parity ({variant.value}), F_j(x - i Q_j pi lam / 2) = K(x)"
+    rests = [
+        (variant, a - b)
+        for q, table, target in pairs
+        for a, b in zip(_qi_poly(table, q, p1, p2), _qi_poly(target))
     ]
+    return claim, rests
+
+
+def _survivors(rests: Sequence[tuple[Variant, _QPoly]]) -> list[str]:
+    """The monomials of the ``rests`` with a nonzero coefficient, in order."""
+    found = ((variant, a1, a2) for variant, rest in rests for a1, a2 in rest.coeffs)
+    return [f"variant={v.value}, monomial f1^{a1} f2^{a2}" for v, a1, a2 in found]
+
+
+def _prove_translation(cfg: SolitonConfig) -> None:
+    """Raise ConvergenceError at the first monomial ``_translation_rests`` leaves."""
+    claim, rests = _translation_rests(cfg)
+    if found := _survivors(rests):
+        raise ConvergenceError(f"{claim} fails over Q(i) at {found[0]}")
 
 
 def translation_residual(
@@ -517,38 +564,20 @@ def translation_residual(
     return abs(num.ratio(den) - 1.0)
 
 
-def parity_translation_theta(
-    cfg: SolitonConfig,
-    probes: int = 100,
-    seed: int = 0,
-    tol: float = 1e-10,
-) -> float:
+def parity_translation_theta(cfg: SolitonConfig) -> float:
     """The vertical shift theta with F_plus(x - i theta, t) = F_minus(x, t).
 
     Requires commensurable wavenumbers with p1, p2 of opposite parity;
     then theta = pi * lambda multiplies f_j by (-1)^{p_j}, flipping
     exactly one of the two signs, which exchanges the variants.  The
-    identity is spot-checked at random points before returning.
+    identity is proved from the term tables over Q(i) before returning
+    (``_translation_rests``, as the battery's translation row does).
     """
     comm = _require_comm(cfg)
     if (comm.p1 + comm.p2) % 2 == 0:
-        raise ValueError(
-            f"p1={comm.p1} and p2={comm.p2} must have opposite parity"
-        )
-    theta = math.pi * comm.lam
-    rng = random.Random(seed)
-    for x, t in _random_probes(cfg, rng, probes):
-        r = translation_residual(cfg, x, t, theta)
-        if not r < tol:
-            raise ConvergenceError(
-                f"translation identity residual {r:.3e} at ({x}, {t})"
-            )
-    return theta
-
-
-def _quarter_turns(p1: int) -> tuple[int, int]:
-    """(Q_1, Q_2) of ``odd_parity_translation``: (3 p1, p1) mod 4."""
-    return (3 * p1) % 4, p1 % 4
+        raise ValueError(f"p1={comm.p1} and p2={comm.p2} must have opposite parity")
+    _prove_translation(cfg)
+    return math.pi * comm.lam
 
 
 def odd_translation_residuals(
@@ -571,11 +600,7 @@ def odd_translation_residuals(
 
 
 def odd_parity_translation(
-    cfg: SolitonConfig,
-    variant: Optional[Variant] = None,
-    probes: int = 100,
-    seed: int = 0,
-    tol: float = 1e-10,
+    cfg: SolitonConfig, variant: Optional[Variant] = None
 ) -> tuple[float, float]:
     """Shifts (theta1, theta2) sending both factors to the common form
     1 + gamma f1 + gamma f2 + f1 f2.
@@ -587,8 +612,8 @@ def odd_parity_translation(
     (factor 2) for both j simultaneously; since an odd p is its own
     inverse mod 4, Q_1 = 3 p1, Q_2 = p1 (mod 4) in the plus case, and
     Q_1 = 3 p1 (= p2), Q_2 = p1 (mod 4) in the minus case
-    (``_quarter_turns``).  Both identities are spot-checked at random
-    points before returning.
+    (``_quarter_turns``).  Both identities are proved from the term
+    tables over Q(i) before returning (``_translation_rests``).
     """
     cfg = _in_variant(cfg, variant)
     comm = _require_comm(cfg)
@@ -601,18 +626,9 @@ def odd_parity_translation(
             f"p2 {op} p1 = {n} must be divisible by 4 for the "
             f"{cfg.variant.value} variant"
         )
+    _prove_translation(cfg)
     q1, q2 = _quarter_turns(p1)
-    theta1 = q1 * math.pi * comm.lam / 2.0
-    theta2 = q2 * math.pi * comm.lam / 2.0
-    rng = random.Random(seed)
-    for x, t in _random_probes(cfg, rng, probes):
-        r1, r2 = odd_translation_residuals(cfg, theta1, theta2, x, t)
-        if not max(r1, r2) < tol:
-            raise ConvergenceError(
-                f"factor translation residuals ({r1:.3e}, {r2:.3e}) "
-                f"at ({x}, {t})"
-            )
-    return theta1, theta2
+    return q1 * math.pi * comm.lam / 2.0, q2 * math.pi * comm.lam / 2.0
 
 
 # ---------------------------------------------------------------------------

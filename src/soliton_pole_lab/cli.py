@@ -36,6 +36,7 @@ import json
 import math
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -164,16 +165,18 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
 
 def _parse_k(text: str, flag: str):
-    """Exact mode for integers and 'p/q'; floats for anything else."""
+    """Exact mode (an int or a Fraction) for integers and 'p/q'; else a float."""
     s = text.strip()
     stripped = s[1:] if s.startswith(("+", "-")) else s
     if stripped.isdigit():
         return int(s)
     if "/" in s:
-        num, _, den = s.partition("/")
-        if num.strip().lstrip("+-").isdigit() and den.strip().isdigit():
-            return s
-        raise _UsageError(f"{flag}: malformed rational {text!r}")
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise _UsageError(f"zero denominator in {s!r}") from None
+        except ValueError:
+            raise _UsageError(f"{flag}: malformed rational {text!r}") from None
     try:
         return float(s)
     except ValueError:

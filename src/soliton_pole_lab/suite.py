@@ -54,8 +54,8 @@ from .kernel import (
     _record_dict,
     _terms_F,
     _terms_factor,
-    _terms_kdv,
     pde_residual,
+    strip_scale,
 )
 from .tracker import PoleCurve, _track_seeds, track_ensemble
 
@@ -152,27 +152,24 @@ _NEEDS_ORACLE = "pole oracle requires exact commensurable wavenumbers"
 def _proof(claim: str, rests: Sequence[tuple[Variant, _QPoly]]):
     """A proof row's report: it passes iff no coefficient of the ``rests``
     survives; ``worst`` counts the survivors, the witness names the first."""
-    found = [
-        f"variant={variant.value}, monomial f1^{a1} f2^{a2}"
-        for variant, rest in rests
-        for a1, a2 in rest.coeffs
-    ]
+    found = analysis._survivors(rests)
     detail = f"{claim}: {len(found)} nonzero coefficients"
     return not found, float(len(found)), found[0] if found else "", detail
 
 
-def _qi_poly(terms, q: int = 0, p1: int = 0, p2: int = 0) -> tuple[_QPoly, _QPoly]:
-    """A term table over Q(i), as its real and imaginary parts at their
-    exact binary values.  With q, the table after x -> x - i q pi lam / 2,
-    which turns f1^a1 f2^a2 by i^(q (a1 p1 + a2 p2)) as k_j = p_j / lam."""
-    re, im = [], []
-    for c, a1, a2 in terms:
-        part = Fraction(c.real), Fraction(c.imag)
-        for _ in range(q * (a1 * p1 + a2 * p2) % 4):
-            part = -part[1], part[0]
-        re.append(((a1, a2), part[0]))
-        im.append(((a1, a2), part[1]))
-    return _QPoly.collect(re), _QPoly.collect(im)
+def _random_probes(
+    cfg: SolitonConfig, rng: random.Random, n: int
+) -> list[tuple[complex, float]]:
+    """n random (x, t) probes around the interaction region, as a list: a
+    caller that stops early (the Richardson row) still draws all n."""
+    scale = strip_scale(cfg)
+    return [
+        (
+            complex(rng.uniform(-3.0, 3.0), rng.uniform(-2.0, 2.0) * scale),
+            rng.uniform(-1.5, 1.5),
+        )
+        for _ in range(n)
+    ]
 
 
 @_check("field-equation-residual")
@@ -182,7 +179,7 @@ def _check_field_equation(cfg: SolitonConfig, rng: random.Random):
     over Q."""
     # The 320 probes a sampled version drew: drawing them keeps the
     # Richardson row's probes unchanged.
-    analysis._random_probes(cfg, rng, 320)
+    _random_probes(cfg, rng, 320)
     terms = [(variant, _eqg_exact(cfg.with_variant(variant))) for variant in Variant]
     return _proof(
         "D^6-cleared numerator over Q, both variants",
@@ -197,7 +194,7 @@ def _check_pde_richardson(cfg: SolitonConfig, rng: random.Random):
     probes fail the row; a ratio or two near 4 shows no convergence."""
     h, need = 1e-2, 3
     ratios, witness, worst_dev = [], "", 0.0
-    for x, t in analysis._random_probes(cfg, rng, 40):
+    for x, t in _random_probes(cfg, rng, 40):
         if len(ratios) >= need:
             break
         try:
@@ -231,8 +228,9 @@ def _check_factorization(cfg: SolitonConfig):
     rests = []
     for variant in Variant:
         work = cfg.with_variant(variant)
-        (r1, i1), (r2, i2) = (_qi_poly(_terms_factor(work, which)) for which in (1, 2))
-        re, im = _qi_poly(_terms_F(g2, variant))
+        r1, i1 = analysis._qi_poly(_terms_factor(work, 1))
+        r2, i2 = analysis._qi_poly(_terms_factor(work, 2))
+        re, im = analysis._qi_poly(_terms_F(g2, variant))
         rests += [(variant, r1 * r2 - i1 * i2 - re), (variant, r1 * i2 + i1 * r2 - im)]
     return _proof("F1 F2 - F over Q(i), both variants", rests)
 
@@ -320,26 +318,9 @@ def _check_sign_law(cfg: SolitonConfig, curves: Optional[Sequence[PoleCurve]]):
 
 @_check("translation-identity", exact_only="commensurable wavenumbers required")
 def _check_translation(cfg: SolitonConfig):
-    """Prove the shift identities over Q(i) (``_qi_poly``).  Mixed parity:
-    the half turn takes F_plus's table to F_minus's.  Both odd, in the one
-    variant whose congruence holds: the quarter turns of
-    ``analysis._quarter_turns`` take each factor's table to ``_terms_kdv``."""
-    p1, p2 = cfg.comm.p1, cfg.comm.p2
-    if (p1 + p2) % 2 == 1:
-        variant, g2 = Variant.PLUS, cfg.gamma**2
-        pairs = [(2, _terms_F(g2, Variant.PLUS), _terms_F(g2, Variant.MINUS))]
-        claim = "mixed parity, F_plus(x - i pi lam) = F_minus(x)"
-    else:
-        variant = Variant.PLUS if (p2 - p1) % 4 == 0 else Variant.MINUS
-        work, (q1, q2) = cfg.with_variant(variant), analysis._quarter_turns(p1)
-        kdv = _terms_kdv(work)
-        pairs = [(q1, _terms_factor(work, 1), kdv), (q2, _terms_factor(work, 2), kdv)]
-        claim = f"odd parity ({variant.value}), F_j(x - i Q_j pi lam / 2) = K(x)"
-    rests = [
-        (variant, a - b)
-        for q, table, target in pairs
-        for a, b in zip(_qi_poly(table, q, p1, p2), _qi_poly(target))
-    ]
+    """Prove the shift identities over Q(i), from the rests that the public
+    theta functions prove too (``analysis._translation_rests``)."""
+    claim, rests = analysis._translation_rests(cfg)
     return _proof(f"{claim} over Q(i)", rests)
 
 

@@ -315,13 +315,13 @@ def test_criterion_08_translation_identities():
         )
 
     cfg12 = SolitonConfig.make(1, 2, "plus")
-    theta = parity_translation_theta(cfg12, probes=100, seed=0, tol=1e-10)
+    theta = parity_translation_theta(cfg12)
     worst_mixed = 0.0
     for _ in range(100):
         x, t = probe(cfg12)
         worst_mixed = max(worst_mixed, translation_residual(cfg12, x, t, theta))
     cfg13 = SolitonConfig.make(1, 3, "minus")
-    th1, th2 = odd_parity_translation(cfg13, probes=100, seed=0, tol=1e-10)
+    th1, th2 = odd_parity_translation(cfg13)
     worst_odd = 0.0
     for _ in range(100):
         x, t = probe(cfg13)

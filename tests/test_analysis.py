@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soliton_pole_lab import analysis
+from soliton_pole_lab import analysis, kernel
 from soliton_pole_lab._balanced import Scaled, ScaledGrid
 from soliton_pole_lab.kernel import (
     ConvergenceError,
@@ -486,6 +486,75 @@ def test_odd_parity_preconditions():
         odd_parity_translation(SolitonConfig.make(1, 2, "plus"))
     with pytest.raises(ValueError, match="commensurable"):
         odd_parity_translation(SolitonConfig.make(1.0, 2.3, "plus"))
+
+
+@pytest.mark.parametrize(
+    "spec, theta_of",
+    [((1, 2, "plus"), parity_translation_theta), ((1, 3, "minus"), odd_parity_translation)],
+)
+def test_translation_thetas_evaluate_nothing(monkeypatch, spec, theta_of):
+    # The theta functions prove their identity from the term tables; only
+    # the sampled residuals evaluate F.
+    calls = []
+    for name in ("_eval_terms", "_eval_terms_grid", "_FPointEval"):
+        original = getattr(kernel, name)
+        monkeypatch.setattr(
+            kernel,
+            name,
+            lambda *a, _name=name, _original=original, **k: calls.append(_name)
+            or _original(*a, **k),
+        )
+    cfg = SolitonConfig.make(*spec)
+    # The spies see evaluator calls: the sampled residuals make them.
+    translation_residual(cfg, 0.3 + 0.1j, 0.2, math.pi)
+    assert calls
+    calls.clear()
+    theta_of(cfg)
+    assert calls == []
+
+
+@pytest.mark.parametrize("spec", [(1, 5, "plus"), (1, 3, "minus")])
+@pytest.mark.parametrize("index", range(4))
+def test_kdv_sign_flip_fails_odd_translation(monkeypatch, spec, index):
+    terms_kdv = analysis._terms_kdv
+
+    def flipped(cfg):
+        terms = terms_kdv(cfg)
+        c, a1, a2 = terms[index]
+        terms[index] = (-c, a1, a2)
+        return terms
+
+    monkeypatch.setattr(analysis, "_terms_kdv", flipped)
+    with pytest.raises(ConvergenceError, match=rf"^odd parity \({spec[2]}\), .* at variant="):
+        odd_parity_translation(SolitonConfig.make(*spec))
+
+
+@pytest.mark.parametrize("spec", [(1, 5, "plus"), (1, 3, "minus")])
+@pytest.mark.parametrize("which", [0, 1])
+def test_extra_quarter_turn_fails_odd_translation(monkeypatch, spec, which):
+    quarter_turns = analysis._quarter_turns
+
+    def one_more(p1):
+        turns = list(quarter_turns(p1))
+        turns[which] += 1
+        return tuple(turns)
+
+    monkeypatch.setattr(analysis, "_quarter_turns", one_more)
+    with pytest.raises(ConvergenceError, match="monomial f1\\^"):
+        odd_parity_translation(SolitonConfig.make(*spec))
+
+
+@pytest.mark.parametrize("variant", ["plus", "minus"])
+def test_gamma_squared_mutation_fails_mixed_translation(monkeypatch, variant):
+    # gamma^2 scaled by 1 + 1e-9 in one variant's F table.
+    terms_F = analysis._terms_F
+
+    def mutated(g2, v):
+        return terms_F(g2 * (1 + 1e-9) if v.value == variant else g2, v)
+
+    monkeypatch.setattr(analysis, "_terms_F", mutated)
+    with pytest.raises(ConvergenceError, match="^mixed parity, .* fails over Q\\(i\\) at"):
+        parity_translation_theta(SolitonConfig.make(1, 2, "plus"))
 
 
 # ---------------------------------------------------------------------------

@@ -292,6 +292,20 @@ class TestInteraction:
         code = run(["interaction", "--ratios", "2.0,abc"])
         assert code == 2
 
+    @pytest.mark.parametrize("rest", [["--k2", "1"], ["--ratios", "2.0,3.0"], []])
+    def test_rational_k1_prints_its_decimal_output(self, capsys, rest):
+        assert run(["interaction", "--k1", "1/2", *rest]) == 0
+        rational = capsys.readouterr()
+        assert run(["interaction", "--k1", "0.5", *rest]) == 0
+        assert capsys.readouterr() == rational
+
+    @pytest.mark.parametrize("rest", [["--ratios", "2.0"], []])
+    def test_zero_denominator_k1_is_usage_error(self, capsys, rest):
+        code = run(["interaction", "--k1", "1/0", *rest])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "usage error: zero denominator in '1/0'\n"
+
     @pytest.mark.parametrize("via", ["flag", "config"])
     @pytest.mark.parametrize("key", ["x1", "x2"])
     @pytest.mark.parametrize(

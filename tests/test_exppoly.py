@@ -313,6 +313,34 @@ def test_degree_one_polynomial_exact_root() -> None:
     assert rs.roots == ((2.5 + 0j, 1),)
 
 
+def _g_poly(*terms: ExpTerm) -> ExpPoly:
+    return ExpPoly(terms=terms, lam=1.0, variant=Variant.MINUS, kind="G")
+
+
+def test_pure_monomial_has_only_the_origin_root() -> None:
+    rs = roots_at_time(_g_poly(ExpTerm(3, 2.0, 0.0)), 0.4)
+    assert rs.roots == ((0j, 3),)
+    assert rs.log_roots == (complex(-math.inf),)
+    assert (rs.condition, rs.worst_residual, rs.iterations, rs.cap_hit) == ((1.0,), 0.0, 0, False)
+
+
+def test_constant_polynomial_refused() -> None:
+    with pytest.raises(ValueError, match="degree >= 1"):
+        roots_at_time(_g_poly(ExpTerm(0, 2.0, 0.0)), 0.0)
+
+
+def test_eval_at_the_origin_reads_one_coefficient() -> None:
+    # At y = 0 the dy-th derivative is dy! c_dy e^(sigma t + log_factor).
+    terms = (ExpTerm(0, 1.5, 0.5, 0.25), ExpTerm(2, -3.0 + 1j, 2.0, -1.0), ExpTerm(3, 7.0, -1.0))
+    poly, t = _g_poly(*terms), 0.3
+    for term in terms:
+        value = exp_poly_eval(poly, 0j, t, dy=term.degree)
+        assert value.mant == math.factorial(term.degree) * term.coeff
+        assert value.log == term.sigma * t + term.log_factor
+    for dy in (1, 4):
+        assert exp_poly_eval(poly, 0j, t, dy=dy).value() == 0
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
 def test_non_finite_time_rejected(t: float) -> None:
     # Unchecked, it runs every Aberth sweep and returns NaN roots.

@@ -272,6 +272,8 @@ TRACKER_OPTION_FIELDS = (
 REMOVED_PARAMETERS = {
     ("exppoly", "roots_at_time"): {"cluster_tol", "cert_tol", "max_iter"},
     ("analysis", "residue_at_pole"): {"cross_check", "nodes"},
+    ("analysis", "parity_translation_theta"): {"probes", "seed", "tol"},
+    ("analysis", "odd_parity_translation"): {"probes", "seed", "tol"},
     ("blowup", "find_crossing"): {"opts", "tol"},
     ("blowup", "build_scenario"): {"opts"},
     ("blowup", "fit_blowup_rate"): {"min_r2"},

@@ -598,18 +598,18 @@ class TestTableProofs:
     def test_wrong_turn_fails_translation(self, monkeypatch, spec):
         # q + 1 quarter turns, for the half turn of mixed parity and the
         # quarter turns of both-odd pairs alike.
-        qi_poly = suite._qi_poly
+        qi_poly = analysis._qi_poly
 
         def turned_once_more(terms, q=0, p1=0, p2=0):
             return qi_poly(terms, q + 1 if q else 0, p1, p2)
 
-        monkeypatch.setattr(suite, "_qi_poly", turned_once_more)
+        monkeypatch.setattr(analysis, "_qi_poly", turned_once_more)
         _assert_refuted(suite._check_translation(SolitonConfig.make(*spec)))
 
     @pytest.mark.parametrize("index", range(4))
     @pytest.mark.parametrize("spec", [(1, 5, "plus"), (1, 3, "minus")])
     def test_kdv_sign_flip_fails_translation(self, monkeypatch, spec, index):
-        terms_kdv = suite._terms_kdv
+        terms_kdv = analysis._terms_kdv
 
         def flipped(cfg):
             terms = terms_kdv(cfg)
@@ -617,7 +617,7 @@ class TestTableProofs:
             terms[index] = (-c, a1, a2)
             return terms
 
-        monkeypatch.setattr(suite, "_terms_kdv", flipped)
+        monkeypatch.setattr(analysis, "_terms_kdv", flipped)
         _assert_refuted(suite._check_translation(SolitonConfig.make(*spec)), spec[2])
 
     def test_quarter_turns_have_one_owner(self, monkeypatch):

@@ -217,6 +217,46 @@ def test_collision_curves_flagged(collision_curves):
         assert all(r < 1e-12 for r in curve.residuals)
 
 
+def test_default_collision_radius_stops_only_the_linear_branch(monkeypatch):
+    # With the default ball of radius 1e-3, the linear branch (x - x_c ~ 26 t)
+    # enters it and ends there.  The three cube-root branches, ~|t|^(1/3)
+    # away, end on the F_x stop: their last corrector run lands below FX_MIN,
+    # outside the ball and inside the grace radius.
+    cfg = SolitonConfig.make(1, 5, "minus")
+    xc = 1j * math.pi / 2
+    seeds = [x for x, _ in oracle_poles(cfg, t=-0.01) if abs(x - xc) < 0.6]
+    opts = TrackerOptions(dt_init=1e-4)
+    assert opts.collision_radius == 1e-3
+    newton_correct, last_fx = tracker._newton_correct, []
+
+    def spied(*args):
+        out = newton_correct(*args)
+        last_fx.append(out[4])
+        return out
+
+    monkeypatch.setattr(tracker, "_newton_correct", spied)
+    inside, outside = [], []
+    for seed in seeds:
+        curve = track_curve(cfg, None, seed, -0.01, 0.0, opts)
+        assert curve.exceptional_collision
+        assert abs(curve.collision_point - xc) < 1e-12
+        (t0, x0), (t, x) = curve.samples[0], curve.samples[-1]
+        if abs(x - xc) < opts.collision_radius:
+            inside.append((x0, t0, x, t, last_fx[-1]))
+        else:
+            outside.append((x, t, last_fx[-1]))
+    assert len(inside) == 1 and len(outside) == 3
+    ((x0, t0, x, t, fx),) = inside
+    assert (x0 - xc) / t0 == pytest.approx(26.0, rel=0.01)
+    assert abs(x - xc) == pytest.approx(5.1e-4, rel=0.01)
+    assert t == pytest.approx(-1.96e-5, rel=0.01)
+    assert fx >= tracker.FX_MIN
+    for x, t, fx in outside:
+        assert abs(x - xc) == pytest.approx(1.225e-2, rel=0.01)
+        assert abs(x - xc) < tracker.GRACE_RADIUS
+        assert fx < tracker.FX_MIN
+
+
 def test_branch_classification_counts_and_limits(collision_curves):
     _, _, curves = collision_curves
     fits = [classify_branch(c) for c in curves]
