@@ -513,50 +513,6 @@ def test_translation_thetas_evaluate_nothing(monkeypatch, spec, theta_of):
     assert calls == []
 
 
-@pytest.mark.parametrize("spec", [(1, 5, "plus"), (1, 3, "minus")])
-@pytest.mark.parametrize("index", range(4))
-def test_kdv_sign_flip_fails_odd_translation(monkeypatch, spec, index):
-    terms_kdv = analysis._terms_kdv
-
-    def flipped(cfg):
-        terms = terms_kdv(cfg)
-        c, a1, a2 = terms[index]
-        terms[index] = (-c, a1, a2)
-        return terms
-
-    monkeypatch.setattr(analysis, "_terms_kdv", flipped)
-    with pytest.raises(ConvergenceError, match=rf"^odd parity \({spec[2]}\), .* at variant="):
-        odd_parity_translation(SolitonConfig.make(*spec))
-
-
-@pytest.mark.parametrize("spec", [(1, 5, "plus"), (1, 3, "minus")])
-@pytest.mark.parametrize("which", [0, 1])
-def test_extra_quarter_turn_fails_odd_translation(monkeypatch, spec, which):
-    quarter_turns = analysis._quarter_turns
-
-    def one_more(p1):
-        turns = list(quarter_turns(p1))
-        turns[which] += 1
-        return tuple(turns)
-
-    monkeypatch.setattr(analysis, "_quarter_turns", one_more)
-    with pytest.raises(ConvergenceError, match="monomial f1\\^"):
-        odd_parity_translation(SolitonConfig.make(*spec))
-
-
-@pytest.mark.parametrize("variant", ["plus", "minus"])
-def test_gamma_squared_mutation_fails_mixed_translation(monkeypatch, variant):
-    # gamma^2 scaled by 1 + 1e-9 in one variant's F table.
-    terms_F = analysis._terms_F
-
-    def mutated(g2, v):
-        return terms_F(g2 * (1 + 1e-9) if v.value == variant else g2, v)
-
-    monkeypatch.setattr(analysis, "_terms_F", mutated)
-    with pytest.raises(ConvergenceError, match="^mixed parity, .* fails over Q\\(i\\) at"):
-        parity_translation_theta(SolitonConfig.make(1, 2, "plus"))
-
-
 # ---------------------------------------------------------------------------
 # Residues.
 # ---------------------------------------------------------------------------

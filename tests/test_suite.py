@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from soliton_pole_lab import analysis, exppoly, kernel, suite, tracker
 from soliton_pole_lab.asymptotics import FamilyLabel, Speed, seed_state, seed_time
-from soliton_pole_lab.kernel import SolitonConfig
+from soliton_pole_lab.kernel import ConvergenceError, SolitonConfig
 from soliton_pole_lab.suite import run_battery
 
 CHECK_NAMES = [
@@ -539,6 +539,16 @@ def _assert_refuted(result, variant=None):
     assert result.detail.endswith(f": {int(result.worst)} nonzero coefficients")
 
 
+def _assert_theta_refused(cfg, witness):
+    # The public theta function proves the row's rests: it raises at the
+    # row's witness.
+    mixed = (cfg.comm.p1 + cfg.comm.p2) % 2
+    theta_of = analysis.parity_translation_theta if mixed else analysis.odd_parity_translation
+    match = rf" fails over Q\(i\) at {re.escape(witness)}$"
+    with pytest.raises(ConvergenceError, match=match):
+        theta_of(cfg)
+
+
 class TestTableProofs:
     """The factorization and translation rows prove their identities from
     the exact term tables over Q(i)."""
@@ -604,7 +614,10 @@ class TestTableProofs:
             return qi_poly(terms, q + 1 if q else 0, p1, p2)
 
         monkeypatch.setattr(analysis, "_qi_poly", turned_once_more)
-        _assert_refuted(suite._check_translation(SolitonConfig.make(*spec)))
+        cfg = SolitonConfig.make(*spec)
+        result = suite._check_translation(cfg)
+        _assert_refuted(result)
+        _assert_theta_refused(cfg, result.witness)
 
     @pytest.mark.parametrize("index", range(4))
     @pytest.mark.parametrize("spec", [(1, 5, "plus"), (1, 3, "minus")])
@@ -618,7 +631,24 @@ class TestTableProofs:
             return terms
 
         monkeypatch.setattr(analysis, "_terms_kdv", flipped)
-        _assert_refuted(suite._check_translation(SolitonConfig.make(*spec)), spec[2])
+        cfg = SolitonConfig.make(*spec)
+        result = suite._check_translation(cfg)
+        _assert_refuted(result, spec[2])
+        _assert_theta_refused(cfg, result.witness)
+
+    @pytest.mark.parametrize("variant", ["plus", "minus"])
+    def test_gamma_squared_mutation_fails_translation(self, monkeypatch, variant):
+        # gamma^2 scaled by 1 + 1e-9 in one variant's F table.
+        terms_F = analysis._terms_F
+
+        def mutated(g2, v):
+            return terms_F(g2 * (1 + 1e-9) if v.value == variant else g2, v)
+
+        monkeypatch.setattr(analysis, "_terms_F", mutated)
+        cfg = SolitonConfig.make(1, 2, "plus")
+        result = suite._check_translation(cfg)
+        _assert_refuted(result)
+        _assert_theta_refused(cfg, result.witness)
 
     def test_quarter_turns_have_one_owner(self, monkeypatch):
         # The row reads the rule from analysis: a wrong rule there fails it.
