@@ -61,9 +61,8 @@ simple-pole residue 2 g G(x0)/F_x(x0); a trapezoid contour integral on a
 small circle provides an independent cross-check.  Laurent balance of the
 equation forces every residue to be +i or -i.
 
-Variants.  The config carries the sign variant, and every helper here
-reads it from there.  The public functions' ``variant=`` override is
-resolved once at entry (``kernel._in_variant``).
+Variants.  The config carries the sign variant, and every function here
+reads it from there; ``cfg.with_variant(v)`` asks about the other one.
 """
 
 from __future__ import annotations
@@ -86,9 +85,8 @@ from .kernel import (
     PoleError,
     SolitonConfig,
     Variant,
-    _F_point,
+    _FPointEval,
     _factor_grid,
-    _in_variant,
     _QPoly,
     _record_dict,
     _terms_F,
@@ -187,18 +185,12 @@ def real_decomp(cfg: SolitonConfig, x: complex, t: float) -> RealDecomp:
 # ---------------------------------------------------------------------------
 
 
-def factor_F(
-    cfg: SolitonConfig,
-    x: complex,
-    t: float,
-    variant: Optional[Variant] = None,
-) -> tuple[complex, complex]:
+def factor_F(cfg: SolitonConfig, x: complex, t: float) -> tuple[complex, complex]:
     """The two complex factors (F1, F2) with F = F1 * F2.
 
     Plain complex values; may overflow for extreme arguments, in which
     case use ``factor_scaled`` directly.
     """
-    cfg = _in_variant(cfg, variant)
     return (
         factor_scaled(cfg, x, t, 1).value(),
         factor_scaled(cfg, x, t, 2).value(),
@@ -243,7 +235,6 @@ def check_no_real_poles(
     cfg: SolitonConfig,
     t: float,
     grid: Optional[Sequence[complex]] = None,
-    variant: Optional[Variant] = None,
 ) -> LineScan:
     """Scan |F| (relative to its term scale) over a grid of x values.
 
@@ -260,7 +251,7 @@ def check_no_real_poles(
     xs = np.asarray(grid, dtype=complex).reshape(-1)
     if not len(xs):
         raise ValueError("grid must contain at least one point")
-    r = F_grid(_in_variant(cfg, variant), xs, t).relative()
+    r = F_grid(cfg, xs, t).relative()
     # The first strict minimum; NaN never wins, and an all-inf scan keeps
     # the first point.
     i = int(np.argmin(np.where(np.isnan(r), math.inf, r)))
@@ -401,12 +392,7 @@ def _sign_prediction(
     return (1 if expression > 0 else -1), expression
 
 
-def vertical_sign(
-    cfg: SolitonConfig,
-    x: complex,
-    t: float,
-    variant: Optional[Variant] = None,
-) -> VerticalSign:
+def vertical_sign(cfg: SolitonConfig, x: complex, t: float) -> VerticalSign:
     """Predicted and measured sign of Im x'(t) at a simple zero of F.
 
     The vanishing factor is located first; the prediction is
@@ -422,7 +408,6 @@ def vertical_sign(
     ``_vertical_signs``, which gives the same verdicts bit for bit from
     one grid evaluation per factor table.
     """
-    cfg = _in_variant(cfg, variant)
     which, _ = _which_factor(cfg, x, t)
     Ft = factor_scaled(cfg, x, t, which, dt=1)
     Fx = factor_scaled(cfg, x, t, which, dx=1)
@@ -586,11 +571,9 @@ def odd_translation_residuals(
     theta2: float,
     x: complex,
     t: float,
-    variant: Optional[Variant] = None,
 ) -> tuple[float, float]:
     """Relative deviations |F_i(x - i theta_i, t) / K(x, t) - 1| for the two
     factors, where K = 1 + gamma f1 + gamma f2 + f1 f2."""
-    cfg = _in_variant(cfg, variant)
     den = kdv_F_scaled(cfg, complex(x), t)
     out = []
     for which, theta in ((1, theta1), (2, theta2)):
@@ -599,9 +582,7 @@ def odd_translation_residuals(
     return out[0], out[1]
 
 
-def odd_parity_translation(
-    cfg: SolitonConfig, variant: Optional[Variant] = None
-) -> tuple[float, float]:
+def odd_parity_translation(cfg: SolitonConfig) -> tuple[float, float]:
     """Shifts (theta1, theta2) sending both factors to the common form
     1 + gamma f1 + gamma f2 + f1 f2.
 
@@ -615,7 +596,6 @@ def odd_parity_translation(
     (``_quarter_turns``).  Both identities are proved from the term
     tables over Q(i) before returning (``_translation_rests``).
     """
-    cfg = _in_variant(cfg, variant)
     comm = _require_comm(cfg)
     p1, p2 = comm.p1, comm.p2
     if p1 % 2 == 0 or p2 % 2 == 0:
@@ -668,7 +648,6 @@ def residue_at_pole(
     cfg: SolitonConfig,
     x_pole: complex,
     t: float,
-    variant: Optional[Variant] = None,
     poles: Optional[Sequence[tuple[complex, int]]] = None,
 ) -> complex:
     """Residue of u at a simple pole: 2 gamma G(x0) / F_x(x0).
@@ -678,14 +657,13 @@ def residue_at_pole(
     1e-3 * isolation (isolation = min(distance to the nearest other
     pole, quarter vertical period)) must agree to 1e-6, else
     ConvergenceError.  ``poles`` is the ``oracle_poles`` snapshot at
-    (variant, t) the pole came from, if the caller has one; without it an
+    (cfg, t) the pole came from, if the caller has one; without it an
     exact config solves one.  Raises ConvergenceError at a multiple zero.
     Every residue of u is +i or -i.
     """
-    cfg = _in_variant(cfg, variant)
     try:
         x0, _, fx_mant, fx_log, fx_rel, _ = _newton_correct(
-            _F_point(cfg), complex(x_pole), t, _POLISH_OPTS
+            _FPointEval(cfg), complex(x_pole), t, _POLISH_OPTS
         )
     except ConvergenceError as exc:
         raise PoleError(

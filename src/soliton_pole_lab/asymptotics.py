@@ -50,8 +50,7 @@ from .kernel import (
     ConvergenceError,
     SolitonConfig,
     Variant,
-    _F_point,
-    _in_variant,
+    _FPointEval,
     _record_dict,
     _terms_F,
 )
@@ -173,12 +172,7 @@ class MovingFrame:
             return x - k1**2 * t, math.exp(k2 * d2 * t)
         return x - k2**2 * t, math.exp(k1 * d2 * t)
 
-    def value(
-        self,
-        coord: complex,
-        scale: float,
-        variant: Optional[Variant] = None,
-    ) -> Scaled:
+    def value(self, coord: complex, scale: float) -> Scaled:
         """H(z, r) for the slow frame, I(w, s) for the fast frame.
 
         ``scale`` (r or s) must be >= 0; scale = 0 gives the t -> -inf
@@ -187,12 +181,11 @@ class MovingFrame:
         if scale < 0:
             raise ValueError("frame scale must be non-negative")
         cfg = self.cfg
-        v = _in_variant(cfg, variant).variant
         log_scale = math.log(scale) if scale > 0 else None
         w1 = -cfg.k1 * (coord - cfg.x1)
         w2 = -cfg.k2 * (coord - cfg.x2)
         pieces = []
-        for coeff, a1, a2 in _terms_F(cfg.gamma**2, v):
+        for coeff, a1, a2 in _terms_F(cfg.gamma**2, cfg.variant):
             # Power of the frame scale: f2 carries one r; I = s^2 F with f1
             # carrying 1/s makes the power 2 - a1 (never negative here).
             scale_pow = a2 if self.kind is Speed.SLOW else 2 - a1
@@ -413,7 +406,7 @@ def match_horizons(
     has one (the battery seeds its ensemble from it); without it one is
     solved.
     """
-    F = _F_point(cfg)
+    F = _FPointEval(cfg)
     opts = TrackerOptions()
     reports = []
     for direction in (-1, 1):

@@ -47,8 +47,6 @@ from .kernel import (
     ConvergenceError,
     F_scaled,
     SolitonConfig,
-    Variant,
-    _in_variant,
     _record_dict,
     _u_or_raise,
     _u_or_raise_grid,
@@ -524,7 +522,6 @@ def coupled_system_residual(
     x: float,
     t: float,
     h: float = 1e-3,
-    variant: Optional[Variant] = None,
     cross_coeff: float = 12.0,
 ) -> tuple[float, float]:
     """Finite-difference residuals of the coupled real system at (x, t).
@@ -540,10 +537,9 @@ def coupled_system_residual(
     side, that the halved cross term is not satisfied.  Raises
     PoleError when the stencil touches a pole.
     """
-    work = _in_variant(cfg, variant)
 
     def u_at(xx: float, tt: float) -> complex:
-        return _u_or_raise(work, complex(xx, -alpha), tt)
+        return _u_or_raise(cfg, complex(xx, -alpha), tt)
 
     u0 = u_at(x, t)
     up1, um1 = u_at(x + h, t), u_at(x - h, t)

@@ -52,7 +52,6 @@ from .kernel import (
     ConvergenceError,
     SolitonConfig,
     Variant,
-    _in_variant,
     _QPoly,
     _terms_F,
     _terms_G,
@@ -281,7 +280,7 @@ def _exp_poly(cfg: SolitonConfig, kind: str) -> ExpPoly:
     )
 
 
-def build_F_poly(cfg: SolitonConfig, variant: "Variant | str | None" = None) -> ExpPoly:
+def build_F_poly(cfg: SolitonConfig) -> ExpPoly:
     """F as an exact polynomial in y: degree 2(p1+p2), constant term 1.
 
     Monomials (with s = -1 for Plus, +1 for Minus):
@@ -289,10 +288,10 @@ def build_F_poly(cfg: SolitonConfig, variant: "Variant | str | None" = None) -> 
         (2s - 2s gamma^2) y^{p1+p2} e^{(k1^3+k2^3) t},
         y^{2(p1+p2)} e^{2(k1^3+k2^3) t}.
     """
-    return _exp_poly(_in_variant(cfg, variant), "F")
+    return _exp_poly(cfg, "F")
 
 
-def build_G_poly(cfg: SolitonConfig, variant: "Variant | str | None" = None) -> ExpPoly:
+def build_G_poly(cfg: SolitonConfig) -> ExpPoly:
     """G as an exact polynomial in y (degree p1 + 2 p2):
 
         s k1 y^{p1} e^{k1^3 t} + s k1 y^{p1+2p2} e^{(k1^3+2k2^3) t}
@@ -300,7 +299,7 @@ def build_G_poly(cfg: SolitonConfig, variant: "Variant | str | None" = None) -> 
 
     with s = +1 for Plus, -1 for Minus.
     """
-    return _exp_poly(_in_variant(cfg, variant), "G")
+    return _exp_poly(cfg, "G")
 
 
 # ---------------------------------------------------------------------------
@@ -608,9 +607,17 @@ class _GaussPoly:
     def from_log(self, log_y: complex) -> _Fixed:
         """The iterate e^(log_y) of a finite double log y, to about a unit in
         the last place of a double: 2^k e^r (cos + i sin) with
-        log_y.real = k log 2 + r."""
+        log_y.real = k log 2 + r.  Far beyond |k| = 2^20 the split is no
+        longer exact and r can leave double range (|log y| near 1e19, at
+        |t| of 1e18 and more): that estimate raises ConvergenceError."""
         k = round(log_y.real / _LN2)
-        mag = math.exp((log_y.real - k * _LN2_HI) - k * _LN2_LO)
+        try:
+            mag = math.exp((log_y.real - k * _LN2_HI) - k * _LN2_LO)
+        except OverflowError:
+            raise ConvergenceError(
+                f"root estimate e^({log_y}) failed certification: "
+                f"log|y| = {log_y.real:.6e} is out of range for its 2^k e^r split"
+            ) from None
         re = int(math.ldexp(mag * math.cos(log_y.imag), 64))
         im = int(math.ldexp(mag * math.sin(log_y.imag), 64))
         return self.normal(re, im, k - 64)
@@ -976,17 +983,13 @@ def roots_at_time(poly: ExpPoly, t: float) -> RootSet:
     )
 
 
-def oracle_poles(
-    cfg: SolitonConfig,
-    variant: "Variant | str | None" = None,
-    t: float = 0.0,
-) -> list[tuple[complex, int]]:
+def oracle_poles(cfg: SolitonConfig, t: float = 0.0) -> list[tuple[complex, int]]:
     """All poles of u in the fundamental strip at time t, with multiplicity,
     via the global polynomial root oracle.  Count (with multiplicity) is
     always 2(p1 + p2); sorted by (Im x, Re x).  A root whose y over- or
     underflows a double (|Re x| beyond ~709 lambda) is placed from its
     45-digit logarithm."""
-    poly = build_F_poly(cfg, variant)
+    poly = build_F_poly(cfg)
     rs = roots_at_time(poly, t)
     out = []
     for (y, m), log_y in zip(rs.roots, rs.log_roots):

@@ -34,7 +34,6 @@ import numpy as np
 from .kernel import (
     SolitonConfig,
     Variant,
-    _in_variant,
     _u_or_raise,
     _u_or_raise_grid,
     eval_u_x,
@@ -63,6 +62,9 @@ SINGULAR_RTOL = 1e-12
 
 CRITICAL_RATIO = (3.0 + math.sqrt(5.0)) / 2.0
 
+# measure_uxx_at_center's step: Richardson-combined with h/2 to O(h^4).
+_UXX_STEP = 1e-3
+
 
 def _resolve(cfg: SolitonConfig) -> SolitonConfig:
     if cfg.x1 != 0.0 or cfg.x2 != 0.0:
@@ -78,21 +80,21 @@ def _resolve(cfg: SolitonConfig) -> SolitonConfig:
 # ---------------------------------------------------------------------------
 
 
-def uxx_at_center(cfg: SolitonConfig, variant: Optional[Variant] = None) -> float:
+def uxx_at_center(cfg: SolitonConfig) -> float:
     """Closed-form u_xx(0,0); its sign classifies the centered extremum.
 
     Plus: -(k2 - k1)(k1^2 - 3 k1 k2 + k2^2), positive (local minimum)
     for 1 < k2/k1 < (3 + sqrt 5)/2 and negative above.  Minus:
     -(k2 + k1)(k1^2 + 3 k1 k2 + k2^2), negative for all k1 < k2.
     """
-    work = _resolve(_in_variant(cfg, variant))
+    work = _resolve(cfg)
     k1, k2 = work.k1, work.k2
     if work.variant is Variant.PLUS:
         return -(k2 - k1) * (k1 * k1 - 3.0 * k1 * k2 + k2 * k2)
     return -(k2 + k1) * (k1 * k1 + 3.0 * k1 * k2 + k2 * k2)
 
 
-def extremum_speed(cfg: SolitonConfig, variant: Optional[Variant] = None) -> float:
+def extremum_speed(cfg: SolitonConfig) -> float:
     """Closed-form speed y'(0) of the centered extremum path.
 
     Plus: (k1^4 - 3 k1^3 k2 + 3 k1^2 k2^2 - 3 k1 k2^3 + k2^4)
@@ -101,7 +103,7 @@ def extremum_speed(cfg: SolitonConfig, variant: Optional[Variant] = None) -> flo
     the singular ratio.  Minus: the same with all plus signs, always
     positive.
     """
-    work = _resolve(_in_variant(cfg, variant))
+    work = _resolve(cfg)
     k1, k2 = work.k1, work.k2
     if work.variant is Variant.PLUS:
         num = (
@@ -151,28 +153,19 @@ def _fd_uxt(cfg: SolitonConfig, h: float) -> float:
     ) / (4.0 * h * h)
 
 
-def measure_uxx_at_center(
-    cfg: SolitonConfig,
-    variant: Optional[Variant] = None,
-    h: float = 1e-3,
-    richardson: bool = True,
-) -> float:
+def measure_uxx_at_center(cfg: SolitonConfig) -> float:
     """u_xx(0,0) by centered second differences of the field.
 
-    O(h^2) truncation; with richardson the h and h/2 estimates are
-    combined to O(h^4).  Independent of the closed form (it samples
-    eval_u only).
+    The O(h^2) estimates at h = 1e-3 and h/2 are Richardson-combined to
+    O(h^4).  Independent of the closed form (it samples eval_u only).
     """
-    work = _resolve(_in_variant(cfg, variant))
-    d_h = _fd_uxx(work, h)
-    if not richardson:
-        return d_h
-    return (4.0 * _fd_uxx(work, 0.5 * h) - d_h) / 3.0
+    work = _resolve(cfg)
+    d_h = _fd_uxx(work, _UXX_STEP)
+    return (4.0 * _fd_uxx(work, 0.5 * _UXX_STEP) - d_h) / 3.0
 
 
 def measure_extremum_speed(
     cfg: SolitonConfig,
-    variant: Optional[Variant] = None,
     h: float = 1e-4,
     richardson: bool = True,
 ) -> float:
@@ -183,7 +176,7 @@ def measure_extremum_speed(
     Raises ValueError when the measured second derivative vanishes
     (the degenerate plus configuration).
     """
-    work = _resolve(_in_variant(cfg, variant))
+    work = _resolve(cfg)
 
     def estimate(step: float) -> float:
         uxx = _fd_uxx(work, step)
@@ -233,11 +226,7 @@ def _polish_max(cfg: SolitonConfig, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def find_maxima(
-    cfg: SolitonConfig,
-    variant: Optional[Variant] = None,
-    span: Optional[float] = None,
-) -> list[float]:
+def find_maxima(cfg: SolitonConfig, span: Optional[float] = None) -> list[float]:
     """Abscissas of the local maxima of u(., 0), sorted.
 
     A centered first difference with spacing strip_scale/200 flags the
@@ -249,7 +238,7 @@ def find_maxima(
     the two side maxima approach the center like the square root of
     the parameter distance.
     """
-    work = _resolve(_in_variant(cfg, variant))
+    work = _resolve(cfg)
     h = strip_scale(work) / 200.0
     half = span if span is not None else 12.0 / work.k1
     n = int(2.0 * half / h) + 2
@@ -283,16 +272,14 @@ def find_maxima(
 
 
 def count_maxima_at_interaction(
-    cfg: SolitonConfig,
-    variant: Optional[Variant] = None,
-    span: Optional[float] = None,
+    cfg: SolitonConfig, span: Optional[float] = None
 ) -> int:
     """Number of local maxima of u(., 0) on the real line.
 
     Plus variant: 2 below the critical ratio (3 + sqrt 5)/2, 1 above;
     minus variant: always 1.
     """
-    return len(find_maxima(cfg, variant, span))
+    return len(find_maxima(cfg, span))
 
 
 def _bisect(
@@ -309,45 +296,38 @@ def _bisect(
     return lo, hi
 
 
-def maxima_transition_ratio(
-    k1: float = 1.0,
-    lo: float = 2.55,
-    hi: float = 2.70,
-    tol: float = 1e-4,
-) -> tuple[float, float]:
-    """Bisection bracket [lo, hi] for the plus-variant maxima merge.
+def maxima_transition_ratio(lo: float = 2.55, hi: float = 2.70) -> tuple[float, float]:
+    """Bisection bracket [lo, hi] for the plus-variant maxima merge, in
+    the ratio k2/k1 (k1 = 1).
 
     Requires count(lo) == 2 and count(hi) == 1; returns the final
-    bracket, which contains the critical ratio (3 + sqrt 5)/2.
+    bracket, at most 1e-4 wide, which contains the critical ratio
+    (3 + sqrt 5)/2.
     """
 
     def count(ratio: float) -> int:
         return count_maxima_at_interaction(
-            SolitonConfig.make(k1, ratio * k1, Variant.PLUS)
+            SolitonConfig.make(1.0, ratio, Variant.PLUS)
         )
 
     if count(lo) != 2 or count(hi) != 1:
         raise ValueError(
             f"bracket [{lo}, {hi}] does not straddle the maxima merge"
         )
-    return _bisect(lambda ratio: count(ratio) == 2, lo, hi, tol)
+    return _bisect(lambda ratio: count(ratio) == 2, lo, hi, 1e-4)
 
 
-def negative_speed_onset(
-    k1: float = 1.0,
-    lo: float = 2.0,
-    hi: float = 2.5,
-    tol: float = 1e-10,
-) -> float:
-    """Ratio where the plus-variant extremum speed turns negative.
+def negative_speed_onset(lo: float = 2.0, hi: float = 2.5) -> float:
+    """Ratio k2/k1 where the plus-variant extremum speed turns negative.
 
-    Bisection on the sign of the closed-form speed; the onset is the
-    quartic root near 2.1537 (reported as a measurement -- the speed
-    stays negative from here up to the singular ratio).
+    Bisection on the sign of the closed-form speed, to a bracket 1e-10
+    wide; the onset is the quartic root near 2.1537 (reported as a
+    measurement -- the speed stays negative from here up to the
+    singular ratio).
     """
 
     def speed(ratio: float) -> float:
-        return extremum_speed(SolitonConfig.make(k1, ratio * k1, Variant.PLUS))
+        return extremum_speed(SolitonConfig.make(1.0, ratio, Variant.PLUS))
 
     s_lo, s_hi = speed(lo), speed(hi)
     if not (s_lo > 0.0 > s_hi):
@@ -355,7 +335,7 @@ def negative_speed_onset(
             f"bracket [{lo}, {hi}] does not straddle the sign change "
             f"(speeds {s_lo:.6f}, {s_hi:.6f})"
         )
-    lo, hi = _bisect(lambda ratio: speed(ratio) > 0.0, lo, hi, tol)
+    lo, hi = _bisect(lambda ratio: speed(ratio) > 0.0, lo, hi, 1e-10)
     return 0.5 * (lo + hi)
 
 

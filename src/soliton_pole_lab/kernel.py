@@ -23,11 +23,9 @@ u in the complex x-plane are exactly the zeros of F; everything downstream
 in this module.
 
 The config carries the variant, and the evaluators read it from there; a
-caller that needs the other one passes ``cfg.with_variant(v)``.  Two kinds
-of function take a variant: the package's public functions, as a
-``variant=`` override resolved at entry by ``_in_variant``, and the term
-builders that take bare numbers and no config (``_terms_F``, ``_terms_G``,
-``_terms_g``, ``_eqg_terms``).
+caller that needs the other one passes ``cfg.with_variant(v)``.  Only the
+term builders, which take bare numbers and no config (``_terms_F``,
+``_terms_G``, ``_terms_g``, ``_eqg_terms``), take a variant.
 
 All evaluation is log-balanced (see ``_balanced``): the largest exponential is
 factored out before any floating-point sum, so accuracy is limited by pole
@@ -47,10 +45,10 @@ Pointwise callers (tracking, Newton correctors, finite-difference stencils)
 keep the scalar path.  The one-value functions (F_scaled, G_scaled, ...)
 sum one term table with ``balanced_sum``.  Newton in x -- the tracker's
 corrector, which ``analysis.residue_at_pole`` and
-``asymptotics.match_horizons`` share -- holds a point evaluator of F instead
-(``_FPointEval``, from ``_F_point``).  It is written for F's fixed term
-layout, read once from ``_terms_F``: six terms over five monomials, and
-five terms over four in the F_x and F_t tables.  One call per Newton
+``asymptotics.match_horizons`` share -- holds a point evaluator of F instead,
+``_FPointEval(cfg)``.  It is written for F's fixed term layout, read once
+from ``_terms_F``: six terms over five monomials, and five terms over four
+in the F_x and F_t tables.  One call per Newton
 iterate, ``point(x, t)``, forms the five monomial exponents, F's balance
 base and the derivative tables' base, and the exponentials of each base
 once, shared when the two bases are equal, and returns F and F_x as flat
@@ -339,12 +337,6 @@ class SolitonConfig:
             "x2": self.x2,
             "exact": self.exact,
         }
-
-
-def _in_variant(cfg: SolitonConfig, variant: "Variant | str | None") -> SolitonConfig:
-    """The config in ``variant`` (None keeps the config's own): where a
-    public function resolves its ``variant=`` override, once at entry."""
-    return cfg if variant is None else cfg.with_variant(variant)
 
 
 @dataclass(frozen=True)
@@ -644,11 +636,6 @@ def _eval_terms(
     # Without derivative factors the table is the terms themselves, less
     # zero terms, which balanced_sum drops anyway.
     return balanced_sum([(c, a1 * w1 + a2 * w2) for c, a1, a2 in terms])
-
-
-def _F_point(cfg: SolitonConfig) -> _FPointEval:
-    """The point evaluator of F."""
-    return _FPointEval(cfg)
 
 
 def _w_grid(k: float, shift: float, xr, xi, t):

@@ -240,7 +240,7 @@ def _check_real_line(cfg: SolitonConfig):
     floor, witness = math.inf, ""
     for t in (-1.0, 0.3, 1.2):
         for variant in (Variant.PLUS, Variant.MINUS):
-            scan = analysis.check_no_real_poles(cfg, t, variant=variant)
+            scan = analysis.check_no_real_poles(cfg.with_variant(variant), t)
             if scan.min_residual < floor:
                 floor = scan.min_residual
                 witness = f"x={scan.argmin}, t={t}, variant={variant.value}"
@@ -254,15 +254,14 @@ def _check_real_line(cfg: SolitonConfig):
 
 @_check("cosine-relations-at-zeros", exact_only=_NEEDS_ORACLE)
 def _check_cosine_relations(cfg: SolitonConfig):
+    plus = cfg.with_variant(Variant.PLUS)
     worst, witness, used = 0.0, "", 0
     for t in (-0.6, 0.8):
-        for x, mult in oracle_poles(cfg, Variant.PLUS, t):
+        for x, mult in oracle_poles(plus, t):
             if mult != 1:
                 continue
             try:
-                rs = analysis.cos_identities_residual(
-                    cfg.with_variant(Variant.PLUS), x, t
-                )
+                rs = analysis.cos_identities_residual(plus, x, t)
             except PoleError:
                 continue  # zero of the other factor
             used += 1
@@ -355,7 +354,7 @@ def _check_pole_count(cfg: SolitonConfig):
     expected = 2 * (cfg.comm.p1 + cfg.comm.p2)
     faults = []
     for variant in (Variant.PLUS, Variant.MINUS):
-        terms = build_F_poly(cfg, variant).terms
+        terms = build_F_poly(cfg.with_variant(variant)).terms
         top = max(term.degree for term in terms)
         for end, degree, want in (("constant", 0, 0), ("top", top, expected)):
             coeffs = [term.coeff for term in terms if term.degree == degree]

@@ -22,7 +22,7 @@ curves as well, and it commutes with every operation of the follower bit
 for bit: an ensemble tracks one pole of each conjugate pair of seeds and
 conjugates the curve for its partner (``_track_seeds``).
 
-Each curve holds one kernel point evaluator of F (``kernel._F_point``),
+Each curve holds one kernel point evaluator of F (``kernel._FPointEval``),
 and the corrector, ``_newton_correct``, makes one call per Newton iterate:
 ``point(x, t)`` sets the point up and returns F and F_x there as flat
 values, F's relative size, mantissa and log and F_x's mantissa, log and
@@ -61,9 +61,7 @@ from .kernel import (
     ConvergenceError,
     SolitonConfig,
     Variant,
-    _F_point,
     _FPointEval,
-    _in_variant,
 )
 
 __all__ = [
@@ -257,8 +255,9 @@ def _newton_correct(
     t: float,
     opts: TrackerOptions,
 ) -> tuple[complex, float, complex, float, float, int]:
-    """Newton in x at fixed t on a point evaluator of F (``kernel._F_point``,
-    or a plain F in ``_PlainPoint``), one ``point`` call per iterate.
+    """Newton in x at fixed t on a point evaluator of F
+    (``kernel._FPointEval``, or a plain F in ``_PlainPoint``), one
+    ``point`` call per iterate.
     Returns (x, F_rel, F_x_mant, F_x_log, F_x_rel, iterations): F's and
     F_x's relative sizes and F_x's mantissa and log at the returned x,
     after evaluating at iterations + 1 points.  Raises ConvergenceError when
@@ -451,11 +450,13 @@ def track_curve(
     The seed must satisfy |F| < tolerance after one Newton polish and must
     not sit on a multiple root.  Near declared exceptional collision points
     the step control may shrink aggressively; elsewhere a vanishing F_x
-    raises a near-multiple-root error.
+    raises a near-multiple-root error.  ``variant``, when given, tracks
+    in that variant instead of the config's.
     """
-    cfg = _in_variant(cfg, variant)
+    if variant is not None:
+        cfg = cfg.with_variant(variant)
     return track_zero_curve(
-        _F_point(cfg),
+        _FPointEval(cfg),
         x_start,
         t_start,
         t_end,
@@ -621,7 +622,7 @@ def position_at(cfg: SolitonConfig, curve: PoleCurve, t: float) -> complex:
     slack = 2 * opts.dt_max
     if not (lo - slack <= t <= hi + slack):
         raise ValueError(f"t={t} outside the curve's span [{lo}, {hi}]")
-    ev = _F_point(cfg.with_variant(curve.variant))
+    ev = _FPointEval(cfg.with_variant(curve.variant))
     return _newton_correct(ev, curve.x_at_nearest(t), t, opts)[0]
 
 

@@ -227,7 +227,7 @@ def test_seed_time_formula():
 
 def test_seeds_converge_fast():
     """Newton from a seed polishes in < 5 iterations (both variants)."""
-    from soliton_pole_lab.kernel import _F_point
+    from soliton_pole_lab.kernel import _FPointEval
     from soliton_pole_lab.tracker import _newton_correct
 
     for variant in ("plus", "minus"):
@@ -235,7 +235,7 @@ def test_seeds_converge_fast():
         for lab in strip_labels(cfg, -1) + strip_labels(cfg, 1):
             x0, t0 = seed_state(cfg, lab)
             _, rel, _, _, _, iters = _newton_correct(
-                _F_point(cfg), x0, t0, TrackerOptions()
+                _FPointEval(cfg), x0, t0, TrackerOptions()
             )
             assert iters < 5
             assert rel < 1e-12

@@ -411,15 +411,11 @@ class TestCoupledSystem:
         assert abs(halved[0]) > 1e3 * abs(derived[0])
         assert abs(halved[1]) > 1e3 * abs(derived[1])
 
-    def test_variant_override(self) -> None:
-        override = coupled_system_residual(
-            self.CFG, self.ALPHA, 0.8, -0.5, 1e-3, variant=Variant.MINUS
-        )
-        direct = coupled_system_residual(
+    def test_minus_variant(self) -> None:
+        res_r, res_s = coupled_system_residual(
             SolitonConfig.make(1, 2, "minus"), self.ALPHA, 0.8, -0.5, 1e-3
         )
-        assert override == direct
-        assert abs(override[0]) < 1e-2 and abs(override[1]) < 1e-2
+        assert abs(res_r) < 1e-2 and abs(res_s) < 1e-2
 
     def test_stencil_on_pole(self, scenario12) -> None:
         with pytest.raises(PoleError, match="touches a pole"):

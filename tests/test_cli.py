@@ -127,6 +127,12 @@ class TestPoles:
         assert header == ["re_x", "im_x", "multiplicity"]
         assert len(rows) == 6
 
+    def test_time_beyond_the_oracle_is_an_error_line(self, capsys):
+        code = run(["poles", "--k1", "1", "--k2", "2", "--t", "1e300"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestTrack:
     def test_oracle_seeded_sweep(self, capsys):

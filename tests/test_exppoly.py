@@ -357,6 +357,15 @@ def test_nan_estimates_fail_certification() -> None:
         exppoly._polish_and_certify(poly, 0.0, estimates, {}, 0)
 
 
+@pytest.mark.parametrize("t", [1e30, -1e300])
+def test_estimates_beyond_the_log_split_fail_certification(t: float) -> None:
+    # At |log y| near 1e19 and beyond, log y = k log 2 + r leaves r in the
+    # thousands and e^r out of double range: a ConvergenceError, not an
+    # OverflowError.
+    with pytest.raises(ConvergenceError, match="2\\^k e\\^r"):
+        oracle_poles(SolitonConfig.make(1, 2, "plus"), t=t)
+
+
 def _gauss_at(gp, y):
     """Every term value and the sums y^j p^(j)(y) / 2^E, j = 0..3, of the
     polish's integer evaluator at the iterate y."""

@@ -412,7 +412,7 @@ def test_per_point_times_on_one_point_and_empty_arrays(n) -> None:
 
 
 def _grid_with_poles(cfg: SolitonConfig, t: float) -> list[complex]:
-    poles = [x for x, _ in oracle_poles(cfg, cfg.variant, t) if abs(x.imag) < 3.0]
+    poles = [x for x, _ in oracle_poles(cfg, t) if abs(x.imag) < 3.0]
     regular = [complex(0.1 * i, 0.05) for i in range(-20, 21)]
     # Interleave so that the first pole sits after some regular points.
     return (

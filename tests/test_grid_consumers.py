@@ -53,7 +53,7 @@ def test_line_scan_makes_no_scalar_F_calls(spy) -> None:
 
 def test_residue_contour_makes_no_scalar_u_calls(spy) -> None:
     cfg = SolitonConfig.make(1, 2, "plus")
-    poles = oracle_poles(cfg, cfg.variant, 0.4)
+    poles = oracle_poles(cfg, 0.4)
     u_calls = spy("eval_u")
     res = residue_at_pole(cfg, poles[0][0], 0.4, poles=poles)
     assert min(abs(res - 1j), abs(res + 1j)) < 1e-8

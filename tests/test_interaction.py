@@ -57,7 +57,7 @@ class TestClosedForms:
 
     def test_minus_always_maximum(self) -> None:
         for cfg in _random_configs(10, seed=3):
-            assert uxx_at_center(cfg, Variant.MINUS) < 0.0
+            assert uxx_at_center(cfg.with_variant(Variant.MINUS)) < 0.0
 
     def test_plus_sign_flips_at_critical_ratio(self) -> None:
         below = SolitonConfig.make(1.0, CRITICAL - 0.05, "plus")

@@ -679,7 +679,7 @@ def test_point_evaluator_matches_one_shot_bitwise(spec, variant, res, ims, ts, c
     # so an evaluator that kept a stale exponent or exponential would show.
     xs = [complex(r, i) for r in res for i in ims]
     points = [(x, t) for x in xs for t in ts]
-    ev = kernel._F_point(cfg)
+    ev = kernel._FPointEval(cfg)
     for i, copy, with_t in calls:
         x, t = points[i % len(points)]
         if copy:
@@ -693,11 +693,11 @@ def test_point_evaluator_sums_off_layout_tables_bitwise() -> None:
     cfg = SolitonConfig.make(1e-110, 1, "plus")
     terms = kernel._terms_F(cfg.gamma**2, cfg.variant)
     assert len(kernel._term_table(cfg.k1, cfg.k2, terms, 0, 1)) == 4
-    ev = kernel._F_point(cfg)
+    ev = kernel._FPointEval(cfg)
     # F and F_x keep the straight-line sums; F_t, whose (2, 0) term
     # underflowed, is summed over its own support.
     assert ev.coeffs_t is None and len(ev.table_t) == 4
-    assert kernel._F_point(C12P).table_t is None
+    assert kernel._FPointEval(C12P).table_t is None
     for x, t in ((0.3 - 0.2j, 0.7), (-25.0 + 1.0j, -3.0), (30.0 + 0.5j, 2.0)):
         assert _bits(ev.point(x, t)) == _bits(_point_want(cfg, x, t))
         assert _bits(ev.F_t(x, t)) == _bits(_F_t_want(cfg, x, t))
@@ -712,7 +712,7 @@ def test_point_evaluator_shares_exponentials_per_base(monkeypatch, x) -> None:
         return cmath.exp(w)
 
     monkeypatch.setattr(kernel, "cmath", SimpleNamespace(exp=counted))
-    ev = kernel._F_point(C12P)
+    ev = kernel._FPointEval(C12P)
     t = 0.25
     values = ev.point(x, t)
     ft = ev.F_t(x, t)

@@ -26,7 +26,7 @@ from soliton_pole_lab.kernel import (
     F_scaled,
     SolitonConfig,
     Variant,
-    _F_point,
+    _FPointEval,
 )
 from soliton_pole_lab.tracker import (
     BranchClass,
@@ -603,7 +603,7 @@ class _NativeSpy:
     F_x's relative size from F_x's mantissa and norm."""
 
     def __init__(self, cfg):
-        self.ev = _F_point(cfg)
+        self.ev = _FPointEval(cfg)
         self.seen = {"points": set(), "F": 0, "F_t": [], "F_x": {}}
 
     def point(self, x, t):
@@ -674,7 +674,7 @@ def test_native_evaluator_work_matches_a_spy(monkeypatch, case):
         spies.append(_NativeSpy(c))
         return spies[-1]
 
-    monkeypatch.setattr(tracker, "_F_point", spied_point)
+    monkeypatch.setattr(tracker, "_FPointEval", spied_point)
     for x0 in seeds:
         curve = track_curve(cfg, None, x0, t0, t1, opts)
         _assert_counters_match(curve, spies[-1].seen)
