@@ -450,11 +450,12 @@ def track_curve(
     The seed must satisfy |F| < tolerance after one Newton polish and must
     not sit on a multiple root.  Near declared exceptional collision points
     the step control may shrink aggressively; elsewhere a vanishing F_x
-    raises a near-multiple-root error.  ``variant``, when given, tracks
-    in that variant instead of the config's.
+    raises a near-multiple-root error.  The curve is tracked in the
+    config's variant; ``variant`` is a positional slot that must be None
+    (pass ``cfg.with_variant(v)`` for the other variant).
     """
     if variant is not None:
-        cfg = cfg.with_variant(variant)
+        raise ValueError("track_curve reads the variant from cfg; pass cfg.with_variant(v)")
     return track_zero_curve(
         _FPointEval(cfg),
         x_start,

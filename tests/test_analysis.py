@@ -496,7 +496,7 @@ def test_translation_thetas_evaluate_nothing(monkeypatch, spec, theta_of):
     # The theta functions prove their identity from the term tables; only
     # the sampled residuals evaluate F.
     calls = []
-    for name in ("_eval_terms", "_eval_terms_grid", "_FPointEval"):
+    for name in ("_eval_terms", "_eval_terms_grid"):
         original = getattr(kernel, name)
         monkeypatch.setattr(
             kernel,
@@ -504,10 +504,24 @@ def test_translation_thetas_evaluate_nothing(monkeypatch, spec, theta_of):
             lambda *a, _name=name, _original=original, **k: calls.append(_name)
             or _original(*a, **k),
         )
+    # The point evaluator is spied on the class, which every module that
+    # imports it shares.
+    init = kernel._FPointEval.__init__
+    monkeypatch.setattr(
+        kernel._FPointEval,
+        "__init__",
+        lambda self, cfg: calls.append("_FPointEval") or init(self, cfg),
+    )
     cfg = SolitonConfig.make(*spec)
-    # The spies see evaluator calls: the sampled residuals make them.
+    # The spies see evaluator calls: the sampled residuals and a residue
+    # at an oracle pole make them.
     translation_residual(cfg, 0.3 + 0.1j, 0.2, math.pi)
     assert calls
+    calls.clear()
+    c12 = SolitonConfig.make(1, 2, "plus")
+    (x_pole, _), *_ = oracle_poles(c12, t=0.2)
+    residue_at_pole(c12, x_pole, 0.2)
+    assert "_FPointEval" in calls
     calls.clear()
     theta_of(cfg)
     assert calls == []

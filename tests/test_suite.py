@@ -658,7 +658,7 @@ class TestTableProofs:
     @pytest.mark.parametrize("spec", [(1, 2, "plus"), (1, 5, "minus"), (1.0, 2**0.5, "plus")])
     def test_rows_evaluate_nothing(self, monkeypatch, spec):
         calls = []
-        for name in ("_eval_terms", "_eval_terms_grid", "_FPointEval"):
+        for name in ("_eval_terms", "_eval_terms_grid"):
             original = getattr(kernel, name)
             monkeypatch.setattr(
                 kernel,
@@ -666,10 +666,24 @@ class TestTableProofs:
                 lambda *a, _name=name, _original=original, **k: calls.append(_name)
                 or _original(*a, **k),
             )
+        # The point evaluator is spied on the class, which every module that
+        # imports it shares.
+        init = kernel._FPointEval.__init__
+        monkeypatch.setattr(
+            kernel._FPointEval,
+            "__init__",
+            lambda self, cfg: calls.append("_FPointEval") or init(self, cfg),
+        )
         cfg = SolitonConfig.make(*spec)
-        # The spies see evaluator calls: the sampled rows make them.
+        # The spies see evaluator calls: the sampled rows and a residue at an
+        # oracle pole make them.
         suite._check_real_line(cfg)
         assert calls
+        calls.clear()
+        c12 = SolitonConfig.make(1, 2, "plus")
+        (x_pole, _), *_ = exppoly.oracle_poles(c12, t=0.2)
+        analysis.residue_at_pole(c12, x_pole, 0.2)
+        assert "_FPointEval" in calls
         calls.clear()
         for row in (suite._check_factorization, suite._check_translation):
             assert row(cfg).passed

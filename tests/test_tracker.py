@@ -540,6 +540,15 @@ def _counters(curve):
     )
 
 
+@pytest.mark.parametrize("variant", [Variant.PLUS, Variant.MINUS, "minus"])
+def test_track_curve_refuses_a_variant(variant):
+    # The config carries the variant; the positional slot only takes None.
+    cfg = SolitonConfig.make(1, 2, "plus")
+    x0, _ = oracle_poles(cfg, t=0.0)[0]
+    with pytest.raises(ValueError, match="with_variant"):
+        track_curve(cfg, variant, x0, 0.0, 0.1)
+
+
 @pytest.mark.parametrize("case", sorted(TRACK_CASES))
 def test_track_curve_equals_tracking_plain_F_scaled(case):
     spec, t0, t1, opts, keep = TRACK_CASES[case]
