@@ -78,9 +78,6 @@ class Scaled(NamedTuple):
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "Scaled":
-        return Scaled(self.mant**n, self.log * n, self.norm**n)
-
     def __add__(self, other: "Scaled") -> "Scaled":
         a, b = self, other
         if a.mant == 0:

@@ -97,7 +97,7 @@ from .kernel import (
     kdv_F_scaled,
     strip_scale,
 )
-from .tracker import FX_MIN, TrackerOptions, _newton_correct
+from .tracker import FX_MIN, _newton_correct
 
 __all__ = [
     "RealDecomp",
@@ -123,7 +123,7 @@ ZERO_GATE = 1e-6
 FX_GATE = FX_MIN
 # Residues are read off at the pole itself, so polish tighter than the
 # tracker's default corrector target.
-_POLISH_OPTS = TrackerOptions(newton_tol=1e-13)
+_POLISH_TOL = 1e-13
 # Nodes of the trapezoid rule in residue_at_pole's contour cross-check, and
 # their phases on the unit circle.
 _CONTOUR_NODES = 256
@@ -663,7 +663,7 @@ def residue_at_pole(
     """
     try:
         x0, _, fx_mant, fx_log, fx_rel, _ = _newton_correct(
-            _FPointEval(cfg), complex(x_pole), t, _POLISH_OPTS
+            _FPointEval(cfg), complex(x_pole), t, _POLISH_TOL
         )
     except ConvergenceError as exc:
         raise PoleError(

@@ -407,7 +407,7 @@ def match_horizons(
     solved.
     """
     F = _FPointEval(cfg)
-    opts = TrackerOptions()
+    tol = TrackerOptions.newton_tol
     reports = []
     for direction in (-1, 1):
         t_h = direction * T
@@ -415,6 +415,6 @@ def match_horizons(
             snapshot = poles
         else:
             snapshot = oracle_poles(cfg, t=t_h)
-        positions = [_newton_correct(F, x, t_h, opts)[0] for x, _ in snapshot]
+        positions = [_newton_correct(F, x, t_h, tol)[0] for x, _ in snapshot]
         reports.append(_label_positions(cfg, positions, T, direction))
     return reports

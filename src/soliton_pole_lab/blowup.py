@@ -239,25 +239,24 @@ def choose_alpha(
 class GridSpec:
     """Real-axis sampling policy for sup-norm profiles.
 
-    spacing: base grid step (default strip_scale/64); levels/factor:
-    local refinements around the running argmax, each shrinking the
-    step by `factor`; span: half-width of the base grid around the
-    crossing abscissa -- None lets the profiler widen until the
-    boundary values fall below boundary_tol * peak, while an explicit
-    span makes boundary dominance a hard error.  With auto_deepen the
-    refinement continues past `levels` while the measured peak still
-    improves by more than 0.01% per level (hard cap 24): very close to
-    t_star the peak narrows like |Im x'| * |t - t_star|, far below the
-    fixed-depth resolution, and an under-resolved sup would corrupt the
-    rate fit.
+    Only the base grid step, spacing, is set (strip_scale/64 in
+    ``build_scenario``); the other fields are the fixed policy, kept so
+    the scenario's JSON reports it.  The base grid spans max(8/k1, 4)
+    either side of the crossing abscissa (span None) and widens until the
+    boundary values fall below boundary_tol * peak.  Local refinements
+    around the running argmax then shrink the step by `factor`, at least
+    `levels` times and on while the measured peak still improves by more
+    than 0.01% per level (auto_deepen, hard cap 24): very close to t_star
+    the peak narrows like |Im x'| * |t - t_star|, far below a fixed-depth
+    resolution, and an under-resolved sup would corrupt the rate fit.
     """
 
     spacing: float
-    levels: int = 3
-    factor: int = 8
-    span: Optional[float] = None
-    boundary_tol: float = 1e-8
-    auto_deepen: bool = True
+    levels: int = field(default=3, init=False)
+    factor: int = field(default=8, init=False)
+    span: Optional[float] = field(default=None, init=False)
+    boundary_tol: float = field(default=1e-8, init=False)
+    auto_deepen: bool = field(default=True, init=False)
 
     def to_dict(self) -> dict:
         return _record_dict(self)
@@ -316,7 +315,6 @@ def build_scenario(
     curves: Optional[Sequence[PoleCurve]] = None,
     alpha: Optional[float] = None,
     t_span: float = 6.0,
-    grid: Optional[GridSpec] = None,
 ) -> BlowupScenario:
     """Assemble a blowup scenario with a verified transversal crossing.
 
@@ -324,7 +322,7 @@ def build_scenario(
     curve per pole at t = -t_span and tracks them to +t_span.  Without
     an explicit alpha, ``choose_alpha`` picks the line.  The scenario's
     crossing is guaranteed transversal; tangential candidates raise
-    ConvergenceError.
+    ConvergenceError.  Its profiles sample on GridSpec(strip_scale/64).
     """
     if curves is None:
         curves = track_ensemble(cfg, -t_span, t_span)
@@ -346,8 +344,7 @@ def build_scenario(
                 f"(|Im x'| = {abs(crossing.vertical_speed):.3e})"
             )
             continue
-        if grid is None:
-            grid = GridSpec(spacing=strip_scale(cfg) / 64.0)
+        grid = GridSpec(spacing=strip_scale(cfg) / 64.0)
         return BlowupScenario(cfg, alpha, curve, crossing, grid)
     raise (
         last_err
@@ -388,30 +385,22 @@ def _profile_at(
     grid: GridSpec,
 ) -> ProfileSample:
     spacing = grid.spacing
-    span = grid.span if grid.span is not None else max(8.0 / cfg.k1, 4.0)
+    span = max(8.0 / cfg.k1, 4.0)
     for _ in range(40):
         n = max(3, int(2 * span / spacing) + 1)
         xs = (center - span + 2 * span * np.arange(n) / (n - 1)).tolist()
         vals = _abs_u_on_line(cfg, xs, alpha, t)
         peak_i = max(range(n), key=vals.__getitem__)
         peak, arg = vals[peak_i], xs[peak_i]
-        boundary = max(vals[0], vals[-1])
-        if boundary <= grid.boundary_tol * peak:
+        if max(vals[0], vals[-1]) <= grid.boundary_tol * peak:
             break
-        if grid.span is not None:
-            raise ValueError(
-                f"grid too narrow at t={t}: boundary |u|={boundary:.3e} "
-                f"vs peak {peak:.3e}; widen the span"
-            )
         span *= 1.6
     else:
         raise ConvergenceError(f"profile grid failed to localize u at t={t}")
     # Local refinement around the argmax; keep deepening while the peak
     # estimate still moves (the peak narrows without bound near t_star).
     step = 2 * span / (n - 1)
-    level = 0
-    while level < (24 if grid.auto_deepen else grid.levels):
-        level += 1
+    for level in range(1, 25):
         lo = arg - step
         m = 2 * grid.factor + 1
         fx = (lo + 2 * step * np.arange(m) / (m - 1)).tolist()
@@ -421,7 +410,7 @@ def _profile_at(
         if fv[best] > peak:
             peak, arg = fv[best], fx[best]
         step = step / grid.factor
-        if grid.auto_deepen and level >= grid.levels and gain < 1e-4:
+        if level >= grid.levels and gain < 1e-4:
             break
     # Tail rates from the outer thirds of the base grid.
     third = n // 3

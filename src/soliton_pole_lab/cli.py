@@ -40,7 +40,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import exppoly
 from .asymptotics import match_horizons
 from .blowup import _DELTA_LADDER, blowup_profile, build_scenario, fit_blowup_rate
 from .exppoly import oracle_poles
@@ -52,8 +51,6 @@ from .tracker import PoleCurve, curve_to_csv_rows, track_curve, track_ensemble
 __all__ = ["run", "main"]
 
 SCHEMA = "soliton-pole-lab/1"
-
-_MIN_DPS = 30
 
 
 class _UsageError(Exception):
@@ -243,9 +240,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="write output to this path instead of stdout")
     common.add_argument("--format", choices=("json", "csv"), help="output format")
     common.add_argument("--seed", type=int, help="probe RNG seed (default 0)")
-    common.add_argument(
-        "--precision", type=int, help=f"oracle polish digits (min {_MIN_DPS})"
-    )
 
     p = sub.add_parser("eval", parents=[common], help="evaluate u at one point")
     p.add_argument(
@@ -508,11 +502,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 2
-    saved_dps = exppoly._POLISH_DPS
     try:
         _merge_config(args, parser)
-        if args.precision is not None:
-            exppoly._POLISH_DPS = max(_MIN_DPS, args.precision)
         payload, header, rows, code = _HANDLERS[args.command](args)
         fmt = args.format if args.format is not None else "json"
         if fmt == "json":
@@ -529,8 +520,6 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except (PoleError, ConvergenceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        exppoly._POLISH_DPS = saved_dps
 
 
 def main() -> None:

@@ -741,7 +741,9 @@ def _polish_and_certify(
     condition of a conjugate estimate are the conjugates of its partner's:
     only one member of each pair is polished and certified, and the other
     is recorded as its conjugate.  A non-finite estimate raises
-    ConvergenceError, its residual being NaN."""
+    ConvergenceError, its residual being NaN, and so does an iterate whose
+    term norm is 0 (residual inf); the message names the estimate's log y,
+    since the root's double y can under- or overflow."""
     for log_y in estimates:
         if not cmath.isfinite(log_y):
             raise ConvergenceError(
@@ -866,7 +868,9 @@ def _polish_and_certify(
                 y = fixed[src]
                 terms = gp.terms(y)
                 norm = sum(_cabs(v) for v in terms)
-                rel = _ratio(_cabs(gp.value(terms, 0)), norm) if norm else 0.0
+                # A zero iterate (every term 0) certifies nothing: roots at
+                # y = 0 are counted by zero_mult, never polished.
+                rel = _ratio(_cabs(gp.value(terms, 0)), norm) if norm else math.inf
                 kappa = _ratio(norm, _cabs(gp.value(terms, 1))) * gp.below(y, 1e-300)
                 ympc = polished[src]
                 certified[src] = (rel, kappa, complex(ympc), complex(mp.log(ympc)))
@@ -874,7 +878,7 @@ def _polish_and_certify(
             worst = max(worst, rel)
             if not rel <= CERT_TOL:
                 raise ConvergenceError(
-                    f"root {complex(polished[k])} failed certification: "
+                    f"root estimate e^({complex(estimates[k])}) failed certification: "
                     f"relative residual {rel:.3e} > {CERT_TOL:.1e}"
                 )
             if k != src:
@@ -993,8 +997,6 @@ def oracle_poles(cfg: SolitonConfig, t: float = 0.0) -> list[tuple[complex, int]
     rs = roots_at_time(poly, t)
     out = []
     for (y, m), log_y in zip(rs.roots, rs.log_roots):
-        if log_y.real == -math.inf:
-            continue  # y=0 is x -> +infinity, not a strip pole (F has none).
         if _LOG_Y_RANGE[0] < log_y.real < _LOG_Y_RANGE[1]:
             x = y_to_x(y, poly.lam)
         else:

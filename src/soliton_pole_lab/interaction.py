@@ -18,8 +18,8 @@ differentiating u_x(y(t), t) = 0 gives the extremum speed
 again in closed form: a reciprocal quartic over the quadratic whose
 root is the same critical ratio (the plus speed is singular exactly
 where the centered extremum degenerates).  Everything here is measured
-twice -- closed form and centered finite differences of the field,
-with optional Richardson extrapolation -- and local maxima of u(., 0)
+twice -- closed form and Richardson-extrapolated centered finite
+differences of the field -- and local maxima of u(., 0)
 are counted by sign changes of a centered first difference, refined by
 Newton iteration on the closed-form u_x.
 """
@@ -27,7 +27,7 @@ Newton iteration on the closed-form u_x.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -62,8 +62,10 @@ SINGULAR_RTOL = 1e-12
 
 CRITICAL_RATIO = (3.0 + math.sqrt(5.0)) / 2.0
 
-# measure_uxx_at_center's step: Richardson-combined with h/2 to O(h^4).
+# The steps of measure_uxx_at_center and measure_extremum_speed, each
+# Richardson-combined with its half to O(h^4).
 _UXX_STEP = 1e-3
+_SPEED_STEP = 1e-4
 
 
 def _resolve(cfg: SolitonConfig) -> SolitonConfig:
@@ -164,34 +166,29 @@ def measure_uxx_at_center(cfg: SolitonConfig) -> float:
     return (4.0 * _fd_uxx(work, 0.5 * _UXX_STEP) - d_h) / 3.0
 
 
-def measure_extremum_speed(
-    cfg: SolitonConfig,
-    h: float = 1e-4,
-    richardson: bool = True,
-) -> float:
+def _speed_estimate(cfg: SolitonConfig, h: float) -> float:
+    """-u_xt(0,0)/u_xx(0,0) from centered O(h^2) stencils on eval_u."""
+    uxx = _fd_uxx(cfg, h)
+    uxt = _fd_uxt(cfg, h)
+    if abs(uxx) < 1e-8 * max(1.0, abs(uxt)):
+        raise ValueError(
+            "second x-derivative vanishes at the origin; the "
+            "extremum speed is undefined there"
+        )
+    return -uxt / uxx
+
+
+def measure_extremum_speed(cfg: SolitonConfig) -> float:
     """y'(0) = -u_xt(0,0)/u_xx(0,0) by finite differences of the field.
 
-    Both derivatives are centered O(h^2) stencils on eval_u; with
-    richardson the h and h/2 speed estimates combine to O(h^4).
+    Both derivatives are centered O(h^2) stencils on eval_u; the speed
+    estimates at h = 1e-4 and h/2 are Richardson-combined to O(h^4).
     Raises ValueError when the measured second derivative vanishes
     (the degenerate plus configuration).
     """
     work = _resolve(cfg)
-
-    def estimate(step: float) -> float:
-        uxx = _fd_uxx(work, step)
-        uxt = _fd_uxt(work, step)
-        if abs(uxx) < 1e-8 * max(1.0, abs(uxt)):
-            raise ValueError(
-                "second x-derivative vanishes at the origin; the "
-                "extremum speed is undefined there"
-            )
-        return -uxt / uxx
-
-    d_h = estimate(h)
-    if not richardson:
-        return d_h
-    return (4.0 * estimate(0.5 * h) - d_h) / 3.0
+    d_h = _speed_estimate(work, _SPEED_STEP)
+    return (4.0 * _speed_estimate(work, 0.5 * _SPEED_STEP) - d_h) / 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +223,8 @@ def _polish_max(cfg: SolitonConfig, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def find_maxima(cfg: SolitonConfig, span: Optional[float] = None) -> list[float]:
-    """Abscissas of the local maxima of u(., 0), sorted.
+def find_maxima(cfg: SolitonConfig) -> list[float]:
+    """Abscissas of the local maxima of u(., 0) on |x| <= 12/k1, sorted.
 
     A centered first difference with spacing strip_scale/200 flags the
     windows holding critical points; inside each window the closed-form
@@ -240,7 +237,7 @@ def find_maxima(cfg: SolitonConfig, span: Optional[float] = None) -> list[float]
     """
     work = _resolve(cfg)
     h = strip_scale(work) / 200.0
-    half = span if span is not None else 12.0 / work.k1
+    half = 12.0 / work.k1
     n = int(2.0 * half / h) + 2
     xs = -half + 2.0 * half * np.arange(n) / (n - 1)
     us = _u_or_raise_grid(work, xs, 0.0).real
@@ -271,15 +268,13 @@ def find_maxima(cfg: SolitonConfig, span: Optional[float] = None) -> list[float]
     return out
 
 
-def count_maxima_at_interaction(
-    cfg: SolitonConfig, span: Optional[float] = None
-) -> int:
+def count_maxima_at_interaction(cfg: SolitonConfig) -> int:
     """Number of local maxima of u(., 0) on the real line.
 
     Plus variant: 2 below the critical ratio (3 + sqrt 5)/2, 1 above;
     minus variant: always 1.
     """
-    return len(find_maxima(cfg, span))
+    return len(find_maxima(cfg))
 
 
 def _bisect(

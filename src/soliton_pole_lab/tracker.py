@@ -253,17 +253,16 @@ def _newton_correct(
     ev: _FPointEval | _PlainPoint,
     x: complex,
     t: float,
-    opts: TrackerOptions,
+    tol: float,
 ) -> tuple[complex, float, complex, float, float, int]:
     """Newton in x at fixed t on a point evaluator of F
     (``kernel._FPointEval``, or a plain F in ``_PlainPoint``), one
-    ``point`` call per iterate.
+    ``point`` call per iterate, until F's relative size is below tol.
     Returns (x, F_rel, F_x_mant, F_x_log, F_x_rel, iterations): F's and
     F_x's relative sizes and F_x's mantissa and log at the returned x,
     after evaluating at iterations + 1 points.  Raises ConvergenceError when
     the iteration cap is exhausted or a step cannot be formed."""
     point = ev.point
-    tol = opts.newton_tol
     for it in range(MAX_NEWTON + 1):
         rel, m, lg, mx, lgx, nx = point(x, t)
         if rel < tol:
@@ -322,7 +321,7 @@ def track_zero_curve(
         return best
 
     x, res, fx_m, fx_lg, fx_rel, newton = _newton_correct(
-        ev, complex(x_start), t_start, opts
+        ev, complex(x_start), t_start, opts.newton_tol
     )
     if fx_rel < FX_MIN:
         raise ConvergenceError(
@@ -383,7 +382,7 @@ def track_zero_curve(
                 slope = 0j
         try:
             x_new, res, fx_m_new, fx_lg_new, fx_rel, iters = _newton_correct(
-                ev, x + slope * sign * step, t_next, opts
+                ev, x + slope * sign * step, t_next, opts.newton_tol
             )
         except ConvergenceError as exc:
             newton += getattr(exc, "iterations", 0)
@@ -617,14 +616,13 @@ def position_at(cfg: SolitonConfig, curve: PoleCurve, t: float) -> complex:
     """Pole position at an interior time t, obtained by Newton-polishing the
     sample nearest in time on F of the curve's variant.  t must lie within
     (or very close to) the curve's sampled span."""
-    opts = TrackerOptions()
     lo = min(curve.t_first, curve.t_last)
     hi = max(curve.t_first, curve.t_last)
-    slack = 2 * opts.dt_max
+    slack = 2 * TrackerOptions.dt_max
     if not (lo - slack <= t <= hi + slack):
         raise ValueError(f"t={t} outside the curve's span [{lo}, {hi}]")
     ev = _FPointEval(cfg.with_variant(curve.variant))
-    return _newton_correct(ev, curve.x_at_nearest(t), t, opts)[0]
+    return _newton_correct(ev, curve.x_at_nearest(t), t, TrackerOptions.newton_tol)[0]
 
 
 def mirror_curve(curve: PoleCurve) -> PoleCurve:

@@ -235,7 +235,7 @@ def test_seeds_converge_fast():
         for lab in strip_labels(cfg, -1) + strip_labels(cfg, 1):
             x0, t0 = seed_state(cfg, lab)
             _, rel, _, _, _, iters = _newton_correct(
-                _FPointEval(cfg), x0, t0, TrackerOptions()
+                _FPointEval(cfg), x0, t0, TrackerOptions.newton_tol
             )
             assert iters < 5
             assert rel < 1e-12

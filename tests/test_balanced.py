@@ -79,10 +79,8 @@ def test_add_widely_separated_scales() -> None:
     assert s.mant == pytest.approx(1.0)
 
 
-def test_pow_and_neg_and_sub() -> None:
+def test_neg_and_sub() -> None:
     x = Scaled(2.0 + 1.0j, 3.0)
-    cube = x**3
-    assert abs(as_complex(cube) - as_complex(x) ** 3) < 1e-10 * abs(as_complex(x) ** 3)
     assert as_complex(-x) == -as_complex(x)
     d = x - x
     assert d.relative() < 1e-15

@@ -206,36 +206,17 @@ class TestProfiles:
         with pytest.raises(ValueError, match="exclude t_star"):
             blowup_profile(scenario12, [scenario12.t_star])
 
-    def test_explicit_span_too_narrow(self, scenario12) -> None:
-        cfg = scenario12.cfg
-        narrow = GridSpec(spacing=math.pi / 64, span=0.01)
-        pinched = build_scenario(
-            cfg,
-            curves=[scenario12.crossing_pole],
-            alpha=scenario12.alpha,
-            grid=narrow,
-        )
-        with pytest.raises(ValueError, match="grid too narrow"):
-            blowup_profile(pinched, [scenario12.t_star + 1e-3])
-
     def test_off_center_grid_needs_deepening(self, scenario12) -> None:
         # When the grid is centered away from the pole abscissa, the
-        # fixed 3-level refinement under-resolves the peak; auto-deepen
-        # recovers the true sup.
+        # first 3 refinement levels under-resolve the peak (a fixed-depth
+        # profile stayed below half the true sup); deepening until the
+        # peak stops moving recovers it.
         cfg = scenario12.cfg
         t = scenario12.t_star + 1e-5
         center = scenario12.crossing.x_star.real + 0.013
         deep = _profile_at(cfg, scenario12.alpha, center, t, GridSpec(math.pi / 64))
-        flat = _profile_at(
-            cfg,
-            scenario12.alpha,
-            center,
-            t,
-            GridSpec(math.pi / 64, auto_deepen=False),
-        )
         truth = 1.0 / (abs(scenario12.crossing.vertical_speed) * 1e-5)
         assert abs(deep.sup_abs - truth) < 2e-2 * truth
-        assert deep.sup_abs > 2.0 * flat.sup_abs
 
     def test_profile_to_dict(self, scenario12) -> None:
         d = scenario12.series[0].to_dict()

@@ -9,7 +9,6 @@ import math
 
 import pytest
 
-import soliton_pole_lab.exppoly as exppoly
 from soliton_pole_lab.cli import _f, _json, run
 from soliton_pole_lab.exppoly import oracle_poles
 from soliton_pole_lab.kernel import SolitonConfig
@@ -126,6 +125,15 @@ class TestPoles:
         assert code == 0
         assert header == ["re_x", "im_x", "multiplicity"]
         assert len(rows) == 6
+
+    def test_certification_failure_names_the_estimate(self, capsys):
+        # The failing root's y underflows a double at t = 1e10, so the
+        # message names the estimate by its finite log y.
+        code = run(["poles", "--k1", "1", "--k2", "2", "--variant", "plus", "--t", "1e10"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: root estimate e^((-40000000000.")
+        assert "failed certification" in err and "root 0j" not in err
 
     def test_time_beyond_the_oracle_is_an_error_line(self, capsys):
         code = run(["poles", "--k1", "1", "--k2", "2", "--t", "1e300"])
@@ -399,23 +407,6 @@ class TestPlumbing:
     def test_missing_config_file(self, capsys):
         code = run(["poles", "--k1", "1", "--k2", "2", "--config", "/nonexistent.cfg"])
         assert code == 2
-
-    def test_precision_floor(self, capsys, monkeypatch):
-        """--precision is floored at 30 digits while the command runs and
-        does not outlive the call."""
-        seen = []
-        polish = exppoly._polish_and_certify
-
-        def spy(*args, **kwargs):
-            seen.append(exppoly._POLISH_DPS)
-            return polish(*args, **kwargs)
-
-        monkeypatch.setattr(exppoly, "_polish_and_certify", spy)
-        code = run(["poles", "--k1", "1", "--k2", "2", "--precision", "10"])
-        capsys.readouterr()
-        assert code == 0
-        assert seen and set(seen) == {30}
-        assert exppoly._POLISH_DPS == 45
 
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"]) == 2

@@ -366,6 +366,19 @@ def test_estimates_beyond_the_log_split_fail_certification(t: float) -> None:
         oracle_poles(SolitonConfig.make(1, 2, "plus"), t=t)
 
 
+@pytest.mark.parametrize(
+    "cfg,t",
+    [(C12P, 1e18), (C12P, 1e20), (SolitonConfig.make(1, 5, "minus"), 1e18)],
+    ids=["12p-1e18", "12p-1e20", "15m-1e18"],
+)
+def test_zero_iterates_fail_certification(cfg: SolitonConfig, t: float) -> None:
+    # Past |k| = 2^20 the log split can turn an estimate into a zero
+    # iterate, whose term norm is 0: that is no certificate, and the
+    # snapshot must raise rather than return a short pole list.
+    with pytest.raises(ConvergenceError, match="relative residual inf"):
+        oracle_poles(cfg, t=t)
+
+
 def _gauss_at(gp, y):
     """Every term value and the sums y^j p^(j)(y) / 2^E, j = 0..3, of the
     polish's integer evaluator at the iterate y."""
@@ -439,7 +452,7 @@ def test_gauss_sums_match_mpmath_derivatives(spec, t: float, log_y) -> None:
 
 @pytest.mark.parametrize("dps", [30, 80])
 def test_polish_precision_follows_polish_dps(monkeypatch, dps: int) -> None:
-    # --precision sets _POLISH_DPS, and the integers' width follows it: at 80
+    # The polish's integers take their width from _POLISH_DPS: at 80
     # digits the residual falls far below what 45 digits can reach.
     monkeypatch.setattr(exppoly, "_POLISH_DPS", dps)
     rs = roots_at_time(build_F_poly(C12P), 0.4)

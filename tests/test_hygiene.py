@@ -3,10 +3,12 @@ and no module-level definition that the package never refers to."""
 
 from __future__ import annotations
 
+import argparse
 import ast
 import dataclasses
 import importlib
 import inspect
+import pkgutil
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "soliton_pole_lab"
@@ -279,31 +281,147 @@ REMOVED_PARAMETERS = {
     ("asymptotics", "MovingFrame.value"): {"variant"},
     ("blowup", "coupled_system_residual"): {"variant"},
     ("blowup", "find_crossing"): {"opts", "tol"},
-    ("blowup", "build_scenario"): {"opts"},
+    ("blowup", "GridSpec"): {"levels", "factor", "span", "boundary_tol", "auto_deepen"},
+    ("blowup", "build_scenario"): {"opts", "grid"},
     ("blowup", "fit_blowup_rate"): {"min_r2"},
     ("tracker", "position_at"): {"opts"},
     ("tracker", "detect_exceptional"): {"q_values"},
+    ("tracker", "_newton_correct"): {"opts"},
     ("interaction", "uxx_at_center"): {"variant"},
     ("interaction", "extremum_speed"): {"variant"},
     ("interaction", "measure_uxx_at_center"): {"variant", "h", "richardson"},
-    ("interaction", "measure_extremum_speed"): {"variant"},
-    ("interaction", "find_maxima"): {"variant"},
-    ("interaction", "count_maxima_at_interaction"): {"variant"},
+    ("interaction", "measure_extremum_speed"): {"variant", "h", "richardson"},
+    ("interaction", "find_maxima"): {"variant", "span"},
+    ("interaction", "count_maxima_at_interaction"): {"variant", "span"},
     ("interaction", "maxima_transition_ratio"): {"k1", "tol"},
     ("interaction", "negative_speed_onset"): {"k1", "tol"},
 }
 
 
 def test_tuning_constants_stay_constants() -> None:
+    from soliton_pole_lab.blowup import GridSpec
     from soliton_pole_lab.tracker import TrackerOptions
 
     fields = tuple(f.name for f in dataclasses.fields(TrackerOptions))
     assert fields == TRACKER_OPTION_FIELDS
+    # The profile policy is fixed; its other fields are only reported.
+    assert tuple(f.name for f in dataclasses.fields(GridSpec) if f.init) == ("spacing",)
     for (module, name), removed in REMOVED_PARAMETERS.items():
         fn = importlib.import_module(f"soliton_pole_lab.{module}")
         for attr in name.split("."):
             fn = getattr(fn, attr)
         assert removed.isdisjoint(inspect.signature(fn).parameters), (module, name)
+
+
+# Every defaulted parameter of the functions and public-class methods
+# (constructors included) that each module lists in __all__, keyed by
+# module.name: each is a value a caller can set.
+SETTABLE_PARAMETERS = {
+    "_balanced.ScaledGrid.ratio": {"active"},
+    "analysis.check_no_real_poles": {"grid"},
+    "analysis.residue_at_pole": {"poles"},
+    "asymptotics.seed_time": {"eps"},
+    "asymptotics.seed_state": {"eps"},
+    "asymptotics.match_families": {"attach", "direction"},
+    "asymptotics.match_horizons": {"poles"},
+    "blowup.BlowupScenario.__init__": {"series"},
+    "blowup.build_scenario": {"alpha", "curves", "t_span"},
+    "blowup.fit_blowup_rate": {"series"},
+    "blowup.coupled_system_residual": {"cross_coeff", "h"},
+    "cli.run": {"argv"},
+    "exppoly.ExpTerm.__init__": {"coeff_exact", "log_factor", "sigma_exact"},
+    "exppoly.ExpPoly.__init__": {"lam_exact", "p1", "p2"},
+    "exppoly.exp_poly_eval": {"dy"},
+    "exppoly.oracle_poles": {"t"},
+    "interaction.maxima_transition_ratio": {"hi", "lo"},
+    "interaction.negative_speed_onset": {"hi", "lo"},
+    "interaction.sweep_rows": {"k1", "variant"},
+    "kernel.CommensurabilityInfo.__init__": {"lam_exact"},
+    "kernel.SolitonConfig.make": {"variant", "x1", "x2"},
+    "kernel.SolitonConfig.__init__": {"comm", "k1_exact", "k2_exact", "variant", "x1", "x2"},
+    "kernel.F_scaled": {"dt", "dx"},
+    "kernel.G_scaled": {"dt", "dx"},
+    "kernel.factor_scaled": {"dt", "dx"},
+    "kernel.kdv_F_scaled": {"dt", "dx"},
+    "kernel.F_grid": {"dt", "dx"},
+    "kernel.G_grid": {"dt", "dx"},
+    "suite.CheckResult.__init__": {"elapsed_s", "skipped"},
+    "suite.run_battery": {"seed"},
+    "tracker.TrackerOptions.__init__": set(TRACKER_OPTION_FIELDS),
+    "tracker.PoleCurve.__init__": {
+        "accepted", "branch_class", "collision_point", "conjugate_of",
+        "exceptional_collision", "family", "min_fx_rel", "newton_iterations",
+        "points", "rejected", "residuals",
+    },
+    "tracker.track_curve": {"opts", "t_end", "t_start", "variant", "x_start"},
+    "tracker.track_ensemble": {"opts", "poles"},
+    "tracker.track_zero_curve": {"collision_points", "opts", "variant"},
+}
+
+
+def settable_parameters() -> dict[str, set[str]]:
+    """SETTABLE_PARAMETERS as the package defines it today."""
+    import soliton_pole_lab
+
+    def defaulted(fn) -> set[str]:
+        params = inspect.signature(fn).parameters.values()
+        return {p.name for p in params if p.default is not inspect.Parameter.empty}
+
+    found = {}
+    for info in pkgutil.iter_modules(soliton_pole_lab.__path__):
+        module = importlib.import_module(f"soliton_pole_lab.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                members = {name: obj}
+            elif inspect.isclass(obj):
+                members = {
+                    f"{name}.{attr}": getattr(obj, attr)
+                    for attr, value in vars(obj).items()
+                    if (attr == "__init__" or not attr.startswith("_"))
+                    and inspect.isfunction(getattr(value, "__func__", value))
+                }
+            else:
+                continue
+            for key, fn in members.items():
+                if params := defaulted(fn):
+                    found[f"{info.name}.{key}"] = params
+    return found
+
+
+def test_settable_parameters_are_recorded() -> None:
+    # A new or removed default fails here until the record changes.
+    assert settable_parameters() == SETTABLE_PARAMETERS
+
+
+# Each subcommand's option strings, in order: the common ones, then its own.
+COMMON_OPTIONS = (
+    "-h", "--help", "--k1", "--k2", "--variant", "--x1", "--x2",
+    "--config", "--out", "--format", "--seed",
+)
+SUBCOMMAND_OPTIONS = {
+    "eval": ("--x", "--t"),
+    "poles": ("--t",),
+    "track": ("--t0", "--t1", "--x", "--stats"),
+    "asympt": ("--t1",),
+    "verify": ("--stats",),
+    "blowup": ("--alpha", "--t1"),
+    "interaction": ("--ratios",),
+}
+
+
+def test_cli_options_are_recorded() -> None:
+    from soliton_pole_lab.cli import _build_parser
+
+    parser = _build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {
+        name: tuple(s for a in p._actions for s in a.option_strings)
+        for name, p in sub.choices.items()
+    }
+    assert found == {name: COMMON_OPTIONS + own for name, own in SUBCOMMAND_OPTIONS.items()}
 
 
 def test_sources_parse_at_the_declared_python_floor() -> None:

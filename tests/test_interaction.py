@@ -18,6 +18,7 @@ import pytest
 
 from soliton_pole_lab.interaction import (
     SWEEP_HEADER,
+    _speed_estimate,
     count_maxima_at_interaction,
     extremum_speed,
     find_maxima,
@@ -115,8 +116,8 @@ class TestMeasured:
         # The raw (non-extrapolated) scheme is O(h^2).
         cfg = SolitonConfig.make(1, 2, "minus")
         target = 59.0 / 11.0
-        e1 = abs(measure_extremum_speed(cfg, h=1e-2, richardson=False) - target)
-        e2 = abs(measure_extremum_speed(cfg, h=5e-3, richardson=False) - target)
+        e1 = abs(_speed_estimate(cfg, 1e-2) - target)
+        e2 = abs(_speed_estimate(cfg, 5e-3) - target)
         assert 3.5 < e1 / e2 < 4.5
 
     def test_random_draws_uxx(self) -> None:
@@ -132,10 +133,12 @@ class TestMeasured:
             assert abs(measured - closed) < 1e-6 * max(1.0, abs(closed))
 
     def test_richardson_beats_raw(self) -> None:
+        # measure_extremum_speed's combination of the h and h/2 estimates.
         cfg = SolitonConfig.make(1, 2, "minus")
         target = 59.0 / 11.0
-        raw = abs(measure_extremum_speed(cfg, h=1e-3, richardson=False) - target)
-        rich = abs(measure_extremum_speed(cfg, h=1e-3) - target)
+        d_h = _speed_estimate(cfg, 1e-3)
+        raw = abs(d_h - target)
+        rich = abs((4.0 * _speed_estimate(cfg, 5e-4) - d_h) / 3.0 - target)
         assert rich < 1e-2 * raw
 
     def test_degenerate_second_derivative(self) -> None:
@@ -192,10 +195,6 @@ class TestMaxima:
     def test_transition_bad_bracket(self) -> None:
         with pytest.raises(ValueError, match="straddle"):
             maxima_transition_ratio(lo=2.70, hi=2.80)
-
-    def test_span_override(self) -> None:
-        cfg = SolitonConfig.make(1, 2, "plus")
-        assert count_maxima_at_interaction(cfg, span=20.0) == 2
 
 
 class TestOnset:
