@@ -319,12 +319,15 @@ def build_scenario(
     """Assemble a blowup scenario with a verified transversal crossing.
 
     Without explicit curves, the exact commensurable oracle seeds one
-    curve per pole at t = -t_span and tracks them to +t_span.  Without
-    an explicit alpha, ``choose_alpha`` picks the line.  The scenario's
-    crossing is guaranteed transversal; tangential candidates raise
-    ConvergenceError.  Its profiles sample on GridSpec(strip_scale/64).
+    curve per pole at t = -t_span and tracks them to +t_span (ValueError
+    unless t_span > 0).  Without an explicit alpha, ``choose_alpha`` picks
+    the line.  The scenario's crossing is guaranteed transversal;
+    tangential candidates raise ConvergenceError.  Its profiles sample on
+    GridSpec(strip_scale/64).
     """
     if curves is None:
+        if not t_span > 0:
+            raise ValueError(f"t_span must be positive, got {t_span}")
         curves = track_ensemble(cfg, -t_span, t_span)
     if alpha is None:
         alpha, idx = choose_alpha(cfg, curves)

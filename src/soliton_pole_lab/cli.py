@@ -432,6 +432,8 @@ def _cmd_verify(args):
 def _cmd_blowup(args):
     cfg = _config_from_args(args, exact=True)
     t_span = args.t1 if args.t1 is not None else 6.0
+    if t_span <= 0:
+        raise _UsageError("--t1: tracking half-window must be positive")
     scenario = build_scenario(cfg, alpha=args.alpha, t_span=t_span)
     blowup_profile(scenario, [scenario.t_star + d for d in _DELTA_LADDER])
     fit = fit_blowup_rate(scenario)
@@ -459,6 +461,11 @@ def _cmd_interaction(args):
         ratios = [1.5, 2.0, 2.2, 2.5, 2.7, 3.0, 4.0]
     k1 = float(_parse_k(args.k1, "--k1")) if args.k1 is not None else 1.0
     variant = args.variant if args.variant is not None else "plus"
+    for ratio in ratios:  # sweep_rows's configs; a bad one is a usage error
+        try:
+            SolitonConfig.make(k1, ratio * k1)
+        except ValueError as exc:
+            raise _UsageError(str(exc))
     rows = sweep_rows(ratios, k1=k1, variant=variant)
     payload = {
         "k1": k1,

@@ -1071,8 +1071,8 @@ def _eqg_terms(k1, k2, variant: Variant, value) -> tuple:
 
 class _QPoly:
     """A polynomial in (f1, f2) with rational coefficients: ``coeffs`` maps
-    each monomial (a1, a2) to its nonzero coefficient.  Carries the ring
-    operations ``_eqg_terms`` uses: +, -, * and scaling by an int."""
+    each monomial (a1, a2) to its nonzero coefficient, with +, -, * and
+    scaling by an int or a Fraction."""
 
     __slots__ = ("coeffs",)
 
@@ -1097,8 +1097,8 @@ class _QPoly:
     def __sub__(self, other: "_QPoly") -> "_QPoly":
         return self + other * -1
 
-    def __mul__(self, other: "_QPoly | int") -> "_QPoly":
-        if isinstance(other, int):
+    def __mul__(self, other: "_QPoly | int | Fraction") -> "_QPoly":
+        if isinstance(other, (int, Fraction)):
             return _QPoly.collect((m, other * c) for m, c in self.coeffs.items())
         return _QPoly.collect(
             ((a1 + b1, a2 + b2), c * d)
@@ -1115,6 +1115,23 @@ def _eqg_exact(cfg: SolitonConfig) -> tuple[_QPoly, _QPoly]:
     wavenumbers.  The field equation holds identically, for every x, t and
     shift, exactly when they sum to the zero polynomial."""
     return _eqg_terms(Fraction(cfg.k1), Fraction(cfg.k2), cfg.variant, _QPoly.from_terms)
+
+
+def _bridge_rests(cfg: SolitonConfig) -> tuple[_QPoly, _QPoly, _QPoly, _QPoly]:
+    """(N, D, F rest, G rest) over Q, with g = N / D from ``_terms_g`` and
+    gamma formed from the binary wavenumbers as in ``_eqg_terms``.  F's and
+    G's tables belong to g, u = 2 gamma G / F = 2 g_x / (1 + g^2), exactly
+    when both rests D^2 + N^2 - F and N_x D - N D_x - gamma G are zero."""
+    k1, k2 = Fraction(cfg.k1), Fraction(cfg.k2)
+    g = (k2 + k1) / (k2 - k1)
+    N, Nx, D, Dx = (
+        _QPoly.from_terms(_term_table(k1, k2, terms, dx))
+        for terms in _terms_g(g, cfg.variant)
+        for dx in (0, 1)
+    )
+    F = _QPoly.from_terms(_terms_F(g * g, cfg.variant))
+    G = _QPoly.from_terms(_terms_G(k1, k2, cfg.variant))
+    return N, D, D * D + N * N - F, Nx * D - N * Dx - G * g
 
 
 def eqg_residual(cfg: SolitonConfig, x: complex, t: float) -> complex:

@@ -7,11 +7,12 @@ sign law, translation identities, residue quantization, pole-count
 conservation, asymptotic family matching, blowup rate, and
 interaction-point closed forms -- against a single configuration, and
 reports per-check pass/fail with the worst measured residual and a
-witness point.  Four laws are proved from the exact term tables in both
+witness point.  Five laws are proved from the exact term tables in both
 variants: the g-equation cleared of denominators is zero in (f1, f2) over
-Q (``kernel.eqg_residual`` samples the same terms), F1 F2 - F and the
-translation identities are zero over Q(i), and F's table fixes the pole
-count at every t.  A proof evaluates nothing: only the sampled laws
+Q (``kernel.eqg_residual`` samples the same terms), and so are the bridges
+that tie F's and G's tables to g; F is positive on the real line; F1 F2 - F
+and the translation identities are zero over Q(i); and F's table fixes the
+pole count at every t.  A proof evaluates nothing: only the sampled laws
 exercise the evaluators (``kernel.F_scaled``, the grids).
 
 One harness (``_check``) owns what the rows share.  A check body returns
@@ -49,6 +50,7 @@ from .kernel import (
     PoleError,
     SolitonConfig,
     Variant,
+    _bridge_rests,
     _eqg_exact,
     _QPoly,
     _record_dict,
@@ -149,11 +151,13 @@ def _check(name: str, exact_only: Optional[str] = None):
 _NEEDS_ORACLE = "pole oracle requires exact commensurable wavenumbers"
 
 
-def _proof(claim: str, rests: Sequence[tuple[Variant, _QPoly]]):
+def _proof(claim: str, rests: Sequence[tuple[Variant, _QPoly]], faults=()):
     """A proof row's report: it passes iff no coefficient of the ``rests``
-    survives; ``worst`` counts the survivors, the witness names the first."""
+    survives and there are no ``faults``; the detail counts the survivors,
+    ``worst`` both, and the witness names the first survivor, else fault."""
     found = analysis._survivors(rests)
     detail = f"{claim}: {len(found)} nonzero coefficients"
+    found += faults
     return not found, float(len(found)), found[0] if found else "", detail
 
 
@@ -175,16 +179,19 @@ def _random_probes(
 @_check("field-equation-residual")
 def _check_field_equation(cfg: SolitonConfig, rng: random.Random):
     """Prove the field equation: in each variant the g-equation times D^6
-    (``kernel._eqg_terms``) must expand to the zero polynomial in (f1, f2)
-    over Q."""
+    (``kernel._eqg_terms``) and both bridges from g to F's and G's tables
+    (``kernel._bridge_rests``) must expand to the zero polynomial in
+    (f1, f2) over Q."""
     # The 320 probes a sampled version drew: drawing them keeps the
     # Richardson row's probes unchanged.
     _random_probes(cfg, rng, 320)
-    terms = [(variant, _eqg_exact(cfg.with_variant(variant))) for variant in Variant]
-    return _proof(
-        "D^6-cleared numerator over Q, both variants",
-        [(variant, term1 + term2) for variant, (term1, term2) in terms],
-    )
+    rests = []
+    for variant in Variant:
+        term1, term2 = _eqg_exact(cfg.with_variant(variant))
+        F_rest, G_rest = _bridge_rests(cfg.with_variant(variant))[2:]
+        rests += [(variant, term1 + term2), (variant, F_rest), (variant, G_rest)]
+    claim = "D^6-cleared numerator, F = D^2 + N^2 and gamma G = N_x D - N D_x"
+    return _proof(f"{claim} over Q, both variants", rests)
 
 
 @_check("pde-richardson-ratio")
@@ -237,19 +244,18 @@ def _check_factorization(cfg: SolitonConfig):
 
 @_check("real-line-regularity")
 def _check_real_line(cfg: SolitonConfig):
-    floor, witness = math.inf, ""
-    for t in (-1.0, 0.3, 1.2):
-        for variant in (Variant.PLUS, Variant.MINUS):
-            scan = analysis.check_no_real_poles(cfg.with_variant(variant), t)
-            if scan.min_residual < floor:
-                floor = scan.min_residual
-                witness = f"x={scan.argmin}, t={t}, variant={variant.value}"
-    return (
-        floor > 1e-8,
-        floor,
-        witness,
-        "min relative |F| over the real axis (never a zero)",
-    )
+    """Prove F > 0 for every real x, t and shift, where f1, f2 > 0: in each
+    variant F = D^2 + N^2 over Q (``kernel._bridge_rests``), and one of N
+    and D is nonzero with every coefficient of one strict sign, so it has
+    no zero there and F >= N^2 > 0 or F >= D^2 > 0."""
+    rests, faults = [], []
+    for variant in Variant:
+        N, D, F_rest, _ = _bridge_rests(cfg.with_variant(variant))
+        rests.append((variant, F_rest))
+        if not any(len({c > 0 for c in P.coeffs.values()}) == 1 for P in (N, D)):
+            faults.append(f"variant={variant.value}, neither N nor D one-signed")
+    claim = "F = D^2 + N^2 over Q with N or D one-signed, both variants"
+    return _proof(claim, rests, faults)
 
 
 @_check("cosine-relations-at-zeros", exact_only=_NEEDS_ORACLE)

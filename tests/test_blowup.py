@@ -119,6 +119,14 @@ class TestCrossing:
         with pytest.raises(ValueError, match="plus-variant.*minus variant"):
             build_scenario(minus, curves=[curve], alpha=alpha)
 
+    @pytest.mark.parametrize("t_span", [0.0, -3.0, math.nan])
+    def test_tracking_window_must_be_positive(self, t_span) -> None:
+        # A negative span would seed at +|t_span| and track backwards; zero
+        # fails in the tracker with an unrelated message.
+        cfg = SolitonConfig.make(1, 2, "plus")
+        with pytest.raises(ValueError, match="t_span must be positive"):
+            build_scenario(cfg, t_span=t_span)
+
     def test_tangential_crossing_flagged(self) -> None:
         # (1,5) minus carries horizontally moving poles pinned to
         # Im x = -pi/2; the line alpha = pi/2 is grazed, never swept.

@@ -6,6 +6,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -267,6 +271,14 @@ class TestBlowup:
         code = run(["blowup", "--k1", "1", "--k2", "1.4142"])
         assert code == 2
 
+    @pytest.mark.parametrize("t1", ["0", "-3"])
+    def test_window_must_be_positive(self, capsys, t1):
+        # Unchecked, --t1 0 fails in the tracker and --t1 -3 seeds at t = +3.
+        code = run(["blowup", "--k1", "1", "--k2", "2", "--variant", "plus", f"--t1={t1}"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "usage error: --t1: tracking half-window must be positive\n"
+
 
 class TestInteraction:
     def test_sweep_values(self, capsys):
@@ -305,6 +317,31 @@ class TestInteraction:
     def test_bad_ratios(self, capsys):
         code = run(["interaction", "--ratios", "2.0,abc"])
         assert code == 2
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "options, got",
+        [
+            ({"ratios": "0.5"}, "1.0, 0.5"),
+            ({"ratios": "2.0,1"}, "1.0, 1.0"),
+            ({"k1": "0", "ratios": "2"}, "0.0, 0.0"),
+            ({"k1": "-1"}, "-1.0, -1.5"),
+            ({"k1": "2", "k2": "1"}, "2.0, 1.0"),
+        ],
+    )
+    def test_bad_wavenumbers_are_usage_errors(self, capsys, tmp_path, via, options, got):
+        # Unchecked, the sweep's own configs raised and exited 1.
+        argv = ["interaction"]
+        if via == "flag":
+            argv += [f"--{key}={value}" for key, value in options.items()]
+        else:
+            cfgfile = tmp_path / "run.cfg"
+            cfgfile.write_text("".join(f"{k}={v}\n" for k, v in options.items()))
+            argv += ["--config", str(cfgfile)]
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"usage error: wavenumbers must satisfy 0 < k1 < k2, got {got}\n"
 
     @pytest.mark.parametrize("rest", [["--k2", "1"], ["--ratios", "2.0,3.0"], []])
     def test_rational_k1_prints_its_decimal_output(self, capsys, rest):
@@ -470,6 +507,42 @@ def test_non_finite_number_is_usage_error(capsys, tmp_path, via, key, value):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "finite" in captured.err
+
+
+class TestEntryPoint:
+    """``python -m soliton_pole_lab`` runs ``main``, which exits with the code
+    ``run`` returns: one case per exit code."""
+
+    @staticmethod
+    def _module(*argv):
+        here = Path(__file__).resolve().parent
+        src = str(here.parent / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        return subprocess.run(
+            [sys.executable, "-m", "soliton_pole_lab", *argv],
+            capture_output=True,
+            env=env,
+            timeout=120,
+        )
+
+    def test_success_exits_zero_with_the_golden_output(self):
+        argv = ["eval", "--k1", "1", "--k2", "2", "--variant", "minus", "--x", "0", "--t", "0"]
+        proc = self._module(*argv)
+        golden = Path(__file__).parent / "golden" / "eval_12m_x0.out"
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == golden.read_bytes()
+
+    def test_computation_failure_exits_one(self):
+        argv = ["track", "--k1", "1", "--k2", "2", "--t0", "0", "--t1", "1", "--x", "0,0"]
+        proc = self._module(*argv)
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        assert proc.stderr.startswith(b"error: corrector diverged at t=0.0")
+
+    def test_usage_error_exits_two(self):
+        proc = self._module("interaction", "--ratios", "0.5")
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr.startswith(b"usage error: wavenumbers must satisfy 0 < k1 < k2")
 
 
 class TestSerialization:

@@ -109,9 +109,9 @@ class TestHarness:
         def boom(*args, **kwargs):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(analysis, "check_no_real_poles", boom)
+        monkeypatch.setattr(analysis, "cos_identities_residual", boom)
         report = run_battery(SolitonConfig.make(1, 2, "plus"), seed=0)
-        (row,) = [c for c in report.checks if c.name == "real-line-regularity"]
+        (row,) = [c for c in report.checks if c.name == "cosine-relations-at-zeros"]
         assert (row.passed, row.worst, row.witness, row.detail, row.skipped) == (
             False,
             math.inf,
@@ -282,6 +282,20 @@ class TestFieldEquationProof:
         result = suite._check_field_equation(SolitonConfig.make(1, 2), random.Random(0))
         assert not result.passed and result.worst > 0
         assert result.witness.startswith(f"variant={variant}, monomial f1^")
+
+    @pytest.mark.parametrize("spec", [(1, 2), (1.0, 2**0.5)])
+    @pytest.mark.parametrize("variant", ["plus", "minus"])
+    @pytest.mark.parametrize(
+        "table, index", [("_terms_F", i) for i in range(6)] + [("_terms_G", i) for i in range(4)]
+    )
+    def test_F_and_G_table_mutation_fails_in_its_variant(
+        self, monkeypatch, spec, variant, table, index
+    ):
+        # The bridges tie F's and G's tables to g: one coefficient scaled by
+        # 1 + 2^-40 in one variant leaves survivors there.
+        monkeypatch.setattr(kernel, table, _scaled_term(getattr(kernel, table), variant, index))
+        result = suite._check_field_equation(SolitonConfig.make(*spec), random.Random(0))
+        _assert_refuted(result, variant)
 
     def test_rate_mutation_fails_in_both_variants(self, monkeypatch):
         # Scale the t-derivative rates a1 k1^3 + a2 k2^3 by 1 + 1e-6.
@@ -521,6 +535,20 @@ def test_pde_richardson_fails_on_fewer_than_three_ratios(monkeypatch):
     assert row.detail == "ConvergenceError: 2 usable probe points of 40, need 3"
 
 
+def _scaled_term(build, variant, index):
+    """A term builder whose ``index``-th coefficient is scaled by 1 + 2^-40,
+    exactly, in ``variant`` (its last argument) only."""
+
+    def mutated(*args):
+        terms = build(*args)
+        if args[-1].value == variant:
+            c, a1, a2 = terms[index]
+            terms[index] = (c * Fraction(1 + 2.0**-40), a1, a2)
+        return terms
+
+    return mutated
+
+
 _COPRIME_9 = [(p1, p2) for p2 in range(2, 10) for p1 in range(1, p2) if math.gcd(p1, p2) == 1]
 # Changes a binary coefficient, exactly.
 SCALE = 1 + 2.0**-20
@@ -551,7 +579,8 @@ def _assert_theta_refused(cfg, witness):
 
 class TestTableProofs:
     """The factorization and translation rows prove their identities from
-    the exact term tables over Q(i)."""
+    the exact term tables over Q(i), the real-line row its positivity over
+    Q."""
 
     @pytest.mark.parametrize("variant", ["plus", "minus"])
     @pytest.mark.parametrize("p1, p2", _COPRIME_9)
@@ -561,7 +590,9 @@ class TestTableProofs:
         translation = suite._check_translation(cfg)
         _assert_proved(factorization)
         _assert_proved(translation)
-        for row in (suite._check_factorization, suite._check_translation):
+        _assert_proved(suite._check_real_line(cfg))
+        rows = (suite._check_factorization, suite._check_translation, suite._check_real_line)
+        for row in rows:
             # Under 10 ms per config, best of three (a stray GC pause aside).
             assert min(row(cfg).elapsed_s for _ in range(3)) < 0.01
         if (p1 + p2) % 2 == 0:
@@ -570,6 +601,52 @@ class TestTableProofs:
             assert translation.detail.startswith(f"odd parity ({congruent}), ")
         else:
             assert translation.detail.startswith("mixed parity, ")
+
+    @pytest.mark.parametrize("variant", ["plus", "minus"])
+    @pytest.mark.parametrize(
+        "spec, shifts",
+        [((1.0, 2**0.5), (0.0, 0.0)), (("1/3", 5), (0.0, 0.0)), ((1, 2), (0.3, -1.7))],
+    )
+    def test_real_line_proved_beyond_coprime_pairs(self, spec, shifts, variant):
+        result = suite._check_real_line(SolitonConfig.make(*spec, variant, *shifts))
+        _assert_proved(result)
+        assert result.detail.startswith("F = D^2 + N^2 over Q with N or D one-signed")
+
+    @pytest.mark.parametrize("spec", [(1, 2), (1.0, 2**0.5)])
+    @pytest.mark.parametrize("variant", ["plus", "minus"])
+    @pytest.mark.parametrize("index", range(6))
+    def test_F_mutation_fails_real_line_in_its_variant(
+        self, monkeypatch, spec, variant, index
+    ):
+        monkeypatch.setattr(kernel, "_terms_F", _scaled_term(kernel._terms_F, variant, index))
+        _assert_refuted(suite._check_real_line(SolitonConfig.make(*spec)), variant)
+
+    @pytest.mark.parametrize("variant", ["plus", "minus"])
+    @pytest.mark.parametrize(
+        "N, D",
+        [
+            # Both change sign.
+            ({(1, 0): 1, (0, 1): -1}, {(0, 0): 1, (1, 1): -1}),
+            # The one-signed polynomial is empty, the other changes sign.
+            ({}, {(0, 0): 1, (1, 1): -1}),
+            ({(1, 0): 1, (0, 1): -1}, {}),
+        ],
+    )
+    def test_no_one_signed_N_or_D_fails_real_line(self, monkeypatch, variant, N, D):
+        # F = D^2 + N^2 still holds; only the sign half of the proof fails.
+        bridge_rests = suite._bridge_rests
+
+        def unsigned(cfg):
+            rests = bridge_rests(cfg)
+            if cfg.variant.value != variant:
+                return rests
+            return (kernel._QPoly(N), kernel._QPoly(D), *rests[2:])
+
+        monkeypatch.setattr(suite, "_bridge_rests", unsigned)
+        result = suite._check_real_line(SolitonConfig.make(1, 2))
+        assert (result.passed, result.worst) == (False, 1.0)
+        assert result.witness == f"variant={variant}, neither N nor D one-signed"
+        assert result.detail.endswith(": 0 nonzero coefficients")
 
     @pytest.mark.parametrize("variant", ["plus", "minus"])
     def test_factorization_proved_for_an_incommensurable_pair(self, variant):
@@ -677,7 +754,7 @@ class TestTableProofs:
         cfg = SolitonConfig.make(*spec)
         # The spies see evaluator calls: the sampled rows and a residue at an
         # oracle pole make them.
-        suite._check_real_line(cfg)
+        suite._check_pde_richardson(cfg, random.Random(0))
         assert calls
         calls.clear()
         c12 = SolitonConfig.make(1, 2, "plus")
@@ -685,7 +762,11 @@ class TestTableProofs:
         analysis.residue_at_pole(c12, x_pole, 0.2)
         assert "_FPointEval" in calls
         calls.clear()
-        for row in (suite._check_factorization, suite._check_translation):
+        for row in (
+            suite._check_factorization,
+            suite._check_translation,
+            suite._check_real_line,
+        ):
             assert row(cfg).passed
         assert calls == []
 
