@@ -650,7 +650,8 @@ def residue_at_pole(
     t: float,
     poles: Optional[Sequence[tuple[complex, int]]] = None,
 ) -> complex:
-    """Residue of u at a simple pole: 2 gamma G(x0) / F_x(x0).
+    """Residue of u at one simple pole: 2 gamma G(x0) / F_x(x0), +i or -i.
+    The battery's residue row proves that law for every pole; this samples one.
 
     The input point is polished by Newton first.  A periodic-trapezoid
     contour integral over _CONTOUR_NODES points on a circle of radius
@@ -659,7 +660,6 @@ def residue_at_pole(
     ConvergenceError.  ``poles`` is the ``oracle_poles`` snapshot at
     (cfg, t) the pole came from, if the caller has one; without it an
     exact config solves one.  Raises ConvergenceError at a multiple zero.
-    Every residue of u is +i or -i.
     """
     try:
         x0, _, fx_mant, fx_log, fx_rel, _ = _newton_correct(

@@ -770,8 +770,8 @@ def _polish_and_certify(
             y A B / (B^2 - A C) with (A, B, C) = A_d, A_(d+1), A_(d+2); it stops
             when the residual |A_d| reaches the rounding floor of its term norm
             or the step stops shrinking (the root is then resolved to
-            10^(-dps/m)).  Either stops on a step below 10^(8-dps) (1 + |y|).
-            Step sizes are compared as log2 |step|."""
+            10^(-dps/m)).  Either stops on a step below 10^(8-dps) |y|, relative
+            even far right, where |y| is tiny.  Steps compare as log2 |step|."""
             prev = None
             multiple = False
             size = gp.log2_abs(y)
@@ -809,8 +809,7 @@ def _polish_and_certify(
                     e,
                 )
                 size = gp.log2_abs(y)
-                # log2 (1 + |y|) from log2 |y|, |y| beyond double range too.
-                if step <= log2_step_tol + max(size, 0.0) + math.log2(1.0 + 2.0 ** -abs(size)):
+                if step <= log2_step_tol + size:
                     break
             return y
 

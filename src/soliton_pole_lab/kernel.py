@@ -1117,21 +1117,35 @@ def _eqg_exact(cfg: SolitonConfig) -> tuple[_QPoly, _QPoly]:
     return _eqg_terms(Fraction(cfg.k1), Fraction(cfg.k2), cfg.variant, _QPoly.from_terms)
 
 
-def _bridge_rests(cfg: SolitonConfig) -> tuple[_QPoly, _QPoly, _QPoly, _QPoly]:
-    """(N, D, F rest, G rest) over Q, with g = N / D from ``_terms_g`` and
-    gamma formed from the binary wavenumbers as in ``_eqg_terms``.  F's and
-    G's tables belong to g, u = 2 gamma G / F = 2 g_x / (1 + g^2), exactly
-    when both rests D^2 + N^2 - F and N_x D - N D_x - gamma G are zero."""
+def _bridge_tables(cfg: SolitonConfig) -> tuple:
+    """(k1, k2, gamma, N, N_x, D, D_x) over Q: the binary wavenumbers, gamma
+    formed from them as in ``_eqg_terms``, and g = N / D from ``_terms_g``."""
     k1, k2 = Fraction(cfg.k1), Fraction(cfg.k2)
     g = (k2 + k1) / (k2 - k1)
-    N, Nx, D, Dx = (
-        _QPoly.from_terms(_term_table(k1, k2, terms, dx))
-        for terms in _terms_g(g, cfg.variant)
-        for dx in (0, 1)
-    )
+    sides = _terms_g(g, cfg.variant)
+    tables = (_term_table(k1, k2, side, dx) for side in sides for dx in (0, 1))
+    return (k1, k2, g, *map(_QPoly.from_terms, tables))
+
+
+def _bridge_rests(cfg: SolitonConfig) -> tuple[_QPoly, _QPoly, _QPoly, _QPoly]:
+    """(N, D, F rest, G rest) over Q (``_bridge_tables``).  F's and G's tables
+    belong to g, u = 2 gamma G / F = 2 g_x / (1 + g^2), exactly when both
+    rests D^2 + N^2 - F and N_x D - N D_x - gamma G are zero."""
+    k1, k2, g, N, Nx, D, Dx = _bridge_tables(cfg)
     F = _QPoly.from_terms(_terms_F(g * g, cfg.variant))
     G = _QPoly.from_terms(_terms_G(k1, k2, cfg.variant))
     return N, D, D * D + N * N - F, Nx * D - N * Dx - G * g
+
+
+def _residue_rest(cfg: SolitonConfig) -> _QPoly:
+    """(2 gamma G)^2 + F_x^2 - 4 F (D_x^2 + N_x^2) over Q: zero by Lagrange's
+    identity where both bridges hold, and then at a simple zero of F the
+    residue 2 gamma G / F_x of u = 2 gamma G / F squares to -1."""
+    k1, k2, g, _, Nx, _, Dx = _bridge_tables(cfg)
+    F = _terms_F(g * g, cfg.variant)
+    G2 = _QPoly.from_terms(_terms_G(k1, k2, cfg.variant)) * (2 * g)
+    Fx = _QPoly.from_terms(_term_table(k1, k2, F, 1))
+    return G2 * G2 + Fx * Fx - _QPoly.from_terms(F) * (Dx * Dx + Nx * Nx) * 4
 
 
 def eqg_residual(cfg: SolitonConfig, x: complex, t: float) -> complex:

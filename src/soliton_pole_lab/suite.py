@@ -7,28 +7,26 @@ sign law, translation identities, residue quantization, pole-count
 conservation, asymptotic family matching, blowup rate, and
 interaction-point closed forms -- against a single configuration, and
 reports per-check pass/fail with the worst measured residual and a
-witness point.  Five laws are proved from the exact term tables in both
+witness point.  Six laws are proved from the exact term tables in both
 variants: the g-equation cleared of denominators is zero in (f1, f2) over
 Q (``kernel.eqg_residual`` samples the same terms), and so are the bridges
-that tie F's and G's tables to g; F is positive on the real line; F1 F2 - F
-and the translation identities are zero over Q(i); and F's table fixes the
-pole count at every t.  A proof evaluates nothing: only the sampled laws
-exercise the evaluators (``kernel.F_scaled``, the grids).
+that tie F's and G's tables to g; F is positive on the real line; every
+residue is +i or -i, which follows from the bridges by Lagrange's
+identity; F1 F2 - F and the translation identities are zero over Q(i);
+and F's table fixes the pole count at every t.  A proof evaluates
+nothing: only the sampled laws exercise the evaluators.
 
 One harness (``_check``) owns what the rows share.  A check body returns
-(passed, worst, witness, detail).  A check that needs the exact pole
-oracle is skipped, with its reason, for a config without one; a body
+(passed, worst, witness, detail).  A check limited to exact configs
+(``exact_only``) is skipped, with its reason, for any other config; a body
 raises ``_Skip(reason)`` when its data leave it nothing to test (no
 transversal crossing, nonzero shifts).  Skips are reported with their
 reason, never silently dropped.  Any other exception fails only its own
 row, with worst = inf and the exception's type and message as the
 detail.  The battery is deterministic for a fixed seed; each row also
 records its wall time (``CheckResult.elapsed_s``), which the report's
-JSON leaves out and ``verify --stats`` prints to stderr.
-
-The sign law evaluates all its tracked samples on the kernel's grid
-engine, one call per term table with one time per sample.  Each value
-equals the one-point evaluation bit for bit, so the report is that of a
+JSON leaves out and ``verify --stats`` prints to stderr.  The sign law
+evaluates all its samples on the kernel's grid engine, bit for bit as a
 per-point loop."""
 
 from __future__ import annotations
@@ -54,6 +52,7 @@ from .kernel import (
     _eqg_exact,
     _QPoly,
     _record_dict,
+    _residue_rest,
     _terms_F,
     _terms_factor,
     pde_residual,
@@ -329,25 +328,13 @@ def _check_translation(cfg: SolitonConfig):
     return _proof(f"{claim} over Q(i)", rests)
 
 
-@_check("residue-quantization", exact_only=_NEEDS_ORACLE)
-def _check_residues(cfg: SolitonConfig, rng: random.Random):
-    worst, witness, used = 0.0, "", 0
-    for t in (-0.7, 0.4):
-        poles = oracle_poles(cfg, t=t)
-        simple = [x for x, m in poles if m == 1]
-        picks = rng.sample(simple, min(6, len(simple)))
-        for x in picks:
-            res = analysis.residue_at_pole(cfg, x, t, poles=poles)
-            dev = min(abs(res - 1j), abs(res + 1j))
-            used += 1
-            if dev > worst:
-                worst, witness = dev, f"x={x}, t={t}"
-    return (
-        worst < 1e-8 and used > 0,
-        worst,
-        witness,
-        f"{used} simple poles, contour cross-checked",
-    )
+@_check("residue-quantization", exact_only="exact configs only; the proof needs no oracle")
+def _check_residues(cfg: SolitonConfig):
+    """Prove each simple pole's residue is +i or -i: in both variants the rest
+    that ``kernel._residue_rest`` builds from the bridges is zero over Q."""
+    rests = [(v, _residue_rest(cfg.with_variant(v))) for v in Variant]
+    claim = "(2 gamma G)^2 + F_x^2 = 4 F (D_x^2 + N_x^2) over Q, both variants"
+    return _proof(claim, rests)
 
 
 @_check("pole-count-conservation", exact_only=_NEEDS_ORACLE)
@@ -475,7 +462,7 @@ def run_battery(cfg: SolitonConfig, seed: int = 0) -> BatteryReport:
         _check_cosine_relations(cfg),
         _check_sign_law(cfg, curves),
         _check_translation(cfg),
-        _check_residues(cfg, rng),
+        _check_residues(cfg),
         _check_pole_count(cfg),
         _check_asymptotics(cfg, horizon, seeds),
         _check_blowup(cfg, curves),

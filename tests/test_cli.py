@@ -131,12 +131,12 @@ class TestPoles:
         assert len(rows) == 6
 
     def test_certification_failure_names_the_estimate(self, capsys):
-        # The failing root's y underflows a double at t = 1e10, so the
+        # The failing root's y underflows a double at t = 1e15, so the
         # message names the estimate by its finite log y.
-        code = run(["poles", "--k1", "1", "--k2", "2", "--variant", "plus", "--t", "1e10"])
+        code = run(["poles", "--k1", "1", "--k2", "2", "--variant", "plus", "--t", "1e15"])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith("error: root estimate e^((-40000000000.")
+        assert err.startswith("error: root estimate e^((-999999999999999")
         assert "failed certification" in err and "root 0j" not in err
 
     def test_time_beyond_the_oracle_is_an_error_line(self, capsys):

@@ -379,6 +379,20 @@ def test_zero_iterates_fail_certification(cfg: SolitonConfig, t: float) -> None:
         oracle_poles(cfg, t=t)
 
 
+@pytest.mark.parametrize("t", [1e10, -1e10])
+@pytest.mark.parametrize(
+    "spec",
+    [(1, 2, "plus"), (1, 5, "minus"), (2, 7, "plus"), (1, 3, "plus"), (3, 8, "minus")],
+    ids=["12p", "15m", "27p", "13p", "38m"],
+)
+def test_far_out_snapshots_certify(spec: tuple, t: float) -> None:
+    # Far right |y| is tiny; an absolute stop rule ended the polish after
+    # one step there, and t = 1e10 failed certification.
+    cfg = SolitonConfig.make(*spec)
+    poles = oracle_poles(cfg, t=t)
+    assert sum(m for _, m in poles) == 2 * (cfg.comm.p1 + cfg.comm.p2)
+
+
 def _gauss_at(gp, y):
     """Every term value and the sums y^j p^(j)(y) / 2^E, j = 0..3, of the
     polish's integer evaluator at the iterate y."""
@@ -711,15 +725,15 @@ def _log_distance(a: complex, b: complex) -> float:
     return abs(complex(d.real, math.remainder(d.imag, 2 * math.pi)))
 
 
-@given(
-    pair=st.sampled_from(_COPRIME_9),
-    variant=st.sampled_from(["plus", "minus"]),
-    t=st.floats(min_value=-20.0, max_value=20.0),
+# Just off an exceptional collision the polish can split a root from its
+# conjugate partner by ~5e-5 in log y; a grouped polish is the mend.  These
+# draws fail the same way on every run, so a mend shows as an XPASS.
+_NEAR_COLLISION = pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="near-collision polish"
 )
-@settings(max_examples=25, deadline=None)
-def test_root_sets_are_closed_under_conjugation(
-    pair: tuple[int, int], variant: str, t: float
-) -> None:
+
+
+def _assert_closed_under_conjugation(pair: tuple[int, int], variant: str, t: float) -> None:
     # F and G have real coefficients, so each root y comes with conj(y), of
     # the same multiplicity and condition (y itself when it is real).
     cfg = SolitonConfig.make(*pair, variant)
@@ -735,19 +749,39 @@ def test_root_sets_are_closed_under_conjugation(
             assert partner[2] == pytest.approx(kappa, rel=1e-9)
 
 
-def _fold(x: complex, lam: float) -> complex:
-    """x with Im x folded into the strip (-lam pi, lam pi]."""
-    im = -math.remainder(-x.imag, 2 * math.pi * lam)
-    return complex(x.real, im)
-
-
 @given(
     pair=st.sampled_from(_COPRIME_9),
     variant=st.sampled_from(["plus", "minus"]),
     t=st.floats(min_value=-20.0, max_value=20.0),
 )
 @settings(max_examples=25, deadline=None)
-def test_oracle_poles_mirror_in_time(pair: tuple[int, int], variant: str, t: float) -> None:
+def test_root_sets_are_closed_under_conjugation(
+    pair: tuple[int, int], variant: str, t: float
+) -> None:
+    _assert_closed_under_conjugation(pair, variant, t)
+
+
+@pytest.mark.parametrize(
+    "pair, variant, t",
+    [
+        pytest.param((1, 5), "minus", 1e-13, marks=_NEAR_COLLISION),
+        pytest.param((5, 9), "minus", 3.84e-15, marks=_NEAR_COLLISION),
+    ],
+    ids=["15m-1e-13", "59m-3.84e-15"],
+)
+def test_near_collision_root_sets_are_closed_under_conjugation(
+    pair: tuple[int, int], variant: str, t: float
+) -> None:
+    _assert_closed_under_conjugation(pair, variant, t)
+
+
+def _fold(x: complex, lam: float) -> complex:
+    """x with Im x folded into the strip (-lam pi, lam pi]."""
+    im = -math.remainder(-x.imag, 2 * math.pi * lam)
+    return complex(x.real, im)
+
+
+def _assert_poles_mirror_in_time(pair: tuple[int, int], variant: str, t: float) -> None:
     # F(x, t) = 0 exactly when F(-conj x, -t) = 0: the poles at -t are
     # {-conj x} of the poles at t, multiplicities included.
     cfg = SolitonConfig.make(*pair, variant)
@@ -762,6 +796,21 @@ def test_oracle_poles_mirror_in_time(pair: tuple[int, int], variant: str, t: flo
         assert abs(best[0] - image) <= 1e-12 * max(1.0, abs(image))
         assert best[1] == m
         unmatched.remove(best)
+
+
+@given(
+    pair=st.sampled_from(_COPRIME_9),
+    variant=st.sampled_from(["plus", "minus"]),
+    t=st.floats(min_value=-20.0, max_value=20.0),
+)
+@settings(max_examples=25, deadline=None)
+def test_oracle_poles_mirror_in_time(pair: tuple[int, int], variant: str, t: float) -> None:
+    _assert_poles_mirror_in_time(pair, variant, t)
+
+
+@_NEAR_COLLISION
+def test_near_collision_oracle_poles_mirror_in_time() -> None:
+    _assert_poles_mirror_in_time((1, 5), "minus", 1e-13)
 
 
 @pytest.mark.parametrize(

@@ -351,17 +351,16 @@ class TestDeterminism:
         assert report.passed
 
 
-def test_residue_check_solves_one_snapshot_per_time(monkeypatch):
-    # The residues' contour radii reuse the snapshot the poles were picked
-    # from: two times, two oracle solves.
+def test_residue_check_solves_no_snapshot(monkeypatch):
+    # The residue row is a proof from the term tables: no oracle solve.
     solves = []
     solve = exppoly.roots_at_time
     monkeypatch.setattr(
         exppoly, "roots_at_time", lambda *a, **k: solves.append(a) or solve(*a, **k)
     )
-    result = suite._check_residues(SolitonConfig.make(1, 2, "plus"), random.Random(0))
+    result = suite._check_residues(SolitonConfig.make(1, 2, "plus"))
     assert result.passed
-    assert len(solves) == 2
+    assert solves == []
 
 
 def test_battery_solves_each_snapshot_once(monkeypatch, report12):
@@ -377,7 +376,7 @@ def test_battery_solves_each_snapshot_once(monkeypatch, report12):
     )
     report = run_battery(SolitonConfig.make(1, 2, "plus"), seed=0)
     assert repr(report.to_dict()) == repr(report12.to_dict())
-    assert len(solves) == len(set(solves)) == 6
+    assert len(solves) == len(set(solves)) == 4
 
 
 @pytest.mark.parametrize(
@@ -579,8 +578,8 @@ def _assert_theta_refused(cfg, witness):
 
 class TestTableProofs:
     """The factorization and translation rows prove their identities from
-    the exact term tables over Q(i), the real-line row its positivity over
-    Q."""
+    the exact term tables over Q(i), the real-line row its positivity and
+    the residue row its quantization over Q."""
 
     @pytest.mark.parametrize("variant", ["plus", "minus"])
     @pytest.mark.parametrize("p1, p2", _COPRIME_9)
@@ -591,7 +590,13 @@ class TestTableProofs:
         _assert_proved(factorization)
         _assert_proved(translation)
         _assert_proved(suite._check_real_line(cfg))
-        rows = (suite._check_factorization, suite._check_translation, suite._check_real_line)
+        _assert_proved(suite._check_residues(cfg))
+        rows = (
+            suite._check_factorization,
+            suite._check_translation,
+            suite._check_real_line,
+            suite._check_residues,
+        )
         for row in rows:
             # Under 10 ms per config, best of three (a stray GC pause aside).
             assert min(row(cfg).elapsed_s for _ in range(3)) < 0.01
@@ -620,6 +625,26 @@ class TestTableProofs:
     ):
         monkeypatch.setattr(kernel, "_terms_F", _scaled_term(kernel._terms_F, variant, index))
         _assert_refuted(suite._check_real_line(SolitonConfig.make(*spec)), variant)
+
+    @pytest.mark.parametrize("variant", ["plus", "minus"])
+    @pytest.mark.parametrize(
+        "spec, shifts",
+        [((1.0, 2**0.5), (0.0, 0.0)), (("1/3", 5), (0.0, 0.0)), ((1, 2), (0.3, -1.7))],
+    )
+    def test_residue_rest_vanishes_beyond_coprime_pairs(self, spec, shifts, variant):
+        cfg = SolitonConfig.make(*spec, variant, *shifts)
+        assert kernel._residue_rest(cfg).coeffs == {}
+
+    @pytest.mark.parametrize("spec", [(1, 2), ("1/3", 5)])
+    @pytest.mark.parametrize("variant", ["plus", "minus"])
+    @pytest.mark.parametrize(
+        "table, index", [("_terms_F", i) for i in range(6)] + [("_terms_G", i) for i in range(4)]
+    )
+    def test_F_and_G_mutation_fails_residues_in_its_variant(
+        self, monkeypatch, spec, variant, table, index
+    ):
+        monkeypatch.setattr(kernel, table, _scaled_term(getattr(kernel, table), variant, index))
+        _assert_refuted(suite._check_residues(SolitonConfig.make(*spec)), variant)
 
     @pytest.mark.parametrize("variant", ["plus", "minus"])
     @pytest.mark.parametrize(
@@ -766,6 +791,7 @@ class TestTableProofs:
             suite._check_factorization,
             suite._check_translation,
             suite._check_real_line,
+            suite._check_residues,
         ):
             assert row(cfg).passed
         assert calls == []
@@ -794,14 +820,14 @@ class _Recorder(random.Random):
 @pytest.mark.parametrize(
     "spec, rows",
     [
-        ((1, 2, "plus"), ["_check_field_equation", "_check_pde_richardson", "_check_residues"]),
-        ((1, 5, "minus"), ["_check_field_equation", "_check_pde_richardson", "_check_residues"]),
+        ((1, 2, "plus"), ["_check_field_equation", "_check_pde_richardson"]),
+        ((1, 5, "minus"), ["_check_field_equation", "_check_pde_richardson"]),
         ((1.0, 2**0.5, "plus"), ["_check_field_equation", "_check_pde_richardson"]),
     ],
 )
 def test_rows_that_draw_from_the_battery_stream(monkeypatch, spec, rows):
-    # Only the field-equation, Richardson and residue rows draw, in that
-    # order; the first two draw 320 and 40 probes of 3 draws each.
+    # Only the field-equation and Richardson rows draw, in that order: 320
+    # and 40 probes of 3 draws each.
     monkeypatch.setattr(_Recorder, "draws", [])
     monkeypatch.setattr(suite.random, "Random", _Recorder)
     report = run_battery(SolitonConfig.make(*spec), seed=0)
