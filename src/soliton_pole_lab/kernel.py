@@ -1142,10 +1142,10 @@ def _residue_rest(cfg: SolitonConfig) -> _QPoly:
     identity where both bridges hold, and then at a simple zero of F the
     residue 2 gamma G / F_x of u = 2 gamma G / F squares to -1."""
     k1, k2, g, _, Nx, _, Dx = _bridge_tables(cfg)
-    F = _terms_F(g * g, cfg.variant)
+    F_terms = _terms_F(g * g, cfg.variant)
     G2 = _QPoly.from_terms(_terms_G(k1, k2, cfg.variant)) * (2 * g)
-    Fx = _QPoly.from_terms(_term_table(k1, k2, F, 1))
-    return G2 * G2 + Fx * Fx - _QPoly.from_terms(F) * (Dx * Dx + Nx * Nx) * 4
+    Fx = _QPoly.from_terms(_term_table(k1, k2, F_terms, 1))
+    return G2 * G2 + Fx * Fx - _QPoly.from_terms(F_terms) * (Dx * Dx + Nx * Nx) * 4
 
 
 def eqg_residual(cfg: SolitonConfig, x: complex, t: float) -> complex:
