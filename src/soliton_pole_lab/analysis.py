@@ -616,26 +616,18 @@ def odd_parity_translation(cfg: SolitonConfig) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _isolation_radius(
-    cfg: SolitonConfig,
-    x: complex,
-    t: float,
-    poles: Optional[Sequence[tuple[complex, int]]] = None,
-) -> float:
+def _isolation_radius(cfg: SolitonConfig, x: complex, t: float) -> float:
     """Distance budget around a pole: min(nearest other pole, lattice/4).
 
     Exact commensurable configurations use the global root oracle's poles
-    (``poles`` when given, else a fresh snapshot) with their vertical-period
-    translates; otherwise the strip scale pi/k2 (the fast soliton's pole
-    spacing) stands in, quartered for safety.
+    with their vertical-period translates; otherwise the strip scale pi/k2
+    (the fast soliton's pole spacing) stands in, quartered for safety.
     """
     base = strip_scale(cfg) / 4.0
     if cfg.comm is not None and cfg.exact:
         period = cfg.comm.period
         nearest = math.inf
-        if poles is None:
-            poles = oracle_poles(cfg, t=t)
-        for root, _ in poles:
+        for root, _ in oracle_poles(cfg, t=t):
             for shift in (-period, 0.0, period):
                 d = abs(root + 1j * shift - x)
                 if d > 1e-8:
@@ -644,12 +636,7 @@ def _isolation_radius(
     return base
 
 
-def residue_at_pole(
-    cfg: SolitonConfig,
-    x_pole: complex,
-    t: float,
-    poles: Optional[Sequence[tuple[complex, int]]] = None,
-) -> complex:
+def residue_at_pole(cfg: SolitonConfig, x_pole: complex, t: float) -> complex:
     """Residue of u at one simple pole: 2 gamma G(x0) / F_x(x0), +i or -i.
     The battery's residue row proves that law for every pole; this samples one.
 
@@ -657,9 +644,8 @@ def residue_at_pole(
     contour integral over _CONTOUR_NODES points on a circle of radius
     1e-3 * isolation (isolation = min(distance to the nearest other
     pole, quarter vertical period)) must agree to 1e-6, else
-    ConvergenceError.  ``poles`` is the ``oracle_poles`` snapshot at
-    (cfg, t) the pole came from, if the caller has one; without it an
-    exact config solves one.  Raises ConvergenceError at a multiple zero.
+    ConvergenceError.  An exact config solves one oracle snapshot for
+    the isolation.  Raises ConvergenceError at a multiple zero.
     """
     try:
         x0, _, fx_mant, fx_log, fx_rel, _ = _newton_correct(
@@ -675,7 +661,7 @@ def residue_at_pole(
         )
     # ``ratio`` reads F_x's mantissa and log only.
     res = 2.0 * cfg.gamma * G_scaled(cfg, x0, t).ratio(Scaled(fx_mant, fx_log))
-    radius = 1e-3 * _isolation_radius(cfg, x0, t, poles)
+    radius = 1e-3 * _isolation_radius(cfg, x0, t)
     total = 0j
     try:
         us = _u_or_raise_grid(cfg, [x0 + radius * p for p in _CONTOUR_PHASES], t)

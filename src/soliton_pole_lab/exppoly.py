@@ -22,12 +22,8 @@ stages:
   unconverged estimate at once, in log-scaled coordinates (log y), so roots
   far beyond double range stay representable.
 * A Newton polish at ``_POLISH_DPS`` digits with cluster merging and
-  multiplicity certification by the derivative ladder.  Estimates within
-  ``_GROUP_TOL`` of one another are polished together by a Gauss-Seidel
-  Aberth iteration instead, so that each settles on its own root: just off
-  a collision the double estimates of a cluster are too coarse for lone
-  Newton iterates, which can stall between roots or meet on one.  mpmath
-  forms the coefficients once per snapshot; the iterations run in block-scaled
+  multiplicity certification by the derivative ladder.  mpmath forms the
+  coefficients once per snapshot; the iterations run in block-scaled
   Gaussian integers (``_GaussPoly``), where one set of term values
   c_k y^(n_k) per iterate gives p and every derivative it needs, as
   y^j p^(j)(y) = sum_k perm(n_k, j) c_k y^(n_k).
@@ -79,10 +75,6 @@ __all__ = [
 # bound is relative at every modulus, so roots of tiny |y| (x far out on
 # the positive real side) do not all merge into one cluster.
 CLUSTER_TOL = 1e-6
-# Root estimates within this relative distance of one another (|log(a/b)|,
-# chained) are polished together, each one repelled by the others
-# (``_polish_and_certify``).
-_GROUP_TOL = 1e-2
 # Certified relative residual required of every reported root.
 CERT_TOL = 1e-8
 MAX_ITER = 500
@@ -100,6 +92,7 @@ _HEADROOM_BITS = 64
 _LN2 = math.log(2.0)
 _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
+_LOG2_3 = math.log2(3.0)
 # log|y| outside this range does not survive conversion to a normal double.
 _LOG_Y_RANGE = (math.log(sys.float_info.min), math.log(sys.float_info.max))
 
@@ -492,23 +485,6 @@ def _conjugate_pairs(log_y: np.ndarray) -> dict[int, int]:
     return pairs
 
 
-def _groups(log_y: np.ndarray) -> list[list[int]]:
-    """The estimates joined by chains of steps below ``_GROUP_TOL`` in
-    |log(a/b)|, as lists of indices in estimate order, only those with two
-    or more members."""
-    n = len(log_y)
-    near = np.abs(_wrap_phase(log_y[:, None] - log_y[None, :])) < _GROUP_TOL
-    label = list(range(n))
-    for i, j in zip(*np.nonzero(np.triu(near, 1))):
-        a, b = label[i], label[j]
-        if a != b:
-            label = [a if g == b else g for g in label]
-    members: dict[int, list[int]] = {}
-    for i, g in enumerate(label):
-        members.setdefault(g, []).append(i)
-    return [m for m in members.values() if len(m) > 1]
-
-
 def _mp_exact(exact: Optional[Fraction], approx: complex) -> "mp.mpc":
     """A term's coefficient or rate at working precision: the exact rational
     when known, else its float."""
@@ -744,9 +720,7 @@ def _polish_and_certify(
     """Newton polish at ``_POLISH_DPS`` digits, cluster merging, and
     multiplicity certification by the derivative ladder.  ``estimates``
     holds log y of each root estimate, ``pairs`` maps an estimate to the
-    estimate whose conjugate it is (``_conjugate_pairs``).  Estimates in a
-    ``_groups`` group are polished together by ``aberth`` and are never
-    mirrored, each other one alone by ``newton``.  Returns one
+    estimate whose conjugate it is (``_conjugate_pairs``).  Returns one
     record (y, multiplicity, log y, condition) per distinct root, in
     discovery order (the root at y = 0 first, then cluster by cluster), and
     the worst relative residual.  y and log y are doubles rounded from the
@@ -786,13 +760,20 @@ def _polish_and_certify(
         log2_step_tol = (8 - _POLISH_DPS) * math.log2(10)
 
         def newton(y: _Fixed, deriv: int, max_steps: int) -> _Fixed:
-            """Newton on p^(deriv): deriv 0 polishes a lone root estimate,
-            deriv m-1 recentres an m-cluster on the simple root of p^(m-1).
-            With A_j = y^j p^(j)(y), its step is y A_d / A_(d+1).  A lone
-            estimate has no other within _GROUP_TOL, so its root is simple
-            and the step shrinks quadratically; it stops on a step below
-            10^(8-dps) |y|, relative even far right, where |y| is tiny.
-            Steps compare as log2 |step|."""
+            """Newton on p^(deriv): deriv 0 polishes a root estimate, deriv
+            m-1 recentres an m-cluster on the simple root of p^(m-1).  With
+            A_j = y^j p^(j)(y), its step is y A_d / A_(d+1).
+
+            At an m-fold root Newton's step shrinks only by (m-1)/m, so once
+            a step exceeds a third of the one before, the iteration turns to
+            Newton on p/p', quadratic at every multiplicity, whose step is
+            y A B / (B^2 - A C) with (A, B, C) = A_d, A_(d+1), A_(d+2); it stops
+            when the residual |A_d| reaches the rounding floor of its term norm
+            or the step stops shrinking (the root is then resolved to
+            10^(-dps/m)).  Either stops on a step below 10^(8-dps) |y|, relative
+            even far right, where |y| is tiny.  Steps compare as log2 |step|."""
+            prev = None
+            multiple = False
             size = gp.log2_abs(y)
             for _ in range(max_steps):
                 terms = gp.terms(y)
@@ -800,8 +781,27 @@ def _polish_and_certify(
                 b = gp.value(terms, deriv + 1)
                 if b == (0, 0):
                     break
-                r = _cdiv(a, b, bits)
-                step = size + _log2_abs(r) - bits
+                if multiple:
+                    if _cabs(a) <= floor * gp.norm([_cabs(v) for v in terms], deriv):
+                        break
+                    c = gp.value(terms, deriv + 2)
+                    den = (
+                        b[0] * b[0] - b[1] * b[1] - a[0] * c[0] + a[1] * c[1],
+                        2 * b[0] * b[1] - a[0] * c[1] - a[1] * c[0],
+                    )
+                    if den == (0, 0):
+                        break
+                    ab = (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+                    r = _cdiv(ab, den, bits)
+                    step = size + _log2_abs(r) - bits
+                    if prev is not None and step >= prev:
+                        break
+                    prev = step
+                else:
+                    r = _cdiv(a, b, bits)
+                    step = size + _log2_abs(r) - bits
+                    multiple = prev is not None and step > prev - _LOG2_3
+                    prev = None if multiple else step
                 re, im, e = y
                 y = gp.normal(
                     re - _shr(re * r[0] - im * r[1], bits),
@@ -813,76 +813,13 @@ def _polish_and_certify(
                     break
             return y
 
-        def aberth(ys: list[_Fixed], max_sweeps: int) -> list[_Fixed]:
-            """Gauss-Seidel Aberth on a group of near estimates: each member
-            y steps by y A_0 / (A_1 - A_0 S), S = sum_j y / (y - y_j) over
-            the other members at their latest positions, so that the members
-            repel one another and each settles on its own root.  A member
-            stops when |A_0| reaches the rounding floor of its term norm or
-            its step is below 10^(8-dps) |y|."""
-            one = 1 << bits
-            ys = list(ys)
-            live = [True] * len(ys)
-            for _ in range(max_sweeps):
-                for k, y in enumerate(ys):
-                    if not live[k]:
-                        continue
-                    terms = gp.terms(y)
-                    a = gp.value(terms, 0)
-                    if _cabs(a) <= floor * sum(_cabs(v) for v in terms):
-                        live[k] = False
-                        continue
-                    s_re = s_im = 0
-                    for j, (re_j, im_j, e_j) in enumerate(ys):
-                        if j == k:
-                            continue
-                        # 1 / (1 - y_j / y), with y_j / y on the 2^bits scale.
-                        q_re, q_im = _cdiv((re_j, im_j), y[:2], bits)
-                        shift = e_j - y[2]
-                        if shift >= 0:
-                            q_re, q_im = q_re << shift, q_im << shift
-                        else:
-                            q_re, q_im = _shr(q_re, -shift), _shr(q_im, -shift)
-                        if (q_re, q_im) != (one, 0):
-                            inv = _cdiv((one, 0), (one - q_re, -q_im), bits)
-                            s_re += inv[0]
-                            s_im += inv[1]
-                    b = gp.value(terms, 1)
-                    a_s = _cmul(a, (s_re, s_im), bits)
-                    den = (b[0] - a_s[0], b[1] - a_s[1])
-                    if den == (0, 0):
-                        live[k] = False
-                        continue
-                    r = _cdiv(a, den, bits)
-                    re, im, e = y
-                    ys[k] = gp.normal(
-                        re - _shr(re * r[0] - im * r[1], bits),
-                        im - _shr(re * r[1] + im * r[0], bits),
-                        e,
-                    )
-                    # A member stepped onto y = 0 stops; its residual fails.
-                    if _log2_abs(r) - bits <= log2_step_tol or ys[k][:2] == (0, 0):
-                        live[k] = False
-                if not any(live):
-                    break
-            return ys
-
         n_est = len(estimates)
         fixed: list[Optional[_Fixed]] = [None] * n_est
         polished: list["mp.mpc"] = [mp.mpc(0)] * n_est
-        groups = _groups(estimates)
-        grouped = {i for members in groups for i in members}
-        if grouped:
-            pairs = {j: i for j, i in pairs.items() if i not in grouped and j not in grouped}
         for i, log_y in enumerate(estimates):
-            if i not in pairs and i not in grouped:
+            if i not in pairs:
                 fixed[i] = newton(gp.from_log(complex(log_y)), 0, 80)
                 polished[i] = gp.to_mpc(fixed[i])
-        for members in groups:
-            starts = [gp.from_log(complex(estimates[i])) for i in members]
-            for i, y in zip(members, aberth(starts, 80)):
-                fixed[i] = y
-                polished[i] = gp.to_mpc(y)
         for j, i in pairs.items():
             polished[j] = mp.conj(polished[i])
 
@@ -997,12 +934,11 @@ def roots_at_time(poly: ExpPoly, t: float) -> RootSet:
 
     Strategy: Newton-polygon circles seed a simultaneous Aberth iteration
     run in log-scaled double precision, one numpy sweep over all
-    unconverged estimates at a time.  Every estimate is polished at
-    ``_POLISH_DPS`` digits in integers (``_polish_and_certify``): by Newton
-    alone, or by Aberth together with the estimates within ``_GROUP_TOL``
-    of it; of an unambiguous conjugate pair outside such groups only one is
-    polished, and the other becomes its exact conjugate (skipped when the
-    sweeps hit ``MAX_ITER``).  Clusters within ``CLUSTER_TOL`` are
+    unconverged estimates at a time.  Every estimate is polished by
+    Newton at ``_POLISH_DPS`` digits in integers (``_polish_and_certify``),
+    except that of an unambiguous conjugate pair only one is, and the
+    other becomes its exact conjugate (skipped when the sweeps hit
+    ``MAX_ITER``).  Clusters within ``CLUSTER_TOL`` are
     merged and certified for multiplicity by the derivative ladder, and
     each root must pass a relative-residual certificate below ``CERT_TOL``.
     The polish's per-root records are sorted once by ``_sort_key`` (a

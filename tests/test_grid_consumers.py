@@ -55,7 +55,7 @@ def test_residue_contour_makes_no_scalar_u_calls(spy) -> None:
     cfg = SolitonConfig.make(1, 2, "plus")
     poles = oracle_poles(cfg, 0.4)
     u_calls = spy("eval_u")
-    res = residue_at_pole(cfg, poles[0][0], 0.4, poles=poles)
+    res = residue_at_pole(cfg, poles[0][0], 0.4)
     assert min(abs(res - 1j), abs(res + 1j)) < 1e-8
     assert u_calls == []
 

@@ -275,7 +275,7 @@ REMOVED_PARAMETERS = {
     ("analysis", "check_no_real_poles"): {"variant"},
     ("analysis", "vertical_sign"): {"variant"},
     ("analysis", "odd_translation_residuals"): {"variant"},
-    ("analysis", "residue_at_pole"): {"cross_check", "nodes", "variant"},
+    ("analysis", "residue_at_pole"): {"cross_check", "nodes", "poles", "variant"},
     ("analysis", "parity_translation_theta"): {"probes", "seed", "tol"},
     ("analysis", "odd_parity_translation"): {"probes", "seed", "tol", "variant"},
     ("asymptotics", "MovingFrame.value"): {"variant"},
@@ -319,7 +319,6 @@ def test_tuning_constants_stay_constants() -> None:
 SETTABLE_PARAMETERS = {
     "_balanced.ScaledGrid.ratio": {"active"},
     "analysis.check_no_real_poles": {"grid"},
-    "analysis.residue_at_pole": {"poles"},
     "asymptotics.seed_time": {"eps"},
     "asymptotics.seed_state": {"eps"},
     "asymptotics.match_families": {"attach", "direction"},
