@@ -13,8 +13,9 @@ exponent -1 in |t - t_star| and amplitude 1/|Im x'| (every residue has
 unit modulus).  ``find_crossing`` locates t_star on a tracked curve,
 ``choose_alpha`` picks a line that starts strictly between pole
 ordinates, ``blowup_profile`` measures sup-norm ladders on adaptively
-refined grids, and ``fit_blowup_rate`` recovers the rate by weighted
-least squares in log-log coordinates.
+refined grids (one grid call per round for all of its profiles), and
+``fit_blowup_rate`` recovers the rate by weighted least squares in
+log-log coordinates.
 
 Splitting u = r + i s turns the scalar field equation
 u_t + 6 u^2 u_x + u_xxx = 0 into the real coupled system
@@ -47,6 +48,7 @@ from .kernel import (
     ConvergenceError,
     F_scaled,
     SolitonConfig,
+    _batched,
     _record_dict,
     _u_or_raise,
     _u_or_raise_grid,
@@ -372,27 +374,16 @@ def _tail_rate(xs: Sequence[float], vals: Sequence[float]) -> float:
     return abs(slope)
 
 
-def _abs_u_on_line(
-    cfg: SolitonConfig, xs: list[float], alpha: float, t: float
-) -> list[float]:
-    """|u(x - i alpha, t)| at each x; PoleError at the first pole."""
-    u = _u_or_raise_grid(cfg, complex_array(xs, -alpha), t)
-    return np.hypot(u.real, u.imag).tolist()
-
-
-def _profile_at(
-    cfg: SolitonConfig,
-    alpha: float,
-    center: float,
-    t: float,
-    grid: GridSpec,
-) -> ProfileSample:
+def _profile_steps(cfg: SolitonConfig, center: float, t: float, grid: GridSpec):
+    """One profile as a generator: it yields each grid of x it needs, is
+    sent |u(x - i alpha, t)| there as a list, and returns its sample."""
     spacing = grid.spacing
     span = max(8.0 / cfg.k1, 4.0)
     for _ in range(40):
         n = max(3, int(2 * span / spacing) + 1)
-        xs = (center - span + 2 * span * np.arange(n) / (n - 1)).tolist()
-        vals = _abs_u_on_line(cfg, xs, alpha, t)
+        base = center - span + 2 * span * np.arange(n) / (n - 1)
+        vals = yield base
+        xs = base.tolist()
         peak_i = max(range(n), key=vals.__getitem__)
         peak, arg = vals[peak_i], xs[peak_i]
         if max(vals[0], vals[-1]) <= grid.boundary_tol * peak:
@@ -404,10 +395,10 @@ def _profile_at(
     # estimate still moves (the peak narrows without bound near t_star).
     step = 2 * span / (n - 1)
     for level in range(1, 25):
-        lo = arg - step
         m = 2 * grid.factor + 1
-        fx = (lo + 2 * step * np.arange(m) / (m - 1)).tolist()
-        fv = _abs_u_on_line(cfg, fx, alpha, t)
+        fine = arg - step + 2 * step * np.arange(m) / (m - 1)
+        fv = yield fine
+        fx = fine.tolist()
         best = max(range(m), key=fv.__getitem__)
         gain = fv[best] / peak - 1.0
         if fv[best] > peak:
@@ -422,6 +413,24 @@ def _profile_at(
     return ProfileSample(t, peak, arg, rate_l, rate_r)
 
 
+def _profiles(cfg: SolitonConfig, alpha: float, jobs: list, grid: GridSpec) -> list:
+    """The profiles at each (center, t) of jobs, in lockstep: one grid call
+    per round takes the next grid of every unfinished profile."""
+    runs = [_profile_steps(cfg, center, t, grid) for center, t in jobs]
+    want = [next(run) for run in runs]  # a profile's next grid, or its sample
+    while live := [i for i, w in enumerate(want) if isinstance(w, np.ndarray)]:
+        sizes = [len(want[i]) for i in live]
+        xs = complex_array(np.concatenate([want[i] for i in live]), -alpha)
+        u = _u_or_raise_grid(cfg, xs, np.repeat([jobs[i][1] for i in live], sizes))
+        vals = np.split(np.hypot(u.real, u.imag), np.cumsum(sizes)[:-1])
+        for i, v in zip(live, vals):
+            try:
+                want[i] = runs[i].send(v.tolist())
+            except StopIteration as done:
+                want[i] = done.value
+    return want
+
+
 def blowup_profile(
     scenario: BlowupScenario, times: Sequence[float]
 ) -> list[ProfileSample]:
@@ -430,18 +439,23 @@ def blowup_profile(
     Each profile centers its grid on the crossing pole's real part at
     that time (extrapolated from the tracked curve), refines around the
     argmax, and verifies the boundary is negligible.  Times equal to
-    t_star are rejected.
+    t_star are rejected.  The profiles run in lockstep (``_profiles``); an
+    error is the first failing profile's own, and the series stays as it was.
     """
     cfg = scenario.cfg
-    out: list[ProfileSample] = []
+    times = list(times)
+    jobs: list[tuple[float, float]] = []
     for t in times:
         if t == scenario.t_star:
-            raise ValueError("profile times must exclude t_star itself")
+            break
         try:
             center = position_at(cfg, scenario.crossing_pole, t).real
         except (ValueError, ConvergenceError):
             center = scenario.crossing.x_star.real
-        out.append(_profile_at(cfg, scenario.alpha, center, t, scenario.grid))
+        jobs.append((center, t))
+    out = _batched(lambda js: _profiles(cfg, scenario.alpha, js, scenario.grid), jobs)
+    if len(jobs) < len(times):
+        raise ValueError("profile times must exclude t_star itself")
     scenario.series.extend(out)
     return out
 

@@ -34,6 +34,7 @@ import numpy as np
 from .kernel import (
     SolitonConfig,
     Variant,
+    _batched,
     _u_or_raise,
     _u_or_raise_grid,
     eval_u_x,
@@ -223,6 +224,19 @@ def _polish_max(cfg: SolitonConfig, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _window_maxima(work: SolitonConfig, windows: list[float], h: float) -> list[float]:
+    """The polished maxima in the 601-point windows of width 3h around each
+    center: one u_x scan of all of them, then each window's + -> - brackets."""
+    m = 601
+    fine = np.asarray(windows)[:, None] - 1.5 * h + 3.0 * h * np.arange(m) / (m - 1)
+    vals = eval_u_x_grid(work, fine.reshape(-1), 0.0).real.reshape(-1, m)
+    out = []
+    for fl, v in zip(fine.tolist(), vals):
+        for j in np.flatnonzero((v[:-1] > 0.0) & (v[1:] <= 0.0)).tolist():
+            out.append(_polish_max(work, fl[j], fl[j + 1]))
+    return out
+
+
 def find_maxima(cfg: SolitonConfig) -> list[float]:
     """Abscissas of the local maxima of u(., 0) on |x| <= 12/k1, sorted.
 
@@ -233,7 +247,7 @@ def find_maxima(cfg: SolitonConfig) -> list[float]:
     bracket-guarded Newton iteration on u_x.  The fine scan separates
     maxima that the coarse grid would merge: near the critical ratio
     the two side maxima approach the center like the square root of
-    the parameter distance.
+    the parameter distance.  One grid call scans all windows' fine grids.
     """
     work = _resolve(cfg)
     h = strip_scale(work) / 200.0
@@ -251,15 +265,7 @@ def find_maxima(cfg: SolitonConfig) -> list[float]:
         if not windows or center - windows[-1] > 0.5 * h:
             windows.append(center)
 
-    maxima: list[float] = []
-    m = 601
-    for center in windows:
-        fine = center - 1.5 * h + 3.0 * h * np.arange(m) / (m - 1)
-        vals = eval_u_x_grid(work, fine, 0.0).real
-        fl = fine.tolist()
-        for j in np.flatnonzero((vals[:-1] > 0.0) & (vals[1:] <= 0.0)).tolist():
-            maxima.append(_polish_max(work, fl[j], fl[j + 1]))
-
+    maxima = _batched(lambda ws: _window_maxima(work, ws, h), windows)
     maxima.sort()
     out: list[float] = []
     for x in maxima:

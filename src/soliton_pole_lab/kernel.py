@@ -850,7 +850,7 @@ def _u_grid(cfg: SolitonConfig, xs: np.ndarray, t: float, raise_pole=False):
     """``eval_u`` over xs: (u, pole mask), u NaN at the poles.  G / F raises
     its error for the first non-pole point that has one.  With ``raise_pole``
     (``_u_or_raise``) only the points before the first pole are divided,
-    and that pole then raises PoleError."""
+    and that pole then raises PoleError, naming the pole's own time."""
     F = F_grid(cfg, xs, t)
     G = G_grid(cfg, xs, t)
     Fx = F_grid(cfg, xs, t, dx=1)
@@ -863,7 +863,9 @@ def _u_grid(cfg: SolitonConfig, xs: np.ndarray, t: float, raise_pole=False):
     active = np.logical_and.accumulate(~pole) if raise_pole else ~pole
     qr, qi = G.ratio(F, active=active)
     if raise_pole and pole.any():
-        raise PoleError(_pole_message(complex(xs[np.argmax(pole)]), t))
+        i = int(np.argmax(pole))
+        t_i = t if np.ndim(t) == 0 else float(t[i])
+        raise PoleError(_pole_message(complex(xs[i]), t_i))
     u = complex_array(*cmul(2.0 * cfg.gamma, 0.0, qr, qi))
     u[pole] = complex("nan")
     return u, pole
@@ -883,6 +885,16 @@ def _u_or_raise_grid(
     """``_u_or_raise`` over xs: the error of the first offending point,
     PoleError or the ratio's (see ``_u_grid``)."""
     return _u_grid(cfg, _as_grid(xs), t, raise_pole=True)[0]
+
+
+def _batched(run, items: list) -> list:
+    """``run(items)``; on an error, ``run([item])`` item by item, in order, so
+    the error raised is the one the first failing item raises alone."""
+    try:
+        return run(items)
+    except (ArithmeticError, ValueError, RuntimeError):
+        pass
+    return [out for item in items for out in run([item])]
 
 
 def _sech_scaled(w: complex) -> tuple[Scaled, Scaled]:

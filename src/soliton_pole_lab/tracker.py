@@ -48,6 +48,7 @@ met (see ``PoleCurve``).
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -188,8 +189,13 @@ class PoleCurve:
         return self.samples[-1][1]
 
     def x_at_nearest(self, t: float) -> complex:
-        """Sample position closest in time to t (no interpolation)."""
-        return min(self.samples, key=lambda s: abs(s[0] - t))[1]
+        """Position of the first sample closest in time to t (no interpolation)."""
+        s = self.samples
+        d = 1.0 if s[-1][0] >= s[0][0] else -1.0
+        i = min(bisect.bisect_left(s, d * t, key=lambda p: d * p[0]), len(s) - 1)
+        while i > 0 and abs(s[i - 1][0] - t) <= abs(s[i][0] - t):
+            i -= 1
+        return s[i][1]
 
 
 Triple = tuple[complex, float, float]

@@ -12,15 +12,19 @@ independent way.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from soliton_pole_lab import blowup
 from soliton_pole_lab.blowup import (
+    _DELTA_LADDER,
     Crossing,
     GridSpec,
     ProfileSample,
     RateFit,
-    _profile_at,
+    _profiles,
     blowup_profile,
     build_scenario,
     choose_alpha,
@@ -222,7 +226,7 @@ class TestProfiles:
         cfg = scenario12.cfg
         t = scenario12.t_star + 1e-5
         center = scenario12.crossing.x_star.real + 0.013
-        deep = _profile_at(cfg, scenario12.alpha, center, t, GridSpec(math.pi / 64))
+        [deep] = _profiles(cfg, scenario12.alpha, [(center, t)], GridSpec(math.pi / 64))
         truth = 1.0 / (abs(scenario12.crossing.vertical_speed) * 1e-5)
         assert abs(deep.sup_abs - truth) < 2e-2 * truth
 
@@ -264,6 +268,70 @@ class TestProfiles:
         }
         assert header["variant"] == "plus"
         assert header["grid"]["levels"] == 3
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        (1, 2, "plus"),
+        (1, 2, "minus"),
+        (2, 3, "plus"),
+        (2, 5, "plus"),
+        (1, 4, "plus"),
+        (1, 3, "plus"),
+    ],
+)
+def test_lockstep_profiles_equal_one_at_a_time(spec) -> None:
+    """One call with the battery's five times gives the samples of five
+    one-time calls on fresh scenarios, repr for repr."""
+    scenario = build_scenario(SolitonConfig.make(*spec))
+    times = [scenario.t_star + d for d in _DELTA_LADDER]
+    alone = [blowup_profile(replace(scenario, series=[]), [t])[0] for t in times]
+    together = blowup_profile(scenario, times)
+    assert repr(together) == repr(alone)
+    assert scenario.series == together
+
+
+def test_lockstep_raises_the_first_failing_profile_error(monkeypatch, scenario12):
+    """Profile 1 fails on its first refinement grid and profile 3 on its
+    first base grid: the error is profile 1's, as when the profiles ran one
+    after another, and the series is left as it was."""
+    times = [scenario12.t_star + d for d in _DELTA_LADDER]
+    refinement = 2 * scenario12.grid.factor + 1
+    real = blowup._u_or_raise_grid
+
+    def failing(cfg, xs, t):
+        ts = np.broadcast_to(t, np.shape(xs))
+        if np.count_nonzero(ts == times[2]):
+            raise PoleError(f"base grid at t={times[2]}")
+        if np.count_nonzero(ts == times[0]) == refinement:
+            raise PoleError(f"refinement grid at t={times[0]}")
+        return real(cfg, xs, t)
+
+    monkeypatch.setattr(blowup, "_u_or_raise_grid", failing)
+    before = list(scenario12.series)
+    with pytest.raises(PoleError) as err:
+        blowup_profile(scenario12, times)
+    assert str(err.value) == f"refinement grid at t={times[0]}"
+    assert scenario12.series == before
+
+
+def test_profiles_before_t_star_fail_first(monkeypatch, scenario12):
+    """A profile that fails before t_star in the list raises its own error;
+    t_star is refused only after the profiles before it succeed."""
+    t = scenario12.t_star + _DELTA_LADDER[0]
+
+    def failing(cfg, xs, t):
+        raise PoleError("every grid fails")
+
+    before = list(scenario12.series)
+    with monkeypatch.context() as patch:
+        patch.setattr(blowup, "_u_or_raise_grid", failing)
+        with pytest.raises(PoleError, match="every grid fails"):
+            blowup_profile(scenario12, [t, scenario12.t_star])
+    with pytest.raises(ValueError, match="exclude t_star"):
+        blowup_profile(scenario12, [t, scenario12.t_star])
+    assert scenario12.series == before
 
 
 # ---------------------------------------------------------------------------

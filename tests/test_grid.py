@@ -442,6 +442,20 @@ def test_grid_touching_a_pole_names_the_first_pole() -> None:
     assert repr(xs[7]) in str(grid.value)
 
 
+def test_pole_error_names_the_point_time_of_a_time_array() -> None:
+    """With one time per point, the pole's own time is named, as the
+    scalar path names it, not the whole array."""
+    cfg = SolitonConfig.make(1, 5, "minus")
+    xs = _grid_with_poles(cfg, 0.4)
+    ts = np.where(np.arange(len(xs)) < 7, 0.1, 0.4)
+    with pytest.raises(PoleError) as scalar:
+        [_u_or_raise(cfg, x, t) for x, t in zip(xs, ts.tolist())]
+    with pytest.raises(PoleError) as grid:
+        _u_or_raise_grid(cfg, xs, ts)
+    assert str(grid.value) == str(scalar.value)
+    assert str(grid.value).endswith("t=0.4 touches a pole")
+
+
 def _first_error(call):
     """The error ``call`` raises, as (type, message)."""
     with pytest.raises((OverflowError, PoleError)) as got:

@@ -1,9 +1,12 @@
 """The dense-grid consumers evaluate their grids in one batch.
 
 ``check_no_real_poles``, the residue contour, ``find_maxima``'s scans and
-``_profile_at``'s grids go through the grid engine: they make no per-point
-call to the scalar ``F_scaled``/``eval_u``/``eval_u_x``.  What scalar calls
-remain belong to the Newton polishes, one point at a time.
+the blowup profiles' grids (``blowup._profiles``) go through the grid
+engine: they make no per-point call to the scalar
+``F_scaled``/``eval_u``/``eval_u_x``.  What scalar calls remain belong to
+the Newton polishes, one point at a time.  The engine's fixed cost is paid
+once per batch: ``find_maxima`` scans every window in one call, and the
+profiles of one ``blowup_profile`` call share one call per round.
 """
 
 import math
@@ -13,7 +16,13 @@ import pytest
 
 from soliton_pole_lab import kernel
 from soliton_pole_lab.analysis import check_no_real_poles, residue_at_pole
-from soliton_pole_lab.blowup import GridSpec, _profile_at
+from soliton_pole_lab.blowup import (
+    _DELTA_LADDER,
+    GridSpec,
+    _profiles,
+    blowup_profile,
+    build_scenario,
+)
 from soliton_pole_lab.exppoly import oracle_poles
 from soliton_pole_lab.interaction import find_maxima
 from soliton_pole_lab.kernel import SolitonConfig
@@ -73,6 +82,29 @@ def test_maxima_scans_make_no_scalar_u_calls(spy) -> None:
 def test_profile_grids_make_no_scalar_u_calls(spy) -> None:
     u_calls, raise_calls = spy("eval_u"), spy("_u_or_raise")
     cfg = SolitonConfig.make(1, 2, "plus")
-    sample = _profile_at(cfg, 0.4, 0.0, 0.5, GridSpec(math.pi / 64))
+    [sample] = _profiles(cfg, 0.4, [(0.0, 0.5)], GridSpec(math.pi / 64))
     assert sample.sup_abs > 0.0
     assert u_calls == [] and raise_calls == []
+
+
+def test_maxima_scan_every_window_in_one_call(spy) -> None:
+    coarse, fine = spy("_u_grid"), spy("eval_u_x_grid")
+    maxima = find_maxima(SolitonConfig.make(1, 2, "plus"))
+    assert len(maxima) == 2
+    assert len(coarse) == 1
+    # One fine scan over the three windows (two maxima, one minimum).
+    assert [len(args[1]) for args in fine] == [3 * 601]
+
+
+def test_profiles_share_one_grid_call_per_round(spy) -> None:
+    scenario = build_scenario(SolitonConfig.make(1, 2, "plus"))
+    calls = spy("_u_grid")
+    series = blowup_profile(scenario, [scenario.t_star + d for d in _DELTA_LADDER])
+    assert len(series) == len(_DELTA_LADDER)
+    # All five profiles localize on their third base grid and stop
+    # refining after the third level: one call per round, not one per
+    # profile and round (30).
+    assert len(calls) <= 3 + 3
+    # The first call holds the first base grid of every profile, each point
+    # at its own profile's time.
+    assert sorted(set(calls[0][2].tolist())) == sorted(s.t for s in series)

@@ -11,11 +11,14 @@ s equal to the critical ratio.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
 
+from soliton_pole_lab import interaction
 from soliton_pole_lab.interaction import (
     SWEEP_HEADER,
     _speed_estimate,
@@ -195,6 +198,48 @@ class TestMaxima:
     def test_transition_bad_bracket(self) -> None:
         with pytest.raises(ValueError, match="straddle"):
             maxima_transition_ratio(lo=2.70, hi=2.80)
+
+
+# sha256 of the reprs of find_maxima(cfg), joined by newlines, over each
+# coprime p1 < p2 <= 9 in both variants and (1, sqrt 2)+; recorded when
+# every window was scanned in a call of its own.
+_MAXIMA_SPECS = [
+    (p1, p2, v)
+    for p2 in range(2, 10)
+    for p1 in range(1, p2)
+    if math.gcd(p1, p2) == 1
+    for v in ("plus", "minus")
+] + [(1.0, math.sqrt(2.0), "plus")]
+_MAXIMA_DIGEST = "7b9551493700c4c0459c452e1b967ca73deae288d89c616134dd580f5024102f"
+
+
+def test_maxima_census_matches_recorded_digest() -> None:
+    assert len(_MAXIMA_SPECS) == 55
+    text = "\n".join(repr(find_maxima(SolitonConfig.make(*s))) for s in _MAXIMA_SPECS)
+    assert hashlib.sha256(text.encode()).hexdigest() == _MAXIMA_DIGEST
+
+
+def test_maxima_raise_the_first_window_error(monkeypatch) -> None:
+    """(1,2)+ has three windows: maxima near -1.12 and +1.12 and the
+    minimum at 0.  Window 2's scan fails and window 1's polish fails: the
+    error is the polish's, as when each window was scanned and polished
+    before the next."""
+    scan, polish = interaction.eval_u_x_grid, interaction.eval_u_x
+
+    def failing_scan(cfg, xs, t):
+        if np.any(np.abs(np.real(xs)) < 0.5):
+            raise OverflowError("scan of window 2")
+        return scan(cfg, xs, t)
+
+    def failing_polish(cfg, x, t):
+        if x.real < -0.5:
+            raise ZeroDivisionError("polish of window 1")
+        return polish(cfg, x, t)
+
+    monkeypatch.setattr(interaction, "eval_u_x_grid", failing_scan)
+    monkeypatch.setattr(interaction, "eval_u_x", failing_polish)
+    with pytest.raises(ZeroDivisionError, match="polish of window 1"):
+        find_maxima(SolitonConfig.make(1, 2, "plus"))
 
 
 class TestOnset:

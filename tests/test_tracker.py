@@ -467,6 +467,46 @@ def test_classify_ambiguous_raises():
 
 
 # ---------------------------------------------------------------------------
+# Nearest sample.
+# ---------------------------------------------------------------------------
+
+# Times on a 1/8 grid (exact midpoints, so exact ties), plain floats, and
+# times so close to 0 that |s - t| rounds to one value for several samples.
+_SAMPLE_TIMES = st.lists(
+    st.one_of(
+        st.integers(-64, 64).map(lambda k: k / 8),
+        st.floats(-2.0, 2.0),
+        st.floats(-1e-15, 1e-15),
+    ),
+    min_size=1,
+    max_size=40,
+    unique=True,
+)
+
+
+@given(times=_SAMPLE_TIMES, decreasing=st.booleans(), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_x_at_nearest_matches_a_linear_min(times, decreasing, data):
+    """The bisection picks the sample the linear ``min`` picks: the first
+    of equally close samples, in either direction of time, at sample
+    times, exact midpoints and anywhere within ``position_at``'s slack."""
+    times = sorted(times, reverse=decreasing)
+    samples = [(s, complex(k)) for k, s in enumerate(times)]
+    curve = PoleCurve(variant=Variant.PLUS, samples=samples)
+    slack = 2 * TrackerOptions.dt_max
+    lo, hi = min(times), max(times)
+    mids = [0.5 * (a + b) for a, b in zip(times, times[1:])]
+    t = data.draw(
+        st.one_of(
+            st.sampled_from(times),
+            st.sampled_from(mids or times),
+            st.floats(lo - slack, hi + slack),
+        )
+    )
+    assert curve.x_at_nearest(t) == min(samples, key=lambda p: abs(p[0] - t))[1]
+
+
+# ---------------------------------------------------------------------------
 # Export.
 # ---------------------------------------------------------------------------
 
