@@ -189,7 +189,7 @@ class PoleCurve:
         return self.samples[-1][1]
 
     def x_at_nearest(self, t: float) -> complex:
-        """Position of the first sample closest in time to t (no interpolation)."""
+        """Position of the first sample nearest in t (sample times are monotone)."""
         s = self.samples
         d = 1.0 if s[-1][0] >= s[0][0] else -1.0
         i = min(bisect.bisect_left(s, d * t, key=lambda p: d * p[0]), len(s) - 1)

@@ -485,7 +485,7 @@ _SAMPLE_TIMES = st.lists(
 
 
 @given(times=_SAMPLE_TIMES, decreasing=st.booleans(), data=st.data())
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_x_at_nearest_matches_a_linear_min(times, decreasing, data):
     """The bisection picks the sample the linear ``min`` picks: the first
     of equally close samples, in either direction of time, at sample
